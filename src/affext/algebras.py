@@ -6,6 +6,7 @@ The same encoding fixes tuple indexing in power algebras.
 """
 
 from itertools import product
+from operator import itemgetter
 
 DEFAULT_CAP = 1 << 24
 
@@ -50,12 +51,12 @@ def _flatten(nested, arity, size):
     if arity == 0:
         if isinstance(nested, (list, tuple)):
             raise AlgebraError("arity-0 table must be a bare integer")
-        return (int(nested),)
+        return (nested,)
     flat = []
 
     def walk(node, depth):
         if depth == arity:
-            flat.append(int(node))
+            flat.append(node)
             return
         if len(node) != size:
             raise AlgebraError("table row has length %d, expected %d" % (len(node), size))
@@ -93,15 +94,17 @@ class FiniteAlgebra:
                 raise AlgebraError("missing table for symbol %r" % sym)
             tab = tables[sym]
             if isinstance(tab, tuple) and (ar == 0 or not isinstance(tab[0], (list, tuple))):
-                flat = tuple(int(v) for v in tab)
+                flat = tab
             else:
                 flat = _flatten(tab, ar, self.size)
             if len(flat) != self.size ** ar:
                 raise AlgebraError("table for %r has %d entries, expected %d"
                                    % (sym, len(flat), self.size ** ar))
-            for v in flat:
-                if not 0 <= v < self.size:
-                    raise AlgebraError("table entry %d for %r outside universe" % (v, sym))
+            # bools and floats compare equal to ints, so check types first
+            if set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= self.size:
+                bad = next(v for v in flat if type(v) is not int or not 0 <= v < self.size)
+                raise AlgebraError("table entry %r for %r is not an element of the universe"
+                                   % (bad, sym))
             self.tables[sym] = flat
 
     def op(self, sym, *args):
@@ -131,42 +134,78 @@ class FiniteAlgebra:
         return "FiniteAlgebra(%s, n=%d)" % (self.name or "?", self.size)
 
 
-def closure(generators, ops):
-    """Least set containing generators closed under ops.
+def _row_getters(pool):
+    """For each coordinate j of the k-tuples in pool, a function that picks
+    their j-th coordinates, in pool order, out of a table row as a tuple."""
+    # itemgetter of a single index returns the bare item, not a 1-tuple
+    return [itemgetter(*col) if len(col) > 1 else (lambda row, x=col[0]: (row[x],))
+            for col in zip(*pool)]
 
-    ops is a list of (arity, fn) pairs; fn maps an argument tuple to an
-    element.  Nullary ops are applied once.  Returns elements in discovery
-    order (generators first, sorted).
+
+def _apply_rows(tab, n, prefix, getters):
+    """Coordinatewise values of a flat table on prefix + (t,) for every t in
+    the pool that getters (from _row_getters) were made for; the results
+    are k-tuples in pool order."""
+    offsets = [0] * len(getters)
+    for t in prefix:
+        offsets = [(o + x) * n for o, x in zip(offsets, t)]
+    return zip(*[get(tab[o:o + n]) for o, get in zip(offsets, getters)])
+
+
+def closure(alg, k, generators, max_rounds=None):
+    """Subuniverse of alg**k generated by a set of k-tuples.
+
+    An element of alg**k is a plain tuple of k elements of alg, and every
+    operation acts on it coordinatewise through alg's flat tables; nullary
+    operations contribute their constant k-tuples to the generators.
+    Round r evaluates every operation on the argument tuples that contain
+    at least one element found in round r-1, and stops the closure when it
+    finds nothing new.  max_rounds (None for no limit) caps the number of
+    rounds.  Returns (elements, exact): the generators sorted, then each
+    round's new elements sorted; exact is False when the last round
+    allowed by max_rounds still found new elements, so the result may be
+    short of the full subuniverse.
     """
-    elems = sorted(set(generators))
-    seen = set(elems)
-    for ar, fn in ops:
-        if ar == 0:
-            v = fn(())
-            if v not in seen:
-                seen.add(v)
-                elems.append(v)
-    frontier = list(elems)
-    while frontier:
-        new = []
+    n = alg.size
+    ops = [(alg.tables[sym], ar) for sym, ar in alg.signature.symbols]
+    seen = set(map(tuple, generators))
+    seen.update((tab[0],) * k for tab, ar in ops if ar == 0)
+    elems = sorted(seen)
+    frontier = elems
+    rounds = 0
+    while frontier and (max_rounds is None or rounds < max_rounds):
+        rounds += 1
         old = elems[: len(elems) - len(frontier)]
-        for ar, fn in ops:
-            if ar == 0:
-                continue
-            # tuples using at least one frontier element: first frontier
-            # occurrence at position i, older elements before it.
+        frontier_rows, elem_rows = _row_getters(frontier), _row_getters(elems)
+        found = set()
+        for tab, ar in ops:
+            # argument tuples whose first frontier element sits at position i
             for i in range(ar):
                 pools = [old] * i + [frontier] + [elems] * (ar - i - 1)
-                if any(not p for p in pools):
-                    continue
-                for args in product(*pools):
-                    v = fn(args)
-                    if v not in seen:
-                        seen.add(v)
-                        new.append(v)
-        elems.extend(new)
-        frontier = new
-    return elems
+                last = frontier_rows if i == ar - 1 else elem_rows
+                for prefix in product(*pools[:-1]):
+                    found.update(_apply_rows(tab, n, prefix, last))
+        frontier = sorted(found - seen)
+        seen.update(frontier)
+        elems = elems + frontier
+    return elems, not frontier
+
+
+def subpower_tables(alg, elements):
+    """Flat tables of the subalgebra of alg**k whose universe is the list
+    elements of k-tuples, element i standing for elements[i]."""
+    n = alg.size
+    index = {t: i for i, t in enumerate(elements)}
+    rows = _row_getters(elements)
+    tables = {}
+    for sym, ar in alg.signature.symbols:
+        tab = alg.tables[sym]
+        if ar == 0:
+            tables[sym] = (index[(tab[0],) * len(rows)],)
+            continue
+        tables[sym] = tuple(index[t] for prefix in product(elements, repeat=ar - 1)
+                            for t in _apply_rows(tab, n, prefix, rows))
+    return tables
 
 
 def subalgebra_generate(alg, gens):
@@ -174,24 +213,8 @@ def subalgebra_generate(alg, gens):
     for g in gens:
         if not 0 <= g < alg.size:
             raise AlgebraError("generator %d outside universe" % g)
-    n = alg.size
-    ops = []
-    for sym, ar in alg.signature.symbols:
-        tab = alg.tables[sym]
-        if ar == 0:
-            ops.append((0, lambda args, t=tab: t[0]))
-        elif ar == 1:
-            ops.append((1, lambda args, t=tab: t[args[0]]))
-        elif ar == 2:
-            ops.append((2, lambda args, t=tab, n=n: t[args[0] * n + args[1]]))
-        else:
-            def fn(args, t=tab, n=n):
-                idx = 0
-                for a in args:
-                    idx = idx * n + a
-                return t[idx]
-            ops.append((ar, fn))
-    return sorted(closure(gens, ops))
+    elems, _ = closure(alg, 1, [(g,) for g in gens])
+    return sorted(t[0] for t in elems)
 
 
 def power_algebra(alg, k, cap=DEFAULT_CAP):
@@ -203,24 +226,8 @@ def power_algebra(alg, k, cap=DEFAULT_CAP):
     max_ar = max((ar for _, ar in alg.signature.symbols), default=0)
     if size ** max(max_ar, 1) > cap:
         raise CapExceeded("power algebra of size %d exceeds cap %d" % (size, cap))
-    decode = [tuple_decode(e, n, k) for e in range(size)]
-    tables = {}
-    for sym, ar in alg.signature.symbols:
-        tab = alg.tables[sym]
-        if ar == 0:
-            c = tab[0]
-            tables[sym] = (tuple_encode((c,) * k, n),)
-            continue
-        flat = []
-        for args in product(range(size), repeat=ar):
-            coords = []
-            for j in range(k):
-                idx = 0
-                for a in args:
-                    idx = idx * n + decode[a][j]
-                coords.append(tab[idx])
-            flat.append(tuple_encode(coords, n))
-        tables[sym] = tuple(flat)
+    # product lists the k-tuples in base-n order, so tuple i has code i
+    tables = subpower_tables(alg, list(product(range(n), repeat=k)))
     name = "%s^%d" % (alg.name, k) if alg.name else None
     return FiniteAlgebra(size, alg.signature, tables, name=name)
 

@@ -386,12 +386,6 @@ def cocycle_difference_coboundary(d, T, Tp):
     return None
 
 
-def extension_satisfies(ext, equations):
-    """Direct equation check on a (reconstructed) extension's tables."""
-    from .algebras import satisfies
-    return satisfies(ext.alg, equations) is None
-
-
 # --- the A(alpha)/Delta_{alpha 1} transfer decomposition ---------------------
 
 def delta_quotient(alg, alpha, beta, cap=DEFAULT_CAP):

@@ -3,8 +3,9 @@ stabilizing automorphisms, trivial actions and variety comparisons."""
 
 from itertools import product
 
-from .algebras import (AlgebraError, CapExceeded, find_isomorphism,
-                       is_homomorphism)
+from .algebras import (DEFAULT_CAP, AlgebraError, CapExceeded, FiniteAlgebra,
+                       Signature, closure, find_isomorphism, is_homomorphism,
+                       subpower_tables)
 from .cocycles import (TwoCocycle, check_cocycle, coboundary_of, cocycle_add,
                        e_paths, fiber_respecting_maps, reconstruct)
 from .datum import DatumError, check_action_compatible
@@ -568,135 +569,36 @@ def stabilizer_derivation_isomorphism(ext, d):
 
 # --- principal derivations and H^1 -------------------------------------------
 
-def _unary_polynomials(alg):
-    """All unary polynomial maps of alg: closure of {identity, constants}
-    under pointwise operation application."""
+def _polynomial_algebra(alg):
+    """The unary polynomial maps of alg (the closure of the identity and the
+    constants in alg**n) as an algebra under pointwise operations, with the
+    list of maps its elements stand for."""
     n = alg.size
-    seeds = [tuple(range(n))] + [(c,) * n for c in range(n)]
-    maps = sorted(set(seeds))
-    seen = set(maps)
-    frontier = list(maps)
-    while frontier:
-        new = []
-        old = maps[: len(maps) - len(frontier)]
-        for sym, ar in alg.signature.symbols:
-            if ar == 0:
-                continue
-            tab = alg.tables[sym]
-            for i in range(ar):
-                pools = [old] * i + [frontier] + [maps] * (ar - i - 1)
-                if any(not p for p in pools):
-                    continue
-                for combo in product(*pools):
-                    g = []
-                    for x in range(n):
-                        idx = 0
-                        for p in combo:
-                            idx = idx * n + p[x]
-                        g.append(tab[idx])
-                    g = tuple(g)
-                    if g not in seen:
-                        seen.add(g)
-                        new.append(g)
-        maps.extend(new)
-        frontier = new
-    return maps
+    maps, _ = closure(alg, n, [tuple(range(n))] + [(c,) * n for c in range(n)])
+    for sym, ar in alg.signature.symbols:
+        if len(maps) ** ar > DEFAULT_CAP:
+            raise CapExceeded("table of %r on %d unary polynomials exceeds cap %d"
+                              % (sym, len(maps), DEFAULT_CAP))
+    return FiniteAlgebra(len(maps), alg.signature, subpower_tables(alg, maps)), maps
 
 
 def twin_pairs_of_identity(alg, theta, depth_cap=4):
     """Pairs (g, h) of unary polynomial maps coming from one term with
     theta-related parameter tuples.
 
-    Fixpoint closure over pairs of maps: seeds are (id, id) and constant
-    pairs from a common theta block; operations combine pairs pointwise.
-    The closure runs composition rounds up to depth_cap; exact means it
-    stabilized (one more round adds nothing), otherwise the result is a
-    lower bound.  The pair set lives inside P x P for the unary polynomial
-    set P, so operations are precomposed into index tables over P.
+    The closure in the square of the unary polynomial algebra of the pairs
+    (id, id) and (c, e) of constants from a common theta block, run for at
+    most depth_cap rounds; exact means the last round found nothing new,
+    otherwise the result is a lower bound.
     """
     n = alg.size
-    maps = _unary_polynomials(alg)
+    poly, maps = _polynomial_algebra(alg)
     index = {g: i for i, g in enumerate(maps)}
-    P = len(maps)
-
-    def apply_on_maps(tab, combo_maps):
-        g = []
-        for x in range(n):
-            idx = 0
-            for p in combo_maps:
-                idx = idx * n + p[x]
-            g.append(tab[idx])
-        return index[tuple(g)]
-
-    optabs = []
-    for sym, ar in alg.signature.symbols:
-        if ar == 0:
-            continue
-        tab = alg.tables[sym]
-        if P ** ar <= (1 << 22):
-            flat = [apply_on_maps(tab, tuple(maps[pi] for pi in combo))
-                    for combo in product(range(P), repeat=ar)]
-            optabs.append((sym, ar, flat))
-        else:
-            optabs.append((sym, ar, None))
-    ident = index[tuple(range(n))]
-    pairs = {ident * P + ident}
-    for block in theta.blocks():
-        for c in block:
-            for e in block:
-                pairs.add(index[(c,) * n] * P + index[(e,) * n])
-    elems = sorted(pairs)
-    frontier = list(elems)
-    rounds = 0
-    try:
-        import numpy as _np
-    except ImportError:
-        _np = None
-    while frontier and rounds < depth_cap:
-        rounds += 1
-        new = []
-        old = elems[: len(elems) - len(frontier)]
-        for sym, ar, flat in optabs:
-            if ar == 2 and flat is not None and _np is not None:
-                tab = _np.asarray(flat, dtype=_np.int64).reshape(P, P)
-                ev = _np.asarray(elems, dtype=_np.int64)
-                fv = _np.asarray(frontier, dtype=_np.int64)
-                for lefts, rights in ((_np.asarray(old, dtype=_np.int64), fv),
-                                      (fv, ev)):
-                    if lefts.size == 0 or rights.size == 0:
-                        continue
-                    i1, j1 = lefts // P, lefts % P
-                    i2, j2 = rights // P, rights % P
-                    cand = (tab[i1[:, None], i2[None, :]] * P
-                            + tab[j1[:, None], j2[None, :]]).ravel()
-                    for e in _np.unique(cand).tolist():
-                        if e not in pairs:
-                            pairs.add(e)
-                            new.append(e)
-                continue
-            tab = alg.tables[sym]
-            for i in range(ar):
-                pools = [old] * i + [frontier] + [elems] * (ar - i - 1)
-                if any(not p for p in pools):
-                    continue
-                for combo in product(*pools):
-                    if flat is not None:
-                        gi = 0
-                        hi = 0
-                        for e in combo:
-                            gi = gi * P + e // P
-                            hi = hi * P + e % P
-                        v = flat[gi] * P + flat[hi]
-                    else:
-                        v = (apply_on_maps(tab, tuple(maps[e // P] for e in combo)) * P
-                             + apply_on_maps(tab, tuple(maps[e % P] for e in combo)))
-                    if v not in pairs:
-                        pairs.add(v)
-                        new.append(v)
-        elems.extend(new)
-        frontier = new
-    exact = not frontier
-    return {(maps[e // P], maps[e % P]) for e in pairs}, exact
+    seeds = [(index[tuple(range(n))],) * 2]
+    seeds += [(index[(c,) * n], index[(e,) * n])
+              for block in theta.blocks() for c in block for e in block]
+    pairs, exact = closure(poly, 2, seeds, max_rounds=depth_cap)
+    return {(maps[g], maps[h]) for g, h in pairs}, exact
 
 
 def principal_stabilizers(d, depth_cap=4):
@@ -718,17 +620,13 @@ def principal_derivations(d, depth_cap=4):
     nq = d.qsize()
     gens = [tuple(gamma[d.delta_l(q)] for q in range(nq)) for gamma in pstab]
     zero = tuple(d.delta_l(q) for q in range(nq))
-    sub = {zero}
-    frontier = [zero]
-    while frontier:
-        new = []
-        for h in frontier:
-            for g in gens:
-                s = tuple(d.plus_at(q, h[q], g[q]) for q in range(nq))
-                if s not in sub:
-                    sub.add(s)
-                    new.append(s)
-        frontier = new
+    # the fiber sums as one table on the classes: coordinate q of a
+    # derivation stays in the fiber over q, so sums across fibers are unused
+    fiber, size = d.dc.rho_class, d.dc.size
+    add = tuple(d.plus_at(fiber[x], x, y) if fiber[x] == fiber[y] else x
+                for x in range(size) for y in range(size))
+    sums = FiniteAlgebra(size, Signature([("add", 2)]), {"add": add})
+    sub, _ = closure(sums, nq, [zero] + gens)
     ders, _ = derivations(d)
     dset = set(ders)
     for h in sub:

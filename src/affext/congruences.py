@@ -2,8 +2,8 @@
 
 from itertools import product
 
-from .algebras import (AlgebraError, CapExceeded, FiniteAlgebra,
-                       congruence_violation, DEFAULT_CAP)
+from .algebras import (AlgebraError, CapExceeded, FiniteAlgebra, closure,
+                       congruence_violation, subpower_tables, DEFAULT_CAP)
 
 
 class Congruence:
@@ -22,6 +22,8 @@ class Congruence:
         for block in blocks:
             least = min(block)
             for x in block:
+                if not 0 <= x < n:
+                    raise AlgebraError("element %r outside 0..%d" % (x, n - 1))
                 if x in seen:
                     raise AlgebraError("element %d in two blocks" % x)
                 seen.add(x)
@@ -168,10 +170,6 @@ def kernel_of_map(mapping, n):
     return Congruence(n, rep)
 
 
-def is_congruence(alg, cong):
-    return congruence_violation(alg, cong) is None
-
-
 def all_congruences(alg, limit=12):
     """Every congruence of alg (helper for n <= limit)."""
     if alg.size > limit:
@@ -211,23 +209,7 @@ class PairAlgebra(FiniteAlgebra):
         max_ar = max((ar for _, ar in alg.signature.symbols), default=0)
         if P ** max(max_ar, 1) > cap:
             raise CapExceeded("pair algebra of size %d exceeds cap %d" % (P, cap))
-        tables = {}
-        n = alg.size
-        for sym, ar in alg.signature.symbols:
-            tab = alg.tables[sym]
-            if ar == 0:
-                tables[sym] = (index[(tab[0], tab[0])],)
-                continue
-            flat = []
-            for args in product(range(P), repeat=ar):
-                ia = 0
-                ib = 0
-                for k in args:
-                    pa, pb = pairs[k]
-                    ia = ia * n + pa
-                    ib = ib * n + pb
-                flat.append(index[(tab[ia], tab[ib])])
-            tables[sym] = tuple(flat)
+        tables = subpower_tables(alg, pairs)
         name = "%s(alpha)" % alg.name if alg.name else None
         super().__init__(P, alg.signature, tables, name=name)
         self.base = alg
@@ -273,71 +255,13 @@ def m_matrices(alg, alpha, beta, cap=DEFAULT_CAP, pairalg=None):
     if P * P > cap:
         raise CapExceeded("M(alpha,beta) universe %d exceeds cap %d" % (P * P, cap))
     index = pairalg.pair_index
-    # encode a matrix by its columns: e = index(col1)*P + index(col2)
-    gens = set()
-    for (x, y) in pairalg.pairs:  # [x x // y y]
-        i = index[(x, y)]
-        gens.add(i * P + i)
-    for u in range(alg.size):
-        for v in range(alg.size):
-            if beta.related(u, v):  # [u v // u v]
-                gens.add(index[(u, u)] * P + index[(v, v)])
-    elems = sorted(gens)
-    seen = set(elems)
-    frontier = elems
-    ops = [(sym, ar, pairalg.tables[sym]) for sym, ar in alg.signature.symbols if ar >= 1]
-    while frontier:
-        new = []
-        old_len = len(elems) - len(frontier)
-        old = elems[:old_len]
-        for sym, ar, tab in ops:
-            if ar == 1:
-                for e in frontier:
-                    i, j = divmod(e, P)
-                    v = tab[i] * P + tab[j]
-                    if v not in seen:
-                        seen.add(v)
-                        new.append(v)
-                continue
-            if ar == 2:
-                for order in range(2):
-                    lefts, rights = (old, frontier) if order == 0 else (frontier, elems)
-                    for e1 in lefts:
-                        i1, j1 = divmod(e1, P)
-                        r1 = i1 * P
-                        s1 = j1 * P
-                        for e2 in rights:
-                            i2, j2 = divmod(e2, P)
-                            v = tab[r1 + i2] * P + tab[s1 + j2]
-                            if v not in seen:
-                                seen.add(v)
-                                new.append(v)
-                continue
-            for pos in range(ar):
-                pools = [old] * pos + [frontier] + [elems] * (ar - pos - 1)
-                if any(not p for p in pools):
-                    continue
-                for args in product(*pools):
-                    ii = 0
-                    jj = 0
-                    for e in args:
-                        i, j = divmod(e, P)
-                        ii = ii * P + i
-                        jj = jj * P + j
-                    v = tab[ii] * P + tab[jj]
-                    if v not in seen:
-                        seen.add(v)
-                        new.append(v)
-        elems.extend(new)
-        frontier = new
-    quads = set()
+    # a matrix is the pair (index(col1), index(col2)) in A(alpha)^2
+    gens = [(i, i) for i in range(P)]  # [x x // y y]
+    gens += [(index[(u, u)], index[(v, v)])  # [u v // u v]
+             for u in range(alg.size) for v in range(alg.size) if beta.related(u, v)]
+    elems, _ = closure(pairalg, 2, gens)
     pairs = pairalg.pairs
-    for e in seen:
-        i, j = divmod(e, P)
-        q1, q3 = pairs[i]
-        q2, q4 = pairs[j]
-        quads.add((q1, q2, q3, q4))
-    return quads
+    return {(pairs[i][0], pairs[j][0], pairs[i][1], pairs[j][1]) for i, j in elems}
 
 
 def delta(alg, alpha, beta, cap=DEFAULT_CAP, pairalg=None, matrices=None):

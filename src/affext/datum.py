@@ -155,10 +155,6 @@ class AffineDatum:
     def action_apply_set(self, sym, spos, qrest, cs):
         return self.actions[(sym, tuple(spos))][(tuple(qrest), tuple(cs))]
 
-    def action_positions(self, sym):
-        ar = self.signature.arity(sym)
-        return [s for (s2, s) in self.actions if s2 == sym] if ar and ar >= 2 else []
-
     def trivial_cocycle(self):
         from .cocycles import TwoCocycle
         tables = {}

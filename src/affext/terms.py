@@ -82,42 +82,6 @@ def term_vars(t):
     return out
 
 
-def term_leaves(t):
-    """All variable occurrences of t in left-to-right order (with repeats)."""
-    out = []
-
-    def walk(s):
-        if is_var(s):
-            out.append(s)
-        else:
-            for c in s[1:]:
-                walk(c)
-
-    walk(t)
-    return out
-
-
-def term_depth(t):
-    if is_var(t):
-        return 0
-    if len(t) == 1:
-        return 1
-    return 1 + max(term_depth(s) for s in t[1:])
-
-
-def term_symbols(t):
-    syms = set()
-
-    def walk(s):
-        if not is_var(s):
-            syms.add(s[0])
-            for c in s[1:]:
-                walk(c)
-
-    walk(t)
-    return syms
-
-
 def check_term(t, signature):
     """Raise TermError unless every node of t matches the signature's arities."""
     if is_var(t):

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import affext
 from affext.algebras import find_isomorphism
 from affext.congruences import Congruence
 from affext.serialization import (InputError, Workspace, algebra_from_json,
@@ -14,9 +16,14 @@ from affext.serialization import (InputError, Workspace, algebra_from_json,
                                   equations_from_json, equations_to_json)
 
 
+# the CLI runs in a temporary directory, so a relative PYTHONPATH would not resolve
+ENV = dict(os.environ,
+           PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(affext.__file__))))
+
+
 def run_cli(args, cwd):
     return subprocess.run([sys.executable, "-m", "affext.cli"] + args,
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=ENV)
 
 
 @pytest.fixture()
@@ -45,6 +52,11 @@ def test_algebra_rejects_garbage():
         algebra_from_json({"name": "x", "size": 2,
                            "signature": [{"symbol": "f", "arity": 1}],
                            "operations": {"f": [0, 5]}})
+    for bad in (1.7, True):
+        with pytest.raises(InputError):
+            algebra_from_json({"name": "x", "size": 2,
+                               "signature": [{"symbol": "f", "arity": 1}],
+                               "operations": {"f": [0, bad]}})
 
 
 def test_congruence_round_trip(cat):
@@ -123,6 +135,26 @@ def test_cli_usage_errors(files):
     r = run_cli(["con", "gen", "--alg", "bad.json", "--pairs", "0,1"], files)
     assert r.returncode == 2
     assert "line" in r.stderr
+
+
+def test_cli_block_outside_universe(files):
+    dump_json({"algebra": "Z4", "blocks": [[0, 9]]}, files / "wide.json")
+    r = run_cli(["abelian", "--alg", "z4.json", "--con", "wide.json"], files)
+    assert r.returncode == 2
+    assert "input error:" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_h1_does_not_load_numpy(files):
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from affext.cli import main; "
+         "code = main(['h1', '--alg', 'z4.json', '--con', 'alpha.json']); "
+         "print('numpy' in sys.modules); sys.exit(code)"],
+        capture_output=True, text=True, cwd=files, env=ENV)
+    assert r.returncode == 0, r.stderr
+    assert "H1 = Z/2" in r.stdout
+    assert r.stdout.splitlines()[-1] == "False"
 
 
 def test_cli_cap_exceeded(files):
