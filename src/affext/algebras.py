@@ -21,7 +21,12 @@ class CapExceeded(AlgebraError):
 
 class Signature:
     def __init__(self, symbols):
-        self.symbols = tuple((str(name), int(ar)) for name, ar in symbols)
+        self.symbols = tuple((str(name), ar) for name, ar in symbols)
+        for name, ar in self.symbols:
+            # bool is an int subclass, and int() would truncate a float
+            if type(ar) is not int or ar < 0:
+                raise AlgebraError("arity of %r must be a non-negative integer, not %r"
+                                   % (name, ar))
         names = [name for name, _ in self.symbols]
         if len(set(names)) != len(names):
             raise AlgebraError("duplicate symbol names in signature")
@@ -398,9 +403,11 @@ def find_isomorphism(a, b, seed=0):
             used[y] = False
         return False
 
-    if solve(0):
-        return list(img)
-    return None
+    try:
+        found = solve(0)
+    finally:
+        del solve  # the recursive closure refers to itself
+    return list(img) if found else None
 
 
 def is_homomorphism(mapping, a, b):

@@ -2,18 +2,24 @@
 stabilizing automorphisms, trivial actions and variety comparisons."""
 
 from itertools import product
+from math import prod
 
 from .algebras import (DEFAULT_CAP, AlgebraError, CapExceeded, FiniteAlgebra,
                        Signature, closure, find_isomorphism, is_homomorphism,
                        subpower_tables)
-from .cocycles import (TwoCocycle, check_cocycle, coboundary_of, cocycle_add,
-                       e_paths, fiber_respecting_maps, reconstruct)
+from .cocycles import (TwoCocycle, check_cocycle, coboundary_of, e_paths,
+                       fiber_respecting_maps, reconstruct)
 from .datum import DatumError, check_action_compatible
 from .terms import term_vars
 
 
 class AbelianGroupPresentation:
-    """Finite abelian group given by elements and an addition table."""
+    """Finite abelian group given by elements and an addition table.
+
+    The library works with the fiber groups directly (see _check_subgroup
+    and _quotient); this Cayley-table version is the reference the tests
+    compare them with.
+    """
 
     def __init__(self, elements, add_func, zero):
         self.elements = list(elements)
@@ -56,72 +62,173 @@ class AbelianGroupPresentation:
         return k
 
     def invariant_factors(self):
-        """d1 | d2 | ... with product the group order, from element orders.
-
-        For each prime p the p-part partition is recovered from the counts
-        of elements annihilated by successive powers of p.
-        """
-        n = self.order
-        if n == 1:
-            return []
-        orders = [self.element_order(i) for i in range(n)]
-        primes = []
-        m = n
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                primes.append(p)
-                while m % p == 0:
-                    m //= p
-            p += 1
-        if m > 1:
-            primes.append(m)
-        partitions = {}
-        for p in primes:
-            t = []
-            k = 0
-            while True:
-                pk = p ** k
-                s = sum(1 for o in orders if pk % o == 0)
-                tk = 0
-                v = 1
-                while v < s:
-                    v *= p
-                    tk += 1
-                if v != s:
-                    raise AlgebraError("annihilator count %d not a power of %d" % (s, p))
-                t.append(tk)
-                if k > 0 and t[k] == t[k - 1]:
-                    break
-                k += 1
-            u = [t[i] - t[i - 1] for i in range(1, len(t))]  # u[k-1] = #parts >= k
-            lam = []
-            for k in range(1, len(u) + 1):
-                cnt = u[k - 1] - (u[k] if k < len(u) else 0)
-                lam.extend([k] * cnt)
-            if lam:
-                partitions[p] = sorted(lam, reverse=True)
-        width = max(len(v) for v in partitions.values())
-        factors = []
-        for i in range(width):
-            f = 1
-            for p, lam in partitions.items():
-                if i < len(lam):
-                    f *= p ** lam[i]
-            factors.append(f)
-        factors.sort()
-        total = 1
-        for f in factors:
-            total *= f
-        if total != n:
-            raise AlgebraError("invariant factor computation failed")
-        return factors
+        return invariant_factors([self.element_order(i) for i in range(self.order)])
 
     def describe(self):
         facs = self.invariant_factors()
         if not facs:
             return "0"
         return " x ".join("Z/%d" % f for f in facs)
+
+
+def invariant_factors(orders):
+    """d1 | d2 | ... with product the group order, for a finite abelian
+    group given by the orders of its elements (one entry per element).
+
+    For each prime p the p-part partition is recovered from the counts
+    of elements annihilated by successive powers of p.
+    """
+    n = len(orders)
+    if n <= 1:
+        return []
+    primes = []
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    partitions = {}
+    for p in primes:
+        t = []
+        k = 0
+        while True:
+            pk = p ** k
+            s = sum(1 for o in orders if pk % o == 0)
+            tk = 0
+            v = 1
+            while v < s:
+                v *= p
+                tk += 1
+            if v != s:
+                raise AlgebraError("annihilator count %d not a power of %d" % (s, p))
+            t.append(tk)
+            if k > 0 and t[k] == t[k - 1]:
+                break
+            k += 1
+        u = [t[i] - t[i - 1] for i in range(1, len(t))]  # u[k-1] = #parts >= k
+        lam = []
+        for k in range(1, len(u) + 1):
+            cnt = u[k - 1] - (u[k] if k < len(u) else 0)
+            lam.extend([k] * cnt)
+        if lam:
+            partitions[p] = sorted(lam, reverse=True)
+    width = max(len(v) for v in partitions.values())
+    factors = []
+    for i in range(width):
+        f = 1
+        for p, lam in partitions.items():
+            if i < len(lam):
+                f *= p ** lam[i]
+        factors.append(f)
+    factors.sort()
+    total = 1
+    for f in factors:
+        total *= f
+    if total != n:
+        raise AlgebraError("invariant factor computation failed")
+    return factors
+
+
+# --- cochain groups ----------------------------------------------------------
+#
+# A cochain is a tuple of Delta-classes whose coordinate i lies in the fiber
+# over a fixed base q_i, so cochains form a product of the fiber groups
+# (classes over q, +_{l(q)}).  Z2, B2, Z1 and PDer are subgroups of such a
+# product; they are checked and divided without a Cayley table.
+
+def _cochain_group(d, bases):
+    """(zero, add) of the product of the fiber groups over bases.
+
+    add looks each coordinate up in its fiber's table; a coordinate off its
+    fiber sums to None, so no such sum is ever a member of a subgroup.
+    """
+    size, tables = d.dc.size, d.fiber_tables()
+    tabs = [tables[q] for q in bases]
+
+    def add(a, b):
+        return tuple([t[x * size + y] for t, x, y in zip(tabs, a, b)])
+
+    return tuple(d.delta_l(q) for q in bases), add
+
+
+def _two_cochains(d):
+    """(zero, add) of serialized 2-cochains: cell (f, qs) lies over f^Q(qs)."""
+    return _cochain_group(d, [d.q_alg.apply(sym, qs) for sym, qs in d.cells()])
+
+
+def _check_subgroup(members, zero, add, name):
+    """Raise DatumError unless the sorted list members is a subgroup.
+
+    The subgroup H generated so far starts at {zero} and grows by each
+    member s outside it to the union of the cosets H + k*s; every element
+    reached must be a member.  When the sizes match at the end, the members
+    are exactly the subgroup they generate.
+    """
+    mset = set(members)
+    if zero not in mset:
+        raise DatumError("%s does not contain zero" % name)
+    grown, seen = [zero], {zero}
+    for s in members:
+        if s in seen:
+            continue
+        new, ks = [], s
+        while ks not in seen:
+            coset = [add(h, ks) for h in grown]
+            if not mset.issuperset(coset):
+                raise DatumError("%s is not closed under addition" % name)
+            new += coset
+            ks = add(ks, s)
+        grown += new
+        seen.update(new)
+    if len(grown) != len(members):
+        raise DatumError("%s is not closed under addition" % name)
+
+
+def _cosets(elements, subgroup, add):
+    """{x: least member of x + subgroup} for every element, one pass.
+
+    The first element not yet assigned starts a new coset; all of its
+    members are assigned at once.
+    """
+    least = {}
+    for s in elements:
+        if s not in least:
+            coset = [add(s, b) for b in subgroup]
+            rep = min(coset)
+            for c in coset:
+                least[c] = rep
+    return least
+
+
+def _quotient(elements, subgroup, zero, add):
+    """The quotient of the group on the list elements by a subgroup:
+    (coset map, sorted representatives, invariant factors).
+
+    Each class's order comes from repeated addition of its representative.
+    """
+    least = _cosets(elements, subgroup, add)
+    reps = sorted(set(least.values()))
+    zero_rep = least[zero]
+    orders = []
+    for r in reps:
+        acc, k = r, 1
+        while least[acc] != zero_rep:
+            acc, k = add(acc, r), k + 1
+        orders.append(k)
+    return least, reps, invariant_factors(orders)
+
+
+def _invariant_factors_of(d, serialized):
+    """Invariant factors of a subgroup of the serialized 2-cochains."""
+    if not serialized:
+        return []
+    zero, add = _two_cochains(d)
+    return _quotient(serialized, [zero], zero, add)[2]
 
 
 # --- Z^2 enumeration --------------------------------------------------------
@@ -185,16 +292,19 @@ def _eval_side(d, paths, base, assignment):
 
 
 class Z2Result:
-    def __init__(self, datum, equations, serialized, group, gate):
+    def __init__(self, datum, equations, serialized, gate):
         self.datum = datum
         self.equations = equations
         self.serialized = serialized
-        self.group = group
         self.gate = gate
 
     @property
     def order(self):
         return len(self.serialized)
+
+    def invariant_factors(self):
+        """Z2's invariant factors; [] when no cocycle is compatible."""
+        return _invariant_factors_of(self.datum, self.serialized)
 
     def cocycles(self):
         return [TwoCocycle.from_serialized(self.datum, s) for s in self.serialized]
@@ -210,7 +320,7 @@ def cocycle_group(d, equations, cap=1 << 24, brute=False):
     """
     gate = check_action_compatible(d, equations, mode="weak")
     if not gate["holds"]:
-        return Z2Result(d, equations, [], None, gate)
+        return Z2Result(d, equations, [], gate)
     cells = d.cells()
     domains = {cell: list(d.fiber(d.cell_fiber(*cell))) for cell in cells}
     solutions = []
@@ -269,36 +379,31 @@ def cocycle_group(d, equations, cap=1 << 24, brute=False):
                     search(depth + 1)
             assignment.pop(cell, None)
 
-        search(0)
+        try:
+            search(0)
+        finally:
+            del search  # the recursive closure refers to itself
     solutions.sort()
-    zero = d.trivial_cocycle().serialize(d)
-    group = None
     if solutions:
-        sol_set = set(solutions)
-        if zero not in sol_set:
+        zero, add = _two_cochains(d)
+        if zero not in set(solutions):
             raise DatumError("trivial cocycle is not compatible; gate failed")
-
-        def add(a, b):
-            s = cocycle_add(d, TwoCocycle.from_serialized(d, a),
-                            TwoCocycle.from_serialized(d, b)).serialize(d)
-            if s not in sol_set:
-                raise DatumError("Z2 is not closed under addition")
-            return s
-
-        group = AbelianGroupPresentation(solutions, add, zero)
-    return Z2Result(d, equations, solutions, group, gate)
+        _check_subgroup(solutions, zero, add, "Z2")
+    return Z2Result(d, equations, solutions, gate)
 
 
 class B2Result:
-    def __init__(self, datum, serialized, group, witnesses):
+    def __init__(self, datum, serialized, witnesses):
         self.datum = datum
         self.serialized = serialized
-        self.group = group
         self.witnesses = witnesses
 
     @property
     def order(self):
         return len(self.serialized)
+
+    def invariant_factors(self):
+        return _invariant_factors_of(self.datum, self.serialized)
 
 
 def coboundary_group(d):
@@ -308,14 +413,9 @@ def coboundary_group(d):
         g = coboundary_of(d, h).serialize(d)
         images.setdefault(g, []).append(h)
     serialized = sorted(images)
-    zero = d.trivial_cocycle().serialize(d)
-
-    def add(a, b):
-        return cocycle_add(d, TwoCocycle.from_serialized(d, a),
-                           TwoCocycle.from_serialized(d, b)).serialize(d)
-
-    group = AbelianGroupPresentation(serialized, add, zero)
-    return B2Result(d, serialized, group, images)
+    zero, add = _two_cochains(d)
+    _check_subgroup(serialized, zero, add, "B2")
+    return B2Result(d, serialized, images)
 
 
 class CohomologyResult:
@@ -351,27 +451,11 @@ def h2(d, equations, cap=1 << 24, brute=False, namer=None, seed=0):
     b2 = coboundary_group(d)
     if not z2.serialized:
         return CohomologyResult(d, z2, b2, [], [])
-    sol_set = set(z2.serialized)
-    for g in b2.serialized:
-        if g not in sol_set:
-            raise DatumError("a coboundary is not a compatible cocycle")
-
-    def coset_of(s):
-        T = TwoCocycle.from_serialized(d, s)
-        return min(cocycle_add(d, T, TwoCocycle.from_serialized(d, g)).serialize(d)
-                   for g in b2.serialized)
-
-    cosets = {}
-    for s in z2.serialized:
-        cosets.setdefault(coset_of(s), []).append(s)
-    reps = sorted(cosets)
-    zero_key = coset_of(d.trivial_cocycle().serialize(d))
-
-    def add(a, b):
-        return coset_of(cocycle_add(d, TwoCocycle.from_serialized(d, a),
-                                    TwoCocycle.from_serialized(d, b)).serialize(d))
-
-    group = AbelianGroupPresentation(reps, add, zero_key)
+    if not set(z2.serialized).issuperset(b2.serialized):
+        raise DatumError("a coboundary is not a compatible cocycle")
+    zero, add = _two_cochains(d)
+    least, reps, factors = _quotient(z2.serialized, b2.serialized, zero, add)
+    zero_key = least[zero]
     if namer is None:
         namer = _default_namer(d, seed=seed)
     classes = []
@@ -383,7 +467,7 @@ def h2(d, equations, cap=1 << 24, brute=False, namer=None, seed=0):
                         "extension_iso_type": namer(ext.alg, reconstructions),
                         "extension": ext,
                         "is_zero": rep == zero_key})
-    return CohomologyResult(d, z2, b2, group.invariant_factors(), classes)
+    return CohomologyResult(d, z2, b2, factors, classes)
 
 
 def _default_namer(d, seed=0):
@@ -457,23 +541,32 @@ def stabilizing_isomorphism(ext_a, ext_b):
 
 def stabilizers(ext):
     """Automorphisms gamma with pi.gamma = pi and, for every kernel-related
-    pair (a,x), gamma(x) = m(gamma(a), a, x)."""
+    pair (a,x), gamma(x) = m(gamma(a), a, x).
+
+    Taking a = b0, the least element of its block, gamma(x) = m(y, b0, x)
+    on the block is fixed by the one image y = gamma(b0), so the search
+    runs over one image per block.
+    """
     alg, beta = ext.alg, ext.beta
     if ext.m_flat is None:
         raise DatumError("extension carries no ternary operation")
     n = alg.size
     blocks = beta.blocks()
-    out = []
-    order = []
+    space = prod(len(block) for block in blocks)
+    if space > DEFAULT_CAP:
+        raise CapExceeded("stabilizers: %d candidate maps exceed cap %d"
+                          % (space, DEFAULT_CAP))
     pools = []
     for block in blocks:
-        for x in block:
-            order.append(x)
-            pools.append(block)
+        members = set(block)
+        images = ([ext.m_elem(y, block[0], x) for x in block] for y in block)
+        pools.append([im for im in images if members.issuperset(im)])
+    out = []
     for choice in product(*pools):
         gamma = [0] * n
-        for x, y in zip(order, choice):
-            gamma[x] = y
+        for block, images in zip(blocks, choice):
+            for x, y in zip(block, images):
+                gamma[x] = y
         if sorted(gamma) != list(range(n)):
             continue
         ok = True
@@ -499,8 +592,8 @@ def stab_closed_under_composition(stabs):
 
 
 def derivations(d):
-    """Z^1: fiber-respecting maps satisfying the 1-cocycle identity, as an
-    abelian group under pointwise +_{l(x)}."""
+    """Z^1: the sorted fiber-respecting maps satisfying the 1-cocycle
+    identity, checked to be a subgroup under pointwise +_{l(x)}."""
     nq = d.qsize()
     out = []
     for h in fiber_respecting_maps(d):
@@ -526,13 +619,10 @@ def derivations(d):
         if ok:
             out.append(h)
     out.sort()
-    zero = tuple(d.delta_l(q) for q in range(nq))
-
-    def add(h1, h2):
-        return tuple(d.plus_at(q, h1[q], h2[q]) for q in range(nq))
-
-    group = AbelianGroupPresentation(out, add, zero) if out else None
-    return out, group
+    if out:
+        zero, add = _cochain_group(d, range(nq))
+        _check_subgroup(out, zero, add, "Z1")
+    return out
 
 
 def derivation_of_stabilizer(ext, d, gamma):
@@ -545,7 +635,7 @@ def stabilizer_derivation_isomorphism(ext, d):
     """gamma -> d_gamma is a bijection Stab -> Z^1 turning composition into
     addition; returns a report dict."""
     stabs = stabilizers(ext)
-    ders, _ = derivations(d)
+    ders = derivations(d)
     dmap = {g: derivation_of_stabilizer(ext, d, g) for g in stabs}
     report = {"claim": "Stab ~= Z1 via d_gamma", "holds": True, "witness": None}
     if sorted(dmap.values()) != sorted(ders) or len(set(dmap.values())) != len(stabs):
@@ -627,7 +717,7 @@ def principal_derivations(d, depth_cap=4):
                 for x in range(size) for y in range(size))
     sums = FiniteAlgebra(size, Signature([("add", 2)]), {"add": add})
     sub, _ = closure(sums, nq, [zero] + gens)
-    ders, _ = derivations(d)
+    ders = derivations(d)
     dset = set(ders)
     for h in sub:
         if h not in dset:
@@ -637,21 +727,11 @@ def principal_derivations(d, depth_cap=4):
 
 def h1(d, depth_cap=4):
     """H^1 = Z^1/PDer as coset representatives with invariant factors."""
-    ders, _ = derivations(d)
+    ders = derivations(d)
     pder, exact = principal_derivations(d, depth_cap=depth_cap)
-    nq = d.qsize()
-
-    def coset_of(h):
-        return min(tuple(d.plus_at(q, h[q], g[q]) for q in range(nq)) for g in pder)
-
-    reps = sorted({coset_of(h) for h in ders})
-    zero = coset_of(tuple(d.delta_l(q) for q in range(nq)))
-
-    def add(a, b):
-        return coset_of(tuple(d.plus_at(q, a[q], b[q]) for q in range(nq)))
-
-    group = AbelianGroupPresentation(reps, add, zero)
-    return {"order": len(reps), "invariant_factors": group.invariant_factors(),
+    zero, add = _cochain_group(d, range(d.qsize()))
+    _, reps, factors = _quotient(ders, pder, zero, add)
+    return {"order": len(reps), "invariant_factors": factors,
             "exact": exact, "Z1_order": len(ders), "PDer_order": len(pder)}
 
 
@@ -751,16 +831,9 @@ def compare_variety_subgroups(d, eqs1, eqs2, cap=1 << 24):
     monotone = su <= s1 and su <= s2
     intersection_ok = su == (s1 & s2)
     b2 = coboundary_group(d)
-
-    def classes(of):
-        out = set()
-        for s in of:
-            T = TwoCocycle.from_serialized(d, s)
-            out.add(min(cocycle_add(d, T, TwoCocycle.from_serialized(d, g)).serialize(d)
-                        for g in b2.serialized))
-        return out
-
-    c1, c2, cu = classes(s1), classes(s2), classes(su)
+    _, add = _two_cochains(d)
+    least = _cosets(sorted(s1 | s2 | su), b2.serialized, add)
+    c1, c2, cu = ({least[s] for s in of} for of in (s1, s2, su))
     meet_ok = cu == (c1 & c2)
     holds = monotone and intersection_ok and meet_ok
     return {"claim": "variety meet law", "holds": holds,

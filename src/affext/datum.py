@@ -134,6 +134,41 @@ class AffineDatum:
             acc = self.dc.m_class(acc, self.delta_l(q), v)
         return acc
 
+    def fiber_tables(self):
+        """Per q, the fiber group (classes over q, +_{l(q)}) as a flat table:
+        entry x*size+y is x +_{l(q)} y for x, y in the fiber and None off it.
+
+        Each fiber is checked to be an abelian group with zero delta(l(q)),
+        so sums of cochains that are looked up cell by cell in these tables
+        live in a product of abelian groups.
+        """
+        size = self.dc.size
+        tables = []
+        for q in range(self.qsize()):
+            fib = self.fiber(q)
+            zero = self.delta_l(q)
+            if zero not in fib:
+                raise DatumError("delta(l(%d)) is not in the fiber over %d" % (q, q))
+            plus = {(x, y): self.plus_at(q, x, y) for x in fib for y in fib}
+            if any(s not in fib for s in plus.values()):
+                raise DatumError("fiber over %d is not closed under +" % q)
+            for x in fib:
+                if plus[x, zero] != x:
+                    raise DatumError("delta(l(%d)) is not a zero of its fiber" % q)
+                if sum(1 for y in fib if plus[x, y] == zero) != 1:
+                    raise DatumError("no unique inverse in the fiber over %d" % q)
+                for y in fib:
+                    if plus[x, y] != plus[y, x]:
+                        raise DatumError("fiber over %d is not commutative" % q)
+                    for z in fib:
+                        if plus[plus[x, y], z] != plus[x, plus[y, z]]:
+                            raise DatumError("fiber over %d is not associative" % q)
+            tab = [None] * (size * size)
+            for (x, y), s in plus.items():
+                tab[x * size + y] = s
+            tables.append(tuple(tab))
+        return tables
+
     def plus_u(self, x, u, y):
         """m(x, delta(u), y) for an explicit base element u of A.
 

@@ -24,38 +24,37 @@ def parse_term(text):
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise TermError("empty term")
-    pos = 0
-
-    def read():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise TermError("unexpected end of term: %r" % text)
-        tok = tokens[pos]
-        pos += 1
-        if tok == "(":
-            if pos >= len(tokens):
-                raise TermError("unbalanced parenthesis in %r" % text)
-            head = tokens[pos]
-            pos += 1
-            if head in ("(", ")"):
-                raise TermError("expected symbol after '(' in %r" % text)
-            args = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                args.append(read())
-            if pos >= len(tokens):
-                raise TermError("unbalanced parenthesis in %r" % text)
-            pos += 1  # consume ')'
-            return (head,) + tuple(args)
-        if tok == ")":
-            raise TermError("unexpected ')' in %r" % text)
-        if _VAR_RE.match(tok):
-            return tok
-        return (tok,)  # bare nullary symbol
-
-    term = read()
+    term, pos = _read(tokens, 0, text)
     if pos != len(tokens):
         raise TermError("trailing input in %r" % text)
     return term
+
+
+def _read(tokens, pos, text):
+    """The term starting at tokens[pos], and the position after it."""
+    if pos >= len(tokens):
+        raise TermError("unexpected end of term: %r" % text)
+    tok = tokens[pos]
+    pos += 1
+    if tok == "(":
+        if pos >= len(tokens):
+            raise TermError("unbalanced parenthesis in %r" % text)
+        head = tokens[pos]
+        pos += 1
+        if head in ("(", ")"):
+            raise TermError("expected symbol after '(' in %r" % text)
+        args = []
+        while pos < len(tokens) and tokens[pos] != ")":
+            arg, pos = _read(tokens, pos, text)
+            args.append(arg)
+        if pos >= len(tokens):
+            raise TermError("unbalanced parenthesis in %r" % text)
+        return (head,) + tuple(args), pos + 1  # consume ')'
+    if tok == ")":
+        raise TermError("unexpected ')' in %r" % text)
+    if _VAR_RE.match(tok):
+        return tok, pos
+    return (tok,), pos  # bare nullary symbol
 
 
 def term_to_str(t):
@@ -69,17 +68,17 @@ def term_to_str(t):
 def term_vars(t):
     """Distinct variables of t in left-to-right leaf order."""
     out = []
-
-    def walk(s):
-        if is_var(s):
-            if s not in out:
-                out.append(s)
-        else:
-            for c in s[1:]:
-                walk(c)
-
-    walk(t)
+    _collect_vars(t, out)
     return out
+
+
+def _collect_vars(t, out):
+    if is_var(t):
+        if t not in out:
+            out.append(t)
+    else:
+        for c in t[1:]:
+            _collect_vars(c, out)
 
 
 def check_term(t, signature):

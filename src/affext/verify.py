@@ -10,10 +10,11 @@ from itertools import product
 
 from .algebras import find_isomorphism, quotient_algebra, satisfies
 from .cocycles import (TwoCocycle, central_tensor_decomposition, check_cocycle,
-                       cocycle_add, is_semidirect, is_two_step_nilpotent,
+                       is_semidirect, is_two_step_nilpotent,
                        reconstruct, tensor_product, tensor_right_kernel,
                        two_step_decomposition, check_realization)
-from .cohomology import (are_equivalent, cocycle_group, coboundary_group,
+from .cohomology import (_cosets, _two_cochains, are_equivalent,
+                         cocycle_group, coboundary_group,
                          central_extension_suite, compare_variety_subgroups,
                          h2, stabilizer_derivation_isomorphism,
                          stabilizing_isomorphism, trivial_action_check)
@@ -338,12 +339,10 @@ def claim_abelian_subgroup(cap=1 << 24):
     eqs = builtin_equations("groups")
     eqs_ab = builtin_equations("abelian-groups")
     res = h2(d, eqs, cap=cap)
-    b2 = coboundary_group(d)
-
-    def coset_of(s):
-        T = TwoCocycle.from_serialized(d, s)
-        return min(cocycle_add(d, T, TwoCocycle.from_serialized(d, g)).serialize(d)
-                   for g in b2.serialized)
+    zab = cocycle_group(d, eqs_ab, cap=cap)
+    zero, add = _two_cochains(d)
+    coset_of = _cosets(sorted(set(res.z2.serialized) | set(zab.serialized)),
+                       res.b2.serialized, add)
 
     abelian_classes = set()
     for cls in res.classes:
@@ -351,17 +350,13 @@ def claim_abelian_subgroup(cap=1 << 24):
         if satisfies(alg, eqs_ab) is None:
             abelian_classes.add(cls["representative"])
     failures = []
-    zero = coset_of(d.trivial_cocycle().serialize(d))
-    if zero not in abelian_classes and abelian_classes:
+    if coset_of[zero] not in abelian_classes and abelian_classes:
         failures.append("zero class missing")
     for s1 in abelian_classes:
         for s2 in abelian_classes:
-            s = coset_of(cocycle_add(d, TwoCocycle.from_serialized(d, s1),
-                                     TwoCocycle.from_serialized(d, s2)).serialize(d))
-            if s not in abelian_classes:
+            if coset_of[add(s1, s2)] not in abelian_classes:
                 failures.append({"sum leaves subgroup": (s1, s2)})
-    zab = cocycle_group(d, eqs_ab, cap=cap)
-    ab_from_z = {coset_of(s) for s in zab.serialized}
+    ab_from_z = {coset_of[s] for s in zab.serialized}
     if ab_from_z != abelian_classes:
         failures.append({"abelian variety classes": sorted(ab_from_z),
                          "abelian reconstructions": sorted(abelian_classes)})

@@ -1,0 +1,210 @@
+"""The group-structure paths of affext.cohomology against their slow
+references: the Cayley-table presentation with min-over-subgroup cosets,
+and the stabilizer search over every block-preserving map."""
+
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from affext.algebras import is_homomorphism
+from affext.cocycles import TwoCocycle, cocycle_add
+from affext.cohomology import (AbelianGroupPresentation, _check_subgroup,
+                               _two_cochains, coboundary_group, cocycle_group,
+                               derivations, h1, h2, invariant_factors,
+                               principal_derivations, stabilizers)
+from affext.datum import DatumError, extract_datum, group_extension
+from affext.groups import cyclic
+
+# (group, kernel): Z2^3/Z2, order-4 kernels of order-8 groups, Z4/Z2 and
+# cyclic groups over Z2 or Z3
+CASES = [("Z2xZ2xZ2", [0, 1]), ("Z8", [0, 2, 4, 6]), ("D4", [0, 2, 4, 6]),
+         ("Q8", [0, 2, 4, 6]), ("Z4", [0, 2]), ("Z10", [0, 5]), ("Z12", [0, 6]),
+         ("Z12", [0, 4, 8]), ("Z14", [0, 7])]
+
+
+def _group(cat, name):
+    return cat[name] if name in cat else cyclic(int(name[1:]))
+
+
+@pytest.fixture(scope="module")
+def datums(cat):
+    return {(name, tuple(kernel)):
+            extract_datum(group_extension(_group(cat, name), kernel))[0]
+            for name, kernel in CASES}
+
+
+def _old_h2(d, eqs):
+    """Representatives and invariant factors of H2, Z2 and B2 through
+    TwoCocycle sums, min-over-B2 cosets and Cayley tables."""
+    z2, b2 = cocycle_group(d, eqs), coboundary_group(d)
+
+    def plus(a, b):
+        return cocycle_add(d, TwoCocycle.from_serialized(d, a),
+                           TwoCocycle.from_serialized(d, b)).serialize(d)
+
+    def coset_of(s):
+        return min(plus(s, g) for g in b2.serialized)
+
+    zero = d.trivial_cocycle().serialize(d)
+    reps = sorted({coset_of(s) for s in z2.serialized})
+    quotient = AbelianGroupPresentation(reps, lambda a, b: coset_of(plus(a, b)),
+                                        coset_of(zero))
+    return (reps, quotient.invariant_factors(),
+            AbelianGroupPresentation(z2.serialized, plus, zero).invariant_factors(),
+            AbelianGroupPresentation(b2.serialized, plus, zero).invariant_factors())
+
+
+@pytest.mark.parametrize("name,kernel", CASES)
+def test_h2_matches_cayley_oracle(datums, group_eqs, name, kernel):
+    d = datums[(name, tuple(kernel))]
+    res = h2(d, group_eqs)
+    got = ([c["representative"] for c in res.classes], res.invariant_factors,
+           res.z2.invariant_factors(), res.b2.invariant_factors())
+    assert got == _old_h2(d, group_eqs)
+    assert [c["is_zero"] for c in res.classes] == \
+        [c["representative"] == min(res.b2.serialized) for c in res.classes]
+
+
+@pytest.mark.parametrize("name,kernel", CASES)
+def test_h1_matches_cayley_oracle(datums, name, kernel):
+    d = datums[(name, tuple(kernel))]
+    nq = d.qsize()
+    ders = derivations(d)
+    pder, _ = principal_derivations(d)
+
+    def plus(a, b):
+        return tuple(d.plus_at(q, a[q], b[q]) for q in range(nq))
+
+    def coset_of(h):
+        return min(plus(h, g) for g in pder)
+
+    reps = sorted({coset_of(h) for h in ders})
+    zero = coset_of(tuple(d.delta_l(q) for q in range(nq)))
+    quotient = AbelianGroupPresentation(reps, lambda a, b: coset_of(plus(a, b)), zero)
+    res = h1(d)
+    assert (res["order"], res["invariant_factors"]) == \
+        (len(reps), quotient.invariant_factors())
+
+
+def _old_stabilizers(ext):
+    """Every map sending each kernel block into itself, filtered."""
+    alg, n = ext.alg, ext.alg.size
+    blocks = ext.beta.blocks()
+    order = [x for block in blocks for x in block]
+    pools = [block for block in blocks for _ in block]
+    out = []
+    for choice in product(*pools):
+        gamma = [0] * n
+        for x, y in zip(order, choice):
+            gamma[x] = y
+        if sorted(gamma) != list(range(n)):
+            continue
+        if all(gamma[x] == ext.m_elem(gamma[a], a, x)
+               for block in blocks for a in block for x in block):
+            if is_homomorphism(gamma, alg, alg):
+                out.append(tuple(gamma))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("name,kernel", CASES[1:5])
+def test_stabilizers_match_full_search(cat, name, kernel):
+    ext = group_extension(cat[name], kernel)
+    assert stabilizers(ext) == _old_stabilizers(ext)
+
+
+def test_non_closed_b2_raises(monkeypatch, datums):
+    """A coboundary set that misses a sum is reported, not a KeyError."""
+    import affext.cohomology as cohomology
+    from affext.cocycles import coboundary_of, fiber_respecting_maps
+    d = datums[("Z12", (0, 6))]
+    zero, add = _two_cochains(d)
+    image = {h: coboundary_of(d, h).serialize(d) for h in fiber_respecting_maps(d)}
+    g1, g2 = sorted(set(image.values()) - {zero})[:2]
+    assert add(g1, g2) not in (zero, g1, g2)
+    keep = [h for h, g in image.items() if g in (zero, g1, g2)]
+    monkeypatch.setattr(cohomology, "fiber_respecting_maps", lambda d: keep)
+    with pytest.raises(DatumError, match="B2 is not closed"):
+        coboundary_group(d)
+
+
+def test_fiber_tables_reject_non_group(datums):
+    import copy
+    d = copy.copy(datums[("Z4", (0, 2))])
+    d.plus_at = lambda q, x, y: x  # every class sums with the zero to the zero
+    with pytest.raises(DatumError, match="no unique inverse"):
+        d.fiber_tables()
+
+
+# --- random finite abelian groups Z_a x Z_b x Z_c ----------------------------
+
+moduli = st.lists(st.integers(1, 6), min_size=3, max_size=3)
+
+
+def _zmod(ms):
+    elements = list(product(*(range(m) for m in ms)))
+    zero = (0,) * len(ms)
+
+    def add(x, y):
+        return tuple((a + b) % m for a, b, m in zip(x, y, ms))
+
+    return elements, zero, add
+
+
+def _element_order(x, zero, add):
+    acc, k = x, 1
+    while acc != zero:
+        acc, k = add(acc, x), k + 1
+    return k
+
+
+def _diagonal_factors(ms):
+    """Invariant factors of Z_m1 x ... from the prime powers of the m_i."""
+    powers = {}
+    for m in ms:
+        p = 2
+        while m > 1:
+            e = 0
+            while m % p == 0:
+                m, e = m // p, e + 1
+            if e:
+                powers.setdefault(p, []).append(p ** e)
+            p += 1
+    for qs in powers.values():
+        qs.sort(reverse=True)
+    factors = []
+    for i in range(max(map(len, powers.values()), default=0)):
+        f = 1
+        for qs in powers.values():
+            f *= qs[i] if i < len(qs) else 1
+        factors.append(f)
+    return sorted(factors)
+
+
+@settings(max_examples=25, deadline=None)
+@given(moduli)
+def test_invariant_factors_from_orders(ms):
+    elements, zero, add = _zmod(ms)
+    got = invariant_factors([_element_order(x, zero, add) for x in elements])
+    assert got == _diagonal_factors(ms)
+    assert got == AbelianGroupPresentation(elements, add, zero).invariant_factors()
+
+
+@settings(max_examples=60, deadline=None)
+@given(moduli, st.data())
+def test_subgroup_check(ms, data):
+    elements, zero, add = _zmod(ms)
+    gens = data.draw(st.lists(st.sampled_from(elements), max_size=3))
+    sub, frontier = {zero}, [zero]
+    while frontier:
+        frontier = [add(x, g) for x in frontier for g in gens]
+        frontier = [x for x in frontier if x not in sub]
+        sub.update(frontier)
+    _check_subgroup(sorted(sub), zero, add, "S")
+    subset = data.draw(st.sets(st.sampled_from(elements), min_size=1))
+    closed = all(add(x, y) in subset for x in subset for y in subset)
+    if closed:
+        _check_subgroup(sorted(subset), zero, add, "S")
+    else:
+        with pytest.raises(DatumError):
+            _check_subgroup(sorted(subset), zero, add, "S")

@@ -238,3 +238,15 @@ def test_datum_file_with_m_as_term(z4_datum, cat):
     data.pop("source_algebra")
     with pytest.raises(InputError):
         datum_from_json(data)
+
+
+@pytest.mark.parametrize("arity", [-1, 1.5, True])
+def test_cli_rejects_bad_arity(files, arity):
+    dump_json({"name": "x", "size": 2,
+               "signature": [{"symbol": "f", "arity": arity}],
+               "operations": {"f": [0, 1]}}, files / "arity.json")
+    r = run_cli(["con", "gen", "--alg", "arity.json", "--pairs", "0,1"], files)
+    assert r.returncode == 2
+    assert "input error:" in r.stderr
+    assert "arity" in r.stderr
+    assert "Traceback" not in r.stderr

@@ -61,7 +61,7 @@ def test_cohomology_consistency(ternary_datum):
     assert z2.order == b2.order * res.order
     assert z2.order == 4 and b2.order == 1
     assert res.invariant_factors == [2, 2]
-    ders, _ = derivations(d)
+    ders = derivations(d)
     stabs = stabilizers(ext)
     assert len(ders) == len(stabs) == 4
     assert trivial_action_check(d)
