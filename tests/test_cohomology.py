@@ -151,6 +151,18 @@ def test_stabilizers_and_derivations(z4_extension, z4_datum):
     assert rep["holds"], rep
 
 
+def test_stabilizers_cap_checked_first():
+    """25 kernel blocks of 2 give 2^25 candidates, over the default cap."""
+    from affext.algebras import FiniteAlgebra, Signature
+    from affext.datum import ExtensionRecord
+    sig = Signature([("f", 1)])
+    alg = FiniteAlgebra(50, sig, {"f": tuple(range(50))})
+    quot = FiniteAlgebra(25, sig, {"f": tuple(range(25))})
+    ext = ExtensionRecord(alg, [x // 2 for x in range(50)], quot, (0,) * 50 ** 3)
+    with pytest.raises(CapExceeded, match="stabilizers: 33554432 .* cap 16777216"):
+        stabilizers(ext)
+
+
 def test_identity_automorphism_is_zero_derivation(z4_extension, z4_datum):
     from affext.cohomology import derivation_of_stabilizer
     d, _ = z4_datum
