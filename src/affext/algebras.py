@@ -58,31 +58,27 @@ def _flatten(nested, arity, size):
             raise AlgebraError("arity-0 table must be a bare integer")
         return (nested,)
     flat = []
-
-    def walk(node, depth):
-        if depth == arity:
-            flat.append(node)
-            return
-        if len(node) != size:
-            raise AlgebraError("table row has length %d, expected %d" % (len(node), size))
-        for child in node:
-            walk(child, depth + 1)
-
-    walk(nested, 0)
+    _flatten_into(flat, nested, arity, size)
     return tuple(flat)
 
 
-def _unflatten(flat, arity, size):
+def _flatten_into(flat, node, depth, size):
+    """Append the leaves of node, nested depth more levels, to flat."""
+    if depth == 0:
+        flat.append(node)
+        return
+    if len(node) != size:
+        raise AlgebraError("table row has length %d, expected %d" % (len(node), size))
+    for child in node:
+        _flatten_into(flat, child, depth - 1, size)
+
+
+def _unflatten(flat, arity, size, base=0):
+    """Nest flat[base:base + size**arity] into arity-deep lists."""
     if arity == 0:
-        return flat[0]
-
-    def build(depth, base):
-        if depth == arity:
-            return flat[base]
-        stride = size ** (arity - depth - 1)
-        return [build(depth + 1, base + i * stride) for i in range(size)]
-
-    return build(0, 0)
+        return flat[base]
+    stride = size ** (arity - 1)
+    return [_unflatten(flat, arity - 1, size, base + i * stride) for i in range(size)]
 
 
 class FiniteAlgebra:

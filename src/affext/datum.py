@@ -300,8 +300,7 @@ def extract_datum(ext, cap=DEFAULT_CAP, check_m_rule=True):
     if not is_abelian(alg, beta, cap=cap):
         raise DatumError("kernel congruence is not abelian")
     blocks = beta.blocks()
-    if not verify_ternary_abelian_group_on_blocks(
-            lambda a, b, c: ext.m_elem(a, b, c), blocks):
+    if not verify_ternary_abelian_group_on_blocks(ext.m_elem, blocks):
         raise DatumError("m is not a ternary abelian group operation on kernel blocks")
 
     pairalg = pair_algebra(alg, beta, cap=cap)
@@ -418,10 +417,10 @@ def validate_datum(d, cap=DEFAULT_CAP):
         add("alpha is abelian in <A,m>", is_abelian(m_alg, d.alpha, cap=cap))
     blocks = d.alpha.blocks()
     try:
-        ok = verify_ternary_abelian_group_on_blocks(m, blocks)
+        ok, w = verify_ternary_abelian_group_on_blocks(m, blocks), None
     except AlgebraError as exc:
         ok, w = False, str(exc)
-    add("(AD1) m is a ternary abelian group operation on alpha-blocks", ok)
+    add("(AD1) m is a ternary abelian group operation on alpha-blocks", ok, w)
 
     # D3: rho and the idempotent interpretation of m in Q
     mq = lambda a, b, c: d.mq_flat[(a * nq + b) * nq + c]

@@ -95,30 +95,18 @@ def datum_to_json(d):
         if ar == 0:
             fdelta[sym] = tab[()]
             continue
-        nq = d.qsize()
-
         # nested dims: [class][q2]...[qn]
-        def nest(key, dims, tab=tab):
-            if not dims:
-                return tab[tuple(key)]
-            return [nest(key + [i], dims[1:]) for i in range(dims[0])]
-
-        fdelta[sym] = nest([], [d.dc.size] + [nq] * (ar - 1))
+        fdelta[sym] = _nested(tab.__getitem__, (), [d.dc.size] + [d.qsize()] * (ar - 1))
     actions = {}
     for (sym, spos), tab in sorted(d.actions.items()):
         if len(spos) != 1:
             continue  # files carry the unary action shape only
         i = spos[0]
         ar = d.signature.arity(sym)
-        nq = d.qsize()
-
-        def nest(key, dims, i=i, tab=tab):
-            if not dims:
-                qrest = tuple(key[:-1])
-                return tab[(qrest, (key[-1],))]
-            return [nest(key + [v], dims[1:]) for v in range(dims[0])]
-
-        actions["%s:%d" % (sym, i)] = nest([], [nq] * (ar - 1) + [d.dc.size])
+        # nested dims: [q_others]...[class], keyed (q_others, (class,))
+        actions["%s:%d" % (sym, i)] = _nested(
+            lambda key: tab[(key[:-1], key[-1:])], (),
+            [d.qsize()] * (ar - 1) + [d.dc.size])
     rho = [d.dc.rho_class[d.dc.class_of[p]] for p in range(len(d.dc.pairs))]
     from .algebras import _unflatten as unflat
     return {
@@ -133,6 +121,13 @@ def datum_to_json(d):
         "fdelta": fdelta,
         "actions": actions,
     }
+
+
+def _nested(leaf, key, dims):
+    """Nested lists of leaf(key + (i, j, ...)) over the index ranges dims."""
+    if not dims:
+        return leaf(key)
+    return [_nested(leaf, key + (i,), dims[1:]) for i in range(dims[0])]
 
 
 def datum_from_json(data):

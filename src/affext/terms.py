@@ -116,17 +116,16 @@ def linearize_term(t):
     recovers t.
     """
     sigma = {}
-    counter = [0]
+    return _linearize(t, sigma), sigma
 
-    def walk(s):
-        if is_var(s):
-            fresh = "x%d" % counter[0]
-            counter[0] += 1
-            sigma[fresh] = s
-            return fresh
-        return (s[0],) + tuple(walk(c) for c in s[1:])
 
-    return walk(t), sigma
+def _linearize(s, sigma):
+    """s with each leaf renamed to the next fresh variable, recorded in sigma."""
+    if is_var(s):
+        fresh = "x%d" % len(sigma)
+        sigma[fresh] = s
+        return fresh
+    return (s[0],) + tuple(_linearize(c, sigma) for c in s[1:])
 
 
 GROUP_DIFFERENCE_TERM = parse_term("(mul x0 (mul (inv x1) x2))")

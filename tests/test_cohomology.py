@@ -295,3 +295,23 @@ def test_no_cyclic_garbage(z4_datum, group_eqs, cat):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("call", ["algebra json", "datum json", "linearize"])
+def test_serialization_and_linearize_leave_no_cycles(z4_datum, cat, call):
+    import gc
+    from affext.serialization import (algebra_from_json, algebra_to_json,
+                                      datum_to_json)
+    from affext.terms import linearize_term, parse_term
+    d, _ = z4_datum
+    run = {"algebra json": lambda: algebra_from_json(algebra_to_json(cat["D4"])),
+           "datum json": lambda: datum_to_json(d),
+           "linearize": lambda: linearize_term(
+               parse_term("(mul x0 (mul (inv x1) x0))"))}[call]
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

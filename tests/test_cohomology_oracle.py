@@ -195,10 +195,9 @@ def test_invariant_factors_from_orders(ms):
 def test_subgroup_check(ms, data):
     elements, zero, add = _zmod(ms)
     gens = data.draw(st.lists(st.sampled_from(elements), max_size=3))
-    sub, frontier = {zero}, [zero]
+    sub, frontier = {zero}, {zero}
     while frontier:
-        frontier = [add(x, g) for x in frontier for g in gens]
-        frontier = [x for x in frontier if x not in sub]
+        frontier = {add(x, g) for x in frontier for g in gens} - sub
         sub.update(frontier)
     _check_subgroup(sorted(sub), zero, add, "S")
     subset = data.draw(st.sets(st.sampled_from(elements), min_size=1))

@@ -77,6 +77,24 @@ def test_validate_catches_nonsurjective_rho(z4_datum):
     assert "(D3) rho surjective" in failed
 
 
+def test_validate_reports_the_ad1_witness(z4_datum):
+    """An m that leaves its alpha-block fails (AD1) with the reason."""
+    import copy
+    d, _ = z4_datum
+    n = d.asize
+    i, j = 0, (1 * n + 1) * n + 1  # m(0,0,0) and m(1,1,1)
+    assert not d.alpha.related(d.m_flat[i], d.m_flat[j])
+    m_flat = list(d.m_flat)
+    m_flat[i], m_flat[j] = m_flat[j], m_flat[i]
+    broken = copy.copy(d)
+    broken.dc = copy.copy(d.dc)
+    broken.m_flat = broken.dc.m_flat = tuple(m_flat)
+    report = validate_datum(broken)
+    ad1 = next(r for r in report if r["claim"].startswith("(AD1)"))
+    assert not ad1["holds"]
+    assert "not block-preserving" in ad1["witness"]
+
+
 def test_plus_u_basics(z4_datum):
     d, _ = z4_datum
     for q in range(d.qsize()):

@@ -1,12 +1,13 @@
-"""Datum with 4-element fibers (kernel Z4 under a Z2 quotient): round trips
-and cohomology against the classical oracle, both trivial and inversion
-actions."""
+"""Datum with 4-element fibers (kernel Z4 under a Z2 quotient) and with
+8-element fibers (kernel Z8 under a Z2 quotient): round trips and cohomology
+against the classical oracle, both trivial and inversion actions."""
 
 from affext.algebras import find_isomorphism
 from affext.cocycles import reconstruct
-from affext.cohomology import h2
+from affext.cohomology import h1, h2
 from affext.datum import extract_datum, group_extension
-from affext.groups import classical_h2, inversion_action, trivial_action
+from affext.groups import (classical_h2, cyclic, direct_product,
+                           inversion_action, trivial_action)
 
 
 ROTATIONS = [0, 2, 4, 6]  # the cyclic order-4 subgroup in the a^i b^j encoding
@@ -41,3 +42,19 @@ def test_q8_realizes_the_inversion_datum(cat, group_eqs):
     res = h2(d, group_eqs)
     assert res.order == 2
     assert res.class_types() == ["D4", "Q8"]
+
+
+def test_z16_over_its_order_8_subgroup(group_eqs):
+    """H^2(Z2, Z8) = Z_gcd(2,8): the two classes are Z16 and Z2xZ8."""
+    z16, z8, z2 = cyclic(16), cyclic(8), cyclic(2)
+    ext = group_extension(z16, list(range(0, 16, 2)))
+    d, T = extract_datum(ext)
+    assert find_isomorphism(z16, reconstruct(d, T).alg) is not None
+    res = h2(d, group_eqs)
+    cla = classical_h2(z8, z2, trivial_action(z8, z2))
+    assert res.order == cla.order == 2
+    assert res.invariant_factors == [2]
+    types = [[find_isomorphism(g, c["extension"].alg) is not None
+              for g in (z16, direct_product(z2, z8))] for c in res.classes]
+    assert sorted(types) == [[False, True], [True, False]]
+    assert h1(d)["order"] == 2
