@@ -1,9 +1,10 @@
 """Term-condition commutator and abelianness/centrality tests."""
 
+from functools import partial
 from itertools import product
 
 from .algebras import AlgebraError
-from .congruences import Congruence, cg, m_matrices, DEFAULT_CAP
+from .congruences import Congruence, cg, m_matrices, pair_algebra, DEFAULT_CAP
 from .terms import eval_term, term_vars
 
 
@@ -56,7 +57,36 @@ class CommutatorCache:
 
 
 def is_abelian(alg, alpha, cap=DEFAULT_CAP):
-    return tc_commutator(alg, alpha, alpha, cap=cap).is_equality()
+    """[alpha,alpha] = 0.
+
+    When some basic ternary operation m of alg is Mal'cev on every
+    alpha-block, this is one Cg on A(alpha) instead of the M(alpha,alpha)
+    closure; otherwise (group signatures, for one) it is tc_commutator.
+
+    Why the Cg route is exact: let R, a relation on A(alpha), join the two
+    columns of each matrix of M(alpha,alpha).  R is reflexive and
+    compatible, and the four entries of a matrix share one alpha-block.
+    For (u,v) in R, applying m to (v,v), (u,v), (u,u) in R gives
+    (m(v,u,u), m(v,v,u)) = (v,u), so R is symmetric; for (u,v), (v,w) in
+    R, applying m to (u,v), (v,v), (v,w) gives (u,w), so R is transitive.
+    Both steps use only m(x,y,y) = x = m(y,y,x) on alpha-pairs.  So R is a
+    congruence, and R = Tr M = Delta_{alpha,alpha}, the Cg on A(alpha) of
+    {((u,u),(v,v)) : u alpha v}.  [alpha,alpha] = 0 says that no matrix
+    has q1 = q2 but q3 != q4: no Delta-class holds two pairs (x,y) and
+    (x,y') with y != y'.
+    """
+    blocks = alpha.blocks()
+    if not any(ar == 3 and is_malcev_on_blocks(partial(alg.op, sym), blocks)
+               for sym, ar in alg.signature.symbols):
+        return tc_commutator(alg, alpha, alpha, cap=cap).is_equality()
+    pairalg = pair_algebra(alg, alpha, cap=cap)
+    index = pairalg.pair_index
+    delta_c = cg(pairalg, [(index[(u, u)], index[(v, v)]) for u, v in alpha.pairs()])
+    first = {}
+    for i, (x, _) in enumerate(pairalg.pairs):
+        if first.setdefault((delta_c.rep[i], x), i) != i:
+            return False
+    return True
 
 
 def is_right_central(alg, alpha, cap=DEFAULT_CAP):

@@ -1,7 +1,5 @@
 """Congruences, the pair algebra A(alpha), M(alpha,beta) and Delta_{alpha beta}."""
 
-from itertools import product
-
 from .algebras import (AlgebraError, CapExceeded, FiniteAlgebra, closure,
                        congruence_violation, subpower_tables, DEFAULT_CAP)
 
@@ -20,13 +18,19 @@ class Congruence:
         rep = list(range(n))
         seen = set()
         for block in blocks:
-            least = min(block)
+            if not block:
+                raise AlgebraError("empty block")
             for x in block:
+                # bool is an int subclass, so check the type exactly
+                if type(x) is not int:
+                    raise AlgebraError("element %r is not an integer" % (x,))
                 if not 0 <= x < n:
                     raise AlgebraError("element %r outside 0..%d" % (x, n - 1))
                 if x in seen:
                     raise AlgebraError("element %d in two blocks" % x)
                 seen.add(x)
+            least = min(block)
+            for x in block:
                 rep[x] = least
         return cls(n, rep)
 
@@ -121,9 +125,12 @@ def equivalence_from_pairs(n, pairs):
 def cg(alg, pairs):
     """Congruence of alg generated by pairs.
 
-    Single-displacement closure: whenever two classes merge, rerun every
-    operation with one argument ranging over the merged pair and all
-    contexts, joining the results, until stable.
+    Single-displacement closure: whenever two classes merge through (a, b),
+    every operation is read with one argument at a and at b over all
+    contexts, and the distinct pairs of results are joined, until stable.
+    With the argument at position i of an arity-k table, the contexts form
+    one slice per prefix of stride s = n**(k-1-i); the last position is the
+    single strided slice tab[a::n].
     """
     n = alg.size
     uf = UnionFind(n)
@@ -133,31 +140,20 @@ def cg(alg, pairs):
             raise AlgebraError("pair (%d,%d) outside universe" % (a, b))
         if uf.union(a, b):
             queue.append((a, b))
-    ops = [(sym, ar) for sym, ar in alg.signature.symbols if ar >= 1]
+    tabs = [(alg.tables[sym], ar) for sym, ar in alg.signature.symbols if ar >= 1]
     while queue:
         a, b = queue.pop()
-        for sym, ar in ops:
-            tab = alg.tables[sym]
-            if ar == 1:
-                if uf.union(tab[a], tab[b]):
-                    queue.append((tab[a], tab[b]))
-                continue
-            for i in range(ar):
-                for ctx in product(range(n), repeat=ar - 1):
-                    idx_a = 0
-                    idx_b = 0
-                    for j in range(ar):
-                        if j < i:
-                            va = vb = ctx[j]
-                        elif j == i:
-                            va, vb = a, b
-                        else:
-                            va = vb = ctx[j - 1]
-                        idx_a = idx_a * n + va
-                        idx_b = idx_b * n + vb
-                    ra, rb = tab[idx_a], tab[idx_b]
-                    if uf.union(ra, rb):
-                        queue.append((ra, rb))
+        images = set()
+        for tab, ar in tabs:
+            images.update(zip(tab[a::n], tab[b::n]))
+            for i in range(ar - 1):
+                s = n ** (ar - 1 - i)
+                sa, sb = a * s, b * s
+                for p in range(0, len(tab), n * s):
+                    images.update(zip(tab[p + sa:p + sa + s], tab[p + sb:p + sb + s]))
+        for x, y in images:
+            if x != y and uf.union(x, y):
+                queue.append((x, y))
     return Congruence(n, uf.rep_array())
 
 

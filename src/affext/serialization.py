@@ -43,6 +43,9 @@ def congruence_to_json(cong, algebra_name):
 
 
 def congruence_from_json(data, alg):
+    if not isinstance(data, dict):
+        raise InputError("bad congruence file: expected an object with \"blocks\", "
+                         "not %s" % type(data).__name__)
     try:
         if data.get("algebra") not in (None, alg.name):
             raise InputError("congruence file names algebra %r, expected %r"

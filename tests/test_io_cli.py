@@ -250,3 +250,29 @@ def test_cli_rejects_bad_arity(files, arity):
     assert "input error:" in r.stderr
     assert "arity" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("content", [{"blocks": [[]]}, [[0, 2], [1, 3]],
+                                     {"blocks": [[0, 2], [True, 3]]}])
+def test_cli_rejects_malformed_congruence(files, content):
+    dump_json(content, files / "bad_con.json")
+    r = run_cli(["abelian", "--alg", "z4.json", "--con", "bad_con.json"], files)
+    assert r.returncode == 2
+    assert "input error:" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_abelian_on_malcev_reducts(tmp_path, cat):
+    """<Z4, x-y+z> is abelian over its full congruence; <S3, x y^-1 z> is not."""
+    from affext.algebras import FiniteAlgebra, Signature
+    for name, expected in (("Z4", True), ("S3", False)):
+        g = cat[name]
+        n = g.size
+        m = tuple(g.op("mul", g.op("mul", x, g.op("inv", y)), z)
+                  for x in range(n) for y in range(n) for z in range(n))
+        alg = FiniteAlgebra(n, Signature([("m", 3)]), {"m": m}, name="M" + name)
+        dump_json(algebra_to_json(alg), tmp_path / "m.json")
+        r = run_cli(["abelian", "--alg", "m.json", "--con", "all",
+                     "--format", "json"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["abelian"] is expected

@@ -5,7 +5,7 @@ against the classical oracle, both trivial and inversion actions."""
 from affext.algebras import find_isomorphism
 from affext.cocycles import reconstruct
 from affext.cohomology import h1, h2
-from affext.datum import extract_datum, group_extension
+from affext.datum import extract_datum, group_extension, validate_datum
 from affext.groups import (classical_h2, cyclic, direct_product,
                            inversion_action, trivial_action)
 
@@ -49,6 +49,7 @@ def test_z16_over_its_order_8_subgroup(group_eqs):
     z16, z8, z2 = cyclic(16), cyclic(8), cyclic(2)
     ext = group_extension(z16, list(range(0, 16, 2)))
     d, T = extract_datum(ext)
+    assert all(r["holds"] for r in validate_datum(d))
     assert find_isomorphism(z16, reconstruct(d, T).alg) is not None
     res = h2(d, group_eqs)
     cla = classical_h2(z8, z2, trivial_action(z8, z2))
