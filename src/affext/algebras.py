@@ -122,9 +122,6 @@ class FiniteAlgebra:
             idx = idx * self.size + a
         return tab[idx]
 
-    def nested_table(self, sym):
-        return _unflatten(self.tables[sym], self.signature.arity(sym), self.size)
-
     def elements(self):
         return range(self.size)
 

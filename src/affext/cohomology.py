@@ -1,15 +1,16 @@
 """Cohomology of affine datum: Z^2, B^2, H^2, Z^1, PDer, H^1, equivalence,
 stabilizing automorphisms, trivial actions and variety comparisons."""
 
-from itertools import product
-from math import prod
+from heapq import heapify, heappop, heappush
+from itertools import permutations, product
+from math import factorial, prod
 
 from .algebras import (DEFAULT_CAP, AlgebraError, CapExceeded, FiniteAlgebra,
                        Signature, closure, find_isomorphism, is_homomorphism,
                        subpower_tables)
 from .cocycles import (TwoCocycle, check_cocycle, coboundary_of, e_paths,
                        fiber_respecting_maps, reconstruct)
-from .datum import DatumError, check_action_compatible
+from .datum import ClassMaps, DatumError, check_action_compatible
 from .terms import term_vars
 
 
@@ -63,12 +64,6 @@ class AbelianGroupPresentation:
 
     def invariant_factors(self):
         return invariant_factors([self.element_order(i) for i in range(self.order)])
-
-    def describe(self):
-        facs = self.invariant_factors()
-        if not facs:
-            return "0"
-        return " x ".join("Z/%d" % f for f in facs)
 
 
 def invariant_factors(orders):
@@ -233,45 +228,33 @@ def _invariant_factors_of(d, serialized):
 
 # --- Z^2 enumeration --------------------------------------------------------
 
-class _Constraint:
-    __slots__ = ("lhs_paths", "rhs_paths", "lhs_base", "rhs_base", "cells")
+def _compile_side(cm, term, qenv, domains):
+    """(base, [(cell, img)]) for t^{d,T} at a fixed Q assignment.
 
-    def __init__(self, lhs_paths, rhs_paths, lhs_base, rhs_base):
-        self.lhs_paths = lhs_paths
-        self.rhs_paths = rhs_paths
-        self.lhs_base = lhs_base
-        self.rhs_base = rhs_base
-        self.cells = ({cell for cell, _ in lhs_paths}
-                      | {cell for cell, _ in rhs_paths})
-
-
-def _compile_paths(d, term, qenv):
-    """[(cell, wrap)] for E_t at a fixed Q assignment; wrap carries a class
-    through the f-delta/action chain of the path."""
-    out = []
+    One entry per member of E_t; img[v] carries the value v of its cell
+    through the f-delta/action chain of the path, for every v in the cell's
+    domain.  The side's value is the left-associated sum of the images at
+    base, as sum_at computes it.
+    """
+    d, out = cm.d, []
     for frames, node in e_paths(term):
-        args = tuple(d.eval_q(s, qenv) for s in node[1:])
-        cell = (node[0], args)
-        chain = []
-        for parent, k in reversed(frames):
-            qs = tuple(d.eval_q(s, qenv) for s in parent[1:])
-            chain.append((parent[0], k, qs))
-        chain = tuple(chain)
-
-        def wrap(val, chain=chain, d=d):
-            for sym, k, qs in chain:
-                if k == 1:
-                    val = d.fdelta_apply(sym, val, qs[1:])
-                else:
-                    val = d.action_apply(sym, k, qs[:k - 1] + qs[k:], val)
-            return val
-
-        out.append((cell, wrap))
-    return out
+        cell = (node[0], tuple(d.eval_q(s, qenv) for s in node[1:]))
+        chain = [cm.wrap(parent[0], k,
+                         tuple(d.eval_q(s, qenv) for s in parent[1:]))
+                 for parent, k in reversed(frames)]
+        img = [None] * cm.size
+        for v in domains[cell]:
+            w = v
+            for step in chain:
+                w = step[w]
+            img[v] = w
+        out.append((cell, img))
+    return d.eval_q(term, qenv), out
 
 
-def _constraints_for(d, equations):
-    cons = []
+def _constraints_for(cm, equations, domains):
+    """(C2) instances with at least one cell: (lhs side, rhs side, cells)."""
+    d, cons = cm.d, []
     for lhs, rhs in equations:
         varnames = term_vars(lhs)
         for v in term_vars(rhs):
@@ -279,16 +262,40 @@ def _constraints_for(d, equations):
                 varnames.append(v)
         for vals in product(range(d.qsize()), repeat=len(varnames)):
             qenv = dict(zip(varnames, vals))
-            c = _Constraint(_compile_paths(d, lhs, qenv),
-                            _compile_paths(d, rhs, qenv),
-                            d.eval_q(lhs, qenv), d.eval_q(rhs, qenv))
-            if c.cells:
-                cons.append(c)
+            left = _compile_side(cm, lhs, qenv, domains)
+            right = _compile_side(cm, rhs, qenv, domains)
+            cells = {cell for cell, _ in left[1] + right[1]}
+            if cells:
+                cons.append((left, right, cells))
     return cons
 
 
-def _eval_side(d, paths, base, assignment):
-    return d.sum_at(base, [wrap(assignment[cell]) for cell, wrap in paths])
+def _cell_order(constraints, cells):
+    """Cells ordered so constraints trigger early: repeatedly place the
+    unplaced cells of a constraint with the fewest of them (lowest index
+    first), then any cell no constraint mentions."""
+    left = [len(c[2]) for c in constraints]
+    users = {}
+    for i, c in enumerate(constraints):
+        for cell in c[2]:
+            users.setdefault(cell, []).append(i)
+    heap = [(k, i) for i, k in enumerate(left)]
+    heapify(heap)
+    pos = {}
+    while heap:
+        k, i = heappop(heap)
+        if k != left[i] or k == 0:
+            continue  # a stale count, or every cell already placed
+        for cell in sorted(constraints[i][2]):
+            if cell not in pos:
+                pos[cell] = len(pos)
+                for j in users[cell]:
+                    left[j] -= 1
+                    if left[j]:
+                        heappush(heap, (left[j], j))
+    for cell in cells:
+        pos.setdefault(cell, len(pos))
+    return sorted(pos, key=pos.get), pos
 
 
 class Z2Result:
@@ -314,9 +321,10 @@ def cocycle_group(d, equations, cap=1 << 24, brute=False):
     """All 2-cocycles compatible with the equations, as an abelian group.
 
     (C1) fixes each cell's fiber, so domains are fibers.  (C2) instances
-    become constraints checked as soon as their last cell is assigned; the
-    cell order is chosen so constraints trigger early.  brute=True is the
-    oracle mode: full product enumeration filtered through check_cocycle.
+    become constraints, compiled once (_compile_side) and checked as soon as
+    their last cell is assigned; the cell order is chosen so constraints
+    trigger early.  brute=True is the oracle mode: full product enumeration
+    filtered through check_cocycle.
     """
     gate = check_action_compatible(d, equations, mode="weak")
     if not gate["holds"]:
@@ -329,55 +337,59 @@ def cocycle_group(d, equations, cap=1 << 24, brute=False):
         for cell in cells:
             space *= len(domains[cell])
         if space > cap:
-            raise CapExceeded("brute-force space %d exceeds cap %d" % (space, cap))
+            raise CapExceeded("cocycle_group: brute-force space %d exceeds cap %d"
+                              % (space, cap))
         for values in product(*(domains[c] for c in cells)):
             T = TwoCocycle.from_serialized(d, values)
             if check_cocycle(d, T, equations)["holds"]:
                 solutions.append(values)
     else:
-        constraints = _constraints_for(d, equations)
-        order = []
-        placed = set()
-        remaining = list(constraints)
-        while remaining:
-            remaining.sort(key=lambda c: sum(1 for cell in c.cells
-                                             if cell not in placed))
-            head = remaining.pop(0)
-            for cell in sorted(head.cells):
-                if cell not in placed:
-                    placed.add(cell)
-                    order.append(cell)
-        for cell in cells:
-            if cell not in placed:
-                placed.add(cell)
-                order.append(cell)
-        pos = {cell: i for i, cell in enumerate(order)}
+        cm = ClassMaps(d)
+        constraints = _constraints_for(cm, equations, domains)
+        order, pos = _cell_order(constraints, cells)
+        size, memo, plus_at = cm.size, cm.memo, d.plus_at
+
+        def at_depths(side):
+            base, terms = side
+            return (base, base * size * size, d.delta_l(base),
+                    [(pos[cell], img) for cell, img in terms])
+
         triggers = [[] for _ in order]
-        for c in constraints:
-            triggers[max(pos[cell] for cell in c.cells)].append(c)
-        assignment = {}
+        for lhs, rhs, con_cells in constraints:
+            triggers[max(pos[cell] for cell in con_cells)].append(
+                (at_depths(lhs), at_depths(rhs)))
+        order_domains = [domains[cell] for cell in order]
+        serial = [pos[cell] for cell in cells]
+        vals = [None] * len(order)
         visited = [0]
+
+        def value(side):
+            base, off, acc, terms = side
+            for p, img in terms:
+                y = img[vals[p]]
+                i = off + acc * size + y
+                s = memo[i]
+                if s is None:
+                    s = memo[i] = plus_at(base, acc, y)
+                acc = s
+            return acc
 
         def search(depth):
             if depth == len(order):
-                solutions.append(tuple(assignment[c] for c in cells))
+                solutions.append(tuple([vals[p] for p in serial]))
                 return
-            cell = order[depth]
-            for v in domains[cell]:
+            checks = triggers[depth]
+            for v in order_domains[depth]:
                 visited[0] += 1
                 if visited[0] > cap:
-                    raise CapExceeded("search visited more than %d nodes" % cap)
-                assignment[cell] = v
-                ok = True
-                for con in triggers[depth]:
-                    lv = _eval_side(d, con.lhs_paths, con.lhs_base, assignment)
-                    rv = _eval_side(d, con.rhs_paths, con.rhs_base, assignment)
-                    if lv != rv:
-                        ok = False
+                    raise CapExceeded("cocycle_group: search visited more than "
+                                      "%d nodes" % cap)
+                vals[depth] = v
+                for lhs, rhs in checks:
+                    if value(lhs) != value(rhs):
                         break
-                if ok:
+                else:
                     search(depth + 1)
-            assignment.pop(cell, None)
 
         try:
             search(0)
@@ -506,14 +518,15 @@ def stabilizing_isomorphism(ext_a, ext_b):
     for x in range(n):
         fibers_a.setdefault(ext_a.pi[x], []).append(x)
         fibers_b.setdefault(ext_b.pi[x], []).append(x)
-    from itertools import permutations
-    pools = []
     keys = sorted(fibers_a)
-    for q in keys:
-        fa, fb = fibers_a[q], fibers_b[q]
-        if len(fa) != len(fb):
-            return None
-        pools.append([dict(zip(fa, perm)) for perm in permutations(fb)])
+    if any(len(fibers_a[q]) != len(fibers_b[q]) for q in keys):
+        return None
+    space = prod(factorial(len(fibers_a[q])) for q in keys)
+    if space > DEFAULT_CAP:
+        raise CapExceeded("stabilizing_isomorphism: %d candidate maps exceed cap %d"
+                          % (space, DEFAULT_CAP))
+    pools = [[dict(zip(fibers_a[q], perm)) for perm in permutations(fibers_b[q])]
+             for q in keys]
     beta = ext_a.beta
     blocks = beta.blocks()
     for parts in product(*pools):

@@ -223,6 +223,45 @@ class AffineDatum:
         return eval_term(self.q_alg, term, qenv)
 
 
+class ClassMaps:
+    """Integer views of a datum for one call of a search: f-delta and action
+    maps as lists indexed by class, and plus_at as a flat memo.
+
+    Slot (q*size + x)*size + y of memo holds plus_at(q, x, y), filled on
+    first use.  It is plus_at's own value, also when x or y is off the fiber
+    over q (fiber_tables() has None there), so callers that run before any
+    validation see the same sums as with plus_at.
+    """
+
+    def __init__(self, d):
+        self.d = d
+        self.size = d.dc.size
+        self.memo = [None] * (d.qsize() * self.size * self.size)
+        self._maps = {}
+
+    def plus(self, q, x, y):
+        i = (q * self.size + x) * self.size + y
+        s = self.memo[i]
+        if s is None:
+            s = self.memo[i] = self.d.plus_at(q, x, y)
+        return s
+
+    def wrap(self, sym, k, qs):
+        """The map c -> value at position k of sym when the other arguments
+        lie over qs: f-delta for k = 1, the action a(sym,k) otherwise."""
+        key = (sym, k, qs)
+        img = self._maps.get(key)
+        if img is None:
+            d = self.d
+            if k == 1:
+                img = [d.fdelta_apply(sym, c, qs[1:]) for c in range(self.size)]
+            else:
+                rest = qs[:k - 1] + qs[k:]
+                img = [d.action_apply(sym, k, rest, c) for c in range(self.size)]
+            self._maps[key] = img
+        return img
+
+
 class ExtensionRecord:
     """A surjective homomorphism pi: B -> Q with its kernel and lifting."""
 
@@ -643,12 +682,57 @@ def weak_sum(d, term, env):
     return val
 
 
+def _weak_columns(cm, term, qenv, cols, n):
+    """(t^Q, the column of weak_sum(t)) on n class assignments at once.
+
+    All n assignments lie over the Q assignment qenv; cols maps a variable
+    to its column of classes.  Each node looks its f-delta and action maps
+    up once and adds through the memo, in weak_sum's order.
+    """
+    if is_var(term):
+        return qenv[term], cols[term]
+    d, sym, subs = cm.d, term[0], term[1:]
+    if not subs:
+        q = d.q_alg.tables[sym][0]
+        return q, [d.delta_l(q)] * n
+    args = [_weak_columns(cm, s, qenv, cols, n) for s in subs]
+    qs = tuple(q for q, _ in args)
+    uq = d.q_alg.apply(sym, qs)
+    img = cm.wrap(sym, 1, qs)
+    val = [img[x] for x in args[0][1]]
+    plus = cm.plus
+    for k in range(2, len(subs) + 1):
+        img = cm.wrap(sym, k, qs)
+        val = [plus(uq, x, img[y]) for x, y in zip(val, args[k - 1][1])]
+    return uq, val
+
+
+def _weak_failures(cm, lhs, rhs, varnames):
+    """weak_sum(lhs) != weak_sum(rhs), for every class assignment in
+    product(range(size)) order, grouped by the Q assignment underneath."""
+    d, found = cm.d, []
+    for qvals in product(range(d.qsize()), repeat=len(varnames)):
+        envs = list(product(*(d.dc.fibers.get(q, ()) for q in qvals)))
+        if not envs:
+            continue
+        qenv = dict(zip(varnames, qvals))
+        cols = {v: [e[i] for e in envs] for i, v in enumerate(varnames)}
+        lcol = _weak_columns(cm, lhs, qenv, cols, len(envs))[1]
+        rcol = _weak_columns(cm, rhs, qenv, cols, len(envs))[1]
+        found += [(env, lv, rv) for env, lv, rv in zip(envs, lcol, rcol)
+                  if lv != rv]
+    found.sort()
+    return [{"equation": (lhs, rhs), "env": dict(zip(varnames, env)),
+             "lhs": lv, "rhs": rv} for env, lv, rv in found]
+
+
 def check_action_compatible(d, equations, mode="weak"):
     """Compatibility of the datum's action with a set of equations.
 
-    weak mode compares the transfer-free sums on every class assignment;
-    full mode enumerates compatible sequences and appropriate pairs per the
-    pairing rules.  Returns a report dict with failure witnesses.
+    weak mode compares the transfer-free sums (weak_sum) on every class
+    assignment, evaluated a whole product of fibers at a time; full mode
+    enumerates compatible sequences and appropriate pairs per the pairing
+    rules.  Returns a report dict with failure witnesses.
     """
     if mode not in ("weak", "full"):
         raise DatumError("mode must be 'weak' or 'full'")
@@ -659,19 +743,14 @@ def check_action_compatible(d, equations, mode="weak"):
         return {"claim": "action %s-compatible" % mode, "holds": False,
                 "witness": {"reason": "Q does not satisfy the equations",
                             "equation": q_fail[:2], "env": q_fail[2]}}
+    cm = ClassMaps(d)
     for lhs, rhs in equations:
         varnames = term_vars(lhs)
         for v in term_vars(rhs):
             if v not in varnames:
                 varnames.append(v)
         if mode == "weak":
-            for vals in product(range(d.dc.size), repeat=len(varnames)):
-                env = dict(zip(varnames, vals))
-                lv = weak_sum(d, lhs, env)
-                rv = weak_sum(d, rhs, env)
-                if lv != rv:
-                    failures.append({"equation": (lhs, rhs), "env": env,
-                                     "lhs": lv, "rhs": rv})
+            failures += _weak_failures(cm, lhs, rhs, varnames)
         else:
             domain = [(Q_KIND, q) for q in range(d.qsize())]
             domain += [(U_KIND, c) for c in range(d.dc.size)]

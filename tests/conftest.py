@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from affext.groups import catalog
 from affext.datum import extract_datum, group_extension
 from affext.serialization import builtin_equations
+
+# A fixed example sequence, so that two versions of the code run the same
+# Hypothesis examples; each test still sets its own max_examples.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

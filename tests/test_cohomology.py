@@ -78,10 +78,41 @@ def test_propagated_matches_brute(z4_datum, group_eqs, abelian_eqs):
         assert fast.serialized == slow.serialized
 
 
+@pytest.mark.parametrize("group, kernel, variety", [
+    ("Z2xZ2", [0, 1], "groups"), ("Z2xZ2", [0, 1], "abelian-groups"),
+    ("Z8", [0, 2, 4, 6], "groups"), ("D4", [0, 2, 4, 6], "groups"),
+    ("D4", [0, 2, 4, 6], "abelian-groups"), ("Q8", [0, 2, 4, 6], "groups"),
+])
+def test_propagated_matches_brute_on_more_datums(cat, group, kernel, variety):
+    """The brute spaces are 2^7 for fibers of 2 and 4^7 for fibers of 4."""
+    from affext.serialization import builtin_equations
+    d, _ = extract_datum(group_extension(cat[group], kernel))
+    eqs = builtin_equations(variety)
+    fast = cocycle_group(d, eqs)
+    slow = cocycle_group(d, eqs, brute=True)
+    assert fast.serialized == slow.serialized
+
+
 def test_cap_exceeded(z4_datum, group_eqs):
     d, _ = z4_datum
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="^cocycle_group: search visited"):
         cocycle_group(d, group_eqs, cap=2)
+    with pytest.raises(CapExceeded, match="^cocycle_group: brute-force space 128 "):
+        cocycle_group(d, group_eqs, cap=2, brute=True)
+
+
+@pytest.mark.parametrize("n, kernel, digest", [
+    (10, [0, 5], "118b5d1991f6c5debcbe80a7301c89387ea09d52b3c3a153eccddd50a07b6c79"),
+    (12, [0, 4, 8], "c054aea5bb2115548920bd8a6c6cfc3c86e3e15db119d8445d4ca40642c675f7"),
+])
+def test_h2_json_pinned(group_eqs, n, kernel, digest):
+    """The byte-identical JSON contract of h2, pinned by its sha256."""
+    import hashlib
+    from affext.groups import cyclic
+    from affext.serialization import dump_json
+    d, _ = extract_datum(group_extension(cyclic(n), kernel))
+    text = dump_json(h2(d, group_eqs).to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_coboundary_group(z4_datum, group_eqs):
@@ -161,6 +192,17 @@ def test_stabilizers_cap_checked_first():
     ext = ExtensionRecord(alg, [x // 2 for x in range(50)], quot, (0,) * 50 ** 3)
     with pytest.raises(CapExceeded, match="stabilizers: 33554432 .* cap 16777216"):
         stabilizers(ext)
+
+
+def test_stabilizing_isomorphism_cap_checked_first():
+    """Z16 over its order-8 subgroup: two fibers of 8 give (8!)^2 candidate
+    maps, over the default cap."""
+    from affext.cohomology import stabilizing_isomorphism
+    from affext.groups import cyclic
+    ext = group_extension(cyclic(16), list(range(0, 16, 2)))
+    with pytest.raises(CapExceeded, match="stabilizing_isomorphism: 1625702400 "
+                                          "candidate maps exceed cap 16777216"):
+        stabilizing_isomorphism(ext, ext)
 
 
 def test_identity_automorphism_is_zero_derivation(z4_extension, z4_datum):
