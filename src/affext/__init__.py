@@ -19,23 +19,22 @@ The main entry points:
 from .algebras import (FiniteAlgebra, Signature, find_isomorphism,
                        power_algebra, quotient_algebra, subalgebra_generate)
 from .congruences import Congruence, cg, delta, hat_alpha, m_matrices, pair_algebra
-from .commutator import (CommutatorCache, is_abelian, is_left_central,
-                         is_right_central, tc_commutator,
-                         verify_difference_term,
+from .commutator import (is_abelian, is_left_central, is_right_central,
+                         tc_commutator, verify_difference_term,
                          verify_ternary_abelian_group_on_blocks)
 from .datum import (AffineDatum, ExtensionRecord, check_action_compatible,
                     extract_datum, group_extension, validate_datum)
 from .cocycles import (TwoCocycle, check_cocycle, check_realization,
                        is_semidirect, partial_derivative, reconstruct,
                        tensor_product)
-from .cohomology import (AbelianGroupPresentation, are_equivalent,
-                         coboundary_group, cocycle_group, derivations, h1, h2,
-                         stabilizers, trivial_action_check)
+from .cohomology import (are_equivalent, coboundary_group, cocycle_group,
+                         derivations, h1, h2, stabilizers,
+                         trivial_action_check)
 from .terms import eval_term, linearize_term, parse_term, term_to_str
 
 __all__ = [
-    "AbelianGroupPresentation", "AffineDatum", "CommutatorCache", "Congruence",
-    "ExtensionRecord", "FiniteAlgebra", "Signature", "TwoCocycle",
+    "AffineDatum", "Congruence", "ExtensionRecord", "FiniteAlgebra",
+    "Signature", "TwoCocycle",
     "are_equivalent", "cg", "check_action_compatible", "check_cocycle",
     "check_realization", "coboundary_group", "cocycle_group", "delta",
     "derivations", "eval_term", "extract_datum", "find_isomorphism",

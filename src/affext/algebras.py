@@ -16,7 +16,16 @@ class AlgebraError(ValueError):
 
 
 class CapExceeded(AlgebraError):
-    """A search or enumeration outgrew its configured cap."""
+    """A search or enumeration outgrew its configured cap.
+
+    stage names the search, size is the figure it reached (or would reach)
+    and cap the limit it was held to; the message is template filled from
+    them and from any further named fields.
+    """
+
+    def __init__(self, stage, size, cap, template, **fields):
+        super().__init__(template.format(stage=stage, size=size, cap=cap, **fields))
+        self.stage, self.size, self.cap = stage, size, cap
 
 
 class Signature:
@@ -223,7 +232,8 @@ def power_algebra(alg, k, cap=DEFAULT_CAP):
     size = n ** k
     max_ar = max((ar for _, ar in alg.signature.symbols), default=0)
     if size ** max(max_ar, 1) > cap:
-        raise CapExceeded("power algebra of size %d exceeds cap %d" % (size, cap))
+        raise CapExceeded("power_algebra", size, cap,
+                          "power algebra of size {size} exceeds cap {cap}")
     # product lists the k-tuples in base-n order, so tuple i has code i
     tables = subpower_tables(alg, list(product(range(n), repeat=k)))
     name = "%s^%d" % (alg.name, k) if alg.name else None

@@ -378,12 +378,11 @@ def fiber_respecting_maps(d):
 
 
 def cocycle_difference_coboundary(d, T, Tp):
-    """A witness h with coboundary(h) = T' - T, or None."""
-    target = cocycle_sub(d, Tp, T).serialize(d)
-    for h in fiber_respecting_maps(d):
-        if coboundary_of(d, h).serialize(d) == target:
-            return h
-    return None
+    """The first h in fiber_respecting_maps order with coboundary(h) =
+    T' - T, or None: a lookup in the datum's coboundary table."""
+    from .cohomology import _coboundary_table
+    witnesses = _coboundary_table(d).get(cocycle_sub(d, Tp, T).serialize(d))
+    return witnesses[0] if witnesses else None
 
 
 # --- the A(alpha)/Delta_{alpha 1} transfer decomposition ---------------------

@@ -14,58 +14,6 @@ from .datum import ClassMaps, DatumError, check_action_compatible
 from .terms import term_vars
 
 
-class AbelianGroupPresentation:
-    """Finite abelian group given by elements and an addition table.
-
-    The library works with the fiber groups directly (see _check_subgroup
-    and _quotient); this Cayley-table version is the reference the tests
-    compare them with.
-    """
-
-    def __init__(self, elements, add_func, zero):
-        self.elements = list(elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        k = len(self.elements)
-        self.zero = self.index[zero]
-        self.add = [[self.index[add_func(a, b)] for b in self.elements]
-                    for a in self.elements]
-        self.neg = [0] * k
-        for i in range(k):
-            hit = [j for j in range(k) if self.add[i][j] == self.zero]
-            if len(hit) != 1:
-                raise AlgebraError("no unique inverse; not a group table")
-            self.neg[i] = hit[0]
-        self._verify()
-
-    def _verify(self):
-        k = self.order
-        add = self.add
-        z = self.zero
-        for a in range(k):
-            if add[a][z] != a:
-                raise AlgebraError("zero fails")
-            for b in range(k):
-                if add[a][b] != add[b][a]:
-                    raise AlgebraError("addition not commutative")
-                for c in range(k):
-                    if add[add[a][b]][c] != add[a][add[b][c]]:
-                        raise AlgebraError("addition not associative")
-
-    @property
-    def order(self):
-        return len(self.elements)
-
-    def element_order(self, i):
-        j, k = i, 1
-        while j != self.zero:
-            j = self.add[j][i]
-            k += 1
-        return k
-
-    def invariant_factors(self):
-        return invariant_factors([self.element_order(i) for i in range(self.order)])
-
-
 def invariant_factors(orders):
     """d1 | d2 | ... with product the group order, for a finite abelian
     group given by the orders of its elements (one entry per element).
@@ -337,8 +285,8 @@ def cocycle_group(d, equations, cap=1 << 24, brute=False):
         for cell in cells:
             space *= len(domains[cell])
         if space > cap:
-            raise CapExceeded("cocycle_group: brute-force space %d exceeds cap %d"
-                              % (space, cap))
+            raise CapExceeded("cocycle_group", space, cap,
+                              "{stage}: brute-force space {size} exceeds cap {cap}")
         for values in product(*(domains[c] for c in cells)):
             T = TwoCocycle.from_serialized(d, values)
             if check_cocycle(d, T, equations)["holds"]:
@@ -382,8 +330,8 @@ def cocycle_group(d, equations, cap=1 << 24, brute=False):
             for v in order_domains[depth]:
                 visited[0] += 1
                 if visited[0] > cap:
-                    raise CapExceeded("cocycle_group: search visited more than "
-                                      "%d nodes" % cap)
+                    raise CapExceeded("cocycle_group", visited[0], cap,
+                                      "{stage}: search visited more than {cap} nodes")
                 vals[depth] = v
                 for lhs, rhs in checks:
                     if value(lhs) != value(rhs):
@@ -418,16 +366,31 @@ class B2Result:
         return _invariant_factors_of(self.datum, self.serialized)
 
 
+def _coboundary_table(d):
+    """The coboundary map delta: C^1 -> C^2 of the datum, enumerated once:
+    {serialized delta(h): [h, ...]} over every fiber-respecting h, the
+    witnesses of each image in fiber_respecting_maps order.
+
+    Kept on the datum, which nothing changes after construction; B^2, Z^1
+    and cocycle equivalence all read this one table.
+    """
+    if d._coboundaries is None:
+        table = {}
+        for h in fiber_respecting_maps(d):
+            table.setdefault(coboundary_of(d, h).serialize(d), []).append(h)
+        d._coboundaries = table
+    return d._coboundaries
+
+
 def coboundary_group(d):
-    """B^2 from all fiber-respecting witness maps h, with multiplicities."""
-    images = {}
-    for h in fiber_respecting_maps(d):
-        g = coboundary_of(d, h).serialize(d)
-        images.setdefault(g, []).append(h)
-    serialized = sorted(images)
+    """B^2 = delta(C^1): the images of the datum's coboundary table, checked
+    to be a subgroup; witnesses maps each image g to the maps h with
+    delta(h) = g, in fiber_respecting_maps order."""
+    table = _coboundary_table(d)
+    serialized = sorted(table)
     zero, add = _two_cochains(d)
     _check_subgroup(serialized, zero, add, "B2")
-    return B2Result(d, serialized, images)
+    return B2Result(d, serialized, table)
 
 
 class CohomologyResult:
@@ -500,7 +463,8 @@ def _default_namer(d, seed=0):
 
 
 def are_equivalent(d, T, Tp):
-    """T' - T lies in B^2 (searched directly through witness maps)."""
+    """T and T' give equivalent extensions: T' - T lies in B^2 = delta(C^1),
+    one lookup in the datum's coboundary table."""
     from .cocycles import cocycle_difference_coboundary
     return cocycle_difference_coboundary(d, T, Tp) is not None
 
@@ -523,8 +487,8 @@ def stabilizing_isomorphism(ext_a, ext_b):
         return None
     space = prod(factorial(len(fibers_a[q])) for q in keys)
     if space > DEFAULT_CAP:
-        raise CapExceeded("stabilizing_isomorphism: %d candidate maps exceed cap %d"
-                          % (space, DEFAULT_CAP))
+        raise CapExceeded("stabilizing_isomorphism", space, DEFAULT_CAP,
+                          "{stage}: {size} candidate maps exceed cap {cap}")
     pools = [[dict(zip(fibers_a[q], perm)) for perm in permutations(fibers_b[q])]
              for q in keys]
     beta = ext_a.beta
@@ -567,8 +531,8 @@ def stabilizers(ext):
     blocks = beta.blocks()
     space = prod(len(block) for block in blocks)
     if space > DEFAULT_CAP:
-        raise CapExceeded("stabilizers: %d candidate maps exceed cap %d"
-                          % (space, DEFAULT_CAP))
+        raise CapExceeded("stabilizers", space, DEFAULT_CAP,
+                          "{stage}: {size} candidate maps exceed cap {cap}")
     pools = []
     for block in blocks:
         members = set(block)
@@ -605,35 +569,22 @@ def stab_closed_under_composition(stabs):
 
 
 def derivations(d):
-    """Z^1: the sorted fiber-respecting maps satisfying the 1-cocycle
-    identity, checked to be a subgroup under pointwise +_{l(x)}."""
-    nq = d.qsize()
-    out = []
-    for h in fiber_respecting_maps(d):
-        ok = True
-        for sym, ar in d.signature.symbols:
-            if not ok:
-                break
-            if ar == 0:
-                q = d.q_alg.tables[sym][0]
-                if h[q] != d.delta_l(q):
-                    ok = False
-                continue
-            for qs in product(range(nq), repeat=ar):
-                base = d.q_alg.apply(sym, qs)
-                val = d.fdelta_apply(sym, h[qs[0]], qs[1:])
-                for i in range(2, ar + 1):
-                    val = d.plus_at(base, val,
-                                    d.action_apply(sym, i, qs[:i - 1] + qs[i:],
-                                                   h[qs[i - 1]]))
-                if h[base] != val:
-                    ok = False
-                    break
-        if ok:
-            out.append(h)
-    out.sort()
+    """Z^1 = ker delta: the sorted fiber-respecting maps h satisfying the
+    1-cocycle identity, read from the datum's coboundary table and checked
+    to be a subgroup under pointwise +_{l(x)}.
+
+    Why the kernel is Z^1: the fiber over f(x) is an abelian group, so
+    delta(h)_f(x) = (f-delta(h(x1)) - h(f(x))) + sum of action terms is its
+    zero exactly when h(f(x)) = f-delta(h(x1)) + sum of action terms, the
+    1-cocycle identity at f and x.  For a nullary f with value c,
+    delta(h)_f = -h(c) is zero exactly when h(c) = delta(l(c)).  The
+    argument needs the f-delta and action values in their fibers; on a
+    datum where they leave them, both sides are sums outside any group.
+    """
+    zero = d.trivial_cocycle().serialize(d)
+    out = sorted(_coboundary_table(d).get(zero, ()))
     if out:
-        zero, add = _cochain_group(d, range(nq))
+        zero, add = _cochain_group(d, range(d.qsize()))
         _check_subgroup(out, zero, add, "Z1")
     return out
 
@@ -680,8 +631,9 @@ def _polynomial_algebra(alg):
     maps, _ = closure(alg, n, [tuple(range(n))] + [(c,) * n for c in range(n)])
     for sym, ar in alg.signature.symbols:
         if len(maps) ** ar > DEFAULT_CAP:
-            raise CapExceeded("table of %r on %d unary polynomials exceeds cap %d"
-                              % (sym, len(maps), DEFAULT_CAP))
+            raise CapExceeded("polynomial_algebra", len(maps), DEFAULT_CAP,
+                              "table of {sym!r} on {size} unary polynomials "
+                              "exceeds cap {cap}", sym=sym)
     return FiniteAlgebra(len(maps), alg.signature, subpower_tables(alg, maps)), maps
 
 

@@ -30,32 +30,6 @@ def tc_commutator(alg, alpha, beta, cap=DEFAULT_CAP, matrices=None):
         delta_c = cg(alg, added + [(x, rep[x]) for x in range(alg.size)])
 
 
-class CommutatorCache:
-    """Memo of [alpha,beta] per algebra; entries are verified congruences."""
-
-    def __init__(self, alg, cap=DEFAULT_CAP):
-        self.alg = alg
-        self.cap = cap
-        self._memo = {}
-        self._matrices = {}
-
-    def matrices(self, alpha, beta):
-        key = (alpha.rep, beta.rep)
-        if key not in self._matrices:
-            self._matrices[key] = m_matrices(self.alg, alpha, beta, cap=self.cap)
-        return self._matrices[key]
-
-    def commutator(self, alpha, beta):
-        key = (alpha.rep, beta.rep)
-        if key not in self._memo:
-            value = tc_commutator(self.alg, alpha, beta, cap=self.cap,
-                                  matrices=self.matrices(alpha, beta))
-            if not value.le(alpha.meet(beta)):
-                raise AlgebraError("commutator not below meet")
-            self._memo[key] = value
-        return self._memo[key]
-
-
 def is_abelian(alg, alpha, cap=DEFAULT_CAP):
     """[alpha,alpha] = 0.
 

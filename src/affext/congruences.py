@@ -204,7 +204,8 @@ class PairAlgebra(FiniteAlgebra):
         P = len(pairs)
         max_ar = max((ar for _, ar in alg.signature.symbols), default=0)
         if P ** max(max_ar, 1) > cap:
-            raise CapExceeded("pair algebra of size %d exceeds cap %d" % (P, cap))
+            raise CapExceeded("pair_algebra", P, cap,
+                              "pair algebra of size {size} exceeds cap {cap}")
         tables = subpower_tables(alg, pairs)
         name = "%s(alpha)" % alg.name if alg.name else None
         super().__init__(P, alg.signature, tables, name=name)
@@ -249,7 +250,8 @@ def m_matrices(alg, alpha, beta, cap=DEFAULT_CAP, pairalg=None):
         pairalg = pair_algebra(alg, alpha, cap=cap)
     P = pairalg.size
     if P * P > cap:
-        raise CapExceeded("M(alpha,beta) universe %d exceeds cap %d" % (P * P, cap))
+        raise CapExceeded("m_matrices", P * P, cap,
+                          "M(alpha,beta) universe {size} exceeds cap {cap}")
     index = pairalg.pair_index
     # a matrix is the pair (index(col1), index(col2)) in A(alpha)^2
     gens = [(i, i) for i in range(P)]  # [x x // y y]

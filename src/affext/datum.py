@@ -104,6 +104,7 @@ class AffineDatum:
         self.fdelta = fdelta
         self.actions = actions
         self.name = name
+        self._coboundaries = None  # cohomology._coboundary_table's memo
 
     # --- basic maps -----------------------------------------------------
     def qsize(self):

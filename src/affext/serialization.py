@@ -8,6 +8,7 @@ Equation files: a JSON array of two-element arrays of term strings.
 
 import json
 import os
+from itertools import product
 
 from .algebras import AlgebraError, FiniteAlgebra, Signature, _unflatten
 from .congruences import Congruence
@@ -153,43 +154,50 @@ def datum_from_json(data):
                 raise InputError("source_algebra size differs from carrier_size")
             m_table = [[[eval_term(src, term, {"x0": a, "x1": b, "x2": c})
                          for c in range(n)] for b in range(n)] for a in range(n)]
-        fdelta = {}
-        for sym, ar in sig.symbols:
-            raw = data["fdelta"][sym]
-            tab = {}
-            if ar == 0:
-                tab[()] = raw
-            else:
-                def walk(node, key, depth):
-                    if depth == ar:
-                        tab[tuple(key)] = node
-                        return
-                    for i, child in enumerate(node):
-                        walk(child, key + [i], depth + 1)
-                walk(raw, [], 0)
-            fdelta[sym] = tab
+        fdelta = {sym: _leaves(data["fdelta"][sym], ar) for sym, ar in sig.symbols}
         actions = {}
         for key, raw in data["actions"].items():
             sym, pos = key.split(":")
-            pos = int(pos)
-            ar = sig.arity(sym)
-            tab = {}
-
-            def walk(node, key2, depth):
-                if depth == ar:
-                    tab[(tuple(key2[:-1]), (key2[-1],))] = node
-                    return
-                for i, child in enumerate(node):
-                    walk(child, key2 + [i], depth + 1)
-
-            walk(raw, [], 0)
-            actions[(sym, (pos,))] = tab
-        return datum_from_tables(
+            actions[(sym, (int(pos),))] = {
+                (k[:-1], k[-1:]): v for k, v in _leaves(raw, sig.arity(sym)).items()}
+        d = datum_from_tables(
             qdata["operations"], nq, data["mq"], data["carrier_size"],
             m_table, data["alpha_blocks"], data["rho"], data["lifting"],
             fdelta, actions, sig, name=data.get("name"))
+        # every position of a symbol of arity >= 2 has an action table, and
+        # every level has its full length: the classes at an f-delta's first
+        # level and at an action's last, |Q| elsewhere
+        missing = sorted({(sym, i) for sym, ar in sig.symbols if ar >= 2
+                          for i in range(1, ar + 1)}
+                         - {(sym, pos[0]) for sym, pos in actions})
+        if missing:
+            raise InputError("no action table for %s"
+                             % ", ".join("%s:%d" % m for m in missing))
+        classes, qs = range(d.dc.size), range(nq)
+        for sym, ar in sig.symbols:
+            if ar and set(fdelta[sym]) != set(product(classes, *[qs] * (ar - 1))):
+                raise InputError("fdelta of %r lacks a value for some class "
+                                 "and Q arguments, or has extra ones" % sym)
+        for (sym, pos), tab in actions.items():
+            ar = sig.arity(sym)
+            if set(tab) != {(k, (c,)) for k in product(qs, repeat=ar - 1)
+                            for c in classes}:
+                raise InputError("action %s:%d lacks a value for some Q "
+                                 "arguments and class, or has extra ones"
+                                 % (sym, pos[0]))
+        return d
     except (KeyError, TypeError, ValueError, AlgebraError) as exc:
         raise InputError("bad datum file: %s" % exc)
+
+
+def _leaves(node, depth, key=()):
+    """{index tuple: leaf} of a depth-deep nested list, however ragged."""
+    if depth == 0:
+        return {key: node}
+    out = {}
+    for i, child in enumerate(node):
+        out.update(_leaves(child, depth - 1, key + (i,)))
+    return out
 
 
 def cocycle_to_json(d, T, datum_name=None):
@@ -212,21 +220,12 @@ def cocycle_to_json(d, T, datum_name=None):
 def cocycle_from_json(d, data):
     from .cocycles import TwoCocycle
     try:
-        tables = {}
+        tables = {sym: _leaves(data["tables"][sym], ar)
+                  for sym, ar in d.signature.symbols}
         for sym, ar in d.signature.symbols:
-            raw = data["tables"][sym]
-            tab = {}
-            if ar == 0:
-                tab[()] = raw
-            else:
-                def walk(node, key, depth):
-                    if depth == ar:
-                        tab[tuple(key)] = node
-                        return
-                    for i, child in enumerate(node):
-                        walk(child, key + [i], depth + 1)
-                walk(raw, [], 0)
-            tables[sym] = tab
+            if set(tables[sym]) != set(product(range(d.qsize()), repeat=ar)):
+                raise InputError("bad cocycle file: table of %r lacks a value for "
+                                 "some Q arguments, or has extra ones" % sym)
         return TwoCocycle(tables)
     except (KeyError, TypeError) as exc:
         raise InputError("bad cocycle file: %s" % exc)

@@ -3,14 +3,16 @@ from itertools import product
 import pytest
 
 from affext.algebras import AlgebraError
-from affext.cohomology import (AbelianGroupPresentation, are_equivalent,
-                               CapExceeded, coboundary_group, cocycle_group,
-                               compare_variety_subgroups, derivations, h1, h2,
-                               stabilizers, stabilizer_derivation_isomorphism,
+from affext.cohomology import (are_equivalent, CapExceeded, coboundary_group,
+                               cocycle_group, compare_variety_subgroups,
+                               derivations, h1, h2, stabilizers,
+                               stabilizer_derivation_isomorphism,
                                trivial_action_check, twin_pairs_of_identity)
 from affext.cocycles import TwoCocycle, cocycle_add, reconstruct
 from affext.datum import extract_datum, group_extension
 from affext.terms import parse_term
+
+from test_cohomology_oracle import AbelianGroupPresentation
 
 
 def _group_table(pairs, n):
@@ -182,16 +184,34 @@ def test_stabilizers_and_derivations(z4_extension, z4_datum):
     assert rep["holds"], rep
 
 
-def test_stabilizers_cap_checked_first():
-    """25 kernel blocks of 2 give 2^25 candidates, over the default cap."""
+def _blocks_of_two(k):
+    """The identity on 2k points over k kernel blocks of 2."""
     from affext.algebras import FiniteAlgebra, Signature
     from affext.datum import ExtensionRecord
     sig = Signature([("f", 1)])
-    alg = FiniteAlgebra(50, sig, {"f": tuple(range(50))})
-    quot = FiniteAlgebra(25, sig, {"f": tuple(range(25))})
-    ext = ExtensionRecord(alg, [x // 2 for x in range(50)], quot, (0,) * 50 ** 3)
+    alg = FiniteAlgebra(2 * k, sig, {"f": tuple(range(2 * k))})
+    quot = FiniteAlgebra(k, sig, {"f": tuple(range(k))})
+    return ExtensionRecord(alg, [x // 2 for x in range(2 * k)], quot,
+                           (0,) * (2 * k) ** 3)
+
+
+def test_stabilizers_cap_checked_first():
+    """25 kernel blocks of 2 give 2^25 candidates, over the default cap."""
     with pytest.raises(CapExceeded, match="stabilizers: 33554432 .* cap 16777216"):
-        stabilizers(ext)
+        stabilizers(_blocks_of_two(25))
+
+
+def test_cap_exceeded_names_stage_size_and_cap(z4_datum, group_eqs):
+    d, _ = z4_datum
+    caps = []
+    for call in (lambda: stabilizers(_blocks_of_two(25)),
+                 lambda: cocycle_group(d, group_eqs, cap=2),
+                 lambda: cocycle_group(d, group_eqs, cap=2, brute=True)):
+        with pytest.raises(CapExceeded) as info:
+            call()
+        caps.append((info.value.stage, info.value.size, info.value.cap))
+    assert caps == [("stabilizers", 1 << 25, 1 << 24), ("cocycle_group", 3, 2),
+                    ("cocycle_group", 128, 2)]
 
 
 def test_stabilizing_isomorphism_cap_checked_first():

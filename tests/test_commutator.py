@@ -1,9 +1,8 @@
 import pytest
 
 from affext.algebras import AlgebraError, FiniteAlgebra, Signature
-from affext.commutator import (CommutatorCache, is_abelian, is_left_central,
-                               is_right_central, tc_commutator,
-                               verify_difference_term,
+from affext.commutator import (is_abelian, is_left_central, is_right_central,
+                               tc_commutator, verify_difference_term,
                                verify_ternary_abelian_group_on_blocks)
 from affext.congruences import Congruence
 from affext.groups import (center, commutator_subgroup,
@@ -73,15 +72,6 @@ def test_centrality_examples(cat):
     assert is_right_central(d4, zc) and is_left_central(d4, zc)
     one = Congruence.all(8)
     assert not is_right_central(d4, one) and not is_left_central(d4, one)
-
-
-def test_cache_reuses_and_verifies(cat):
-    d4 = cat["D4"]
-    cache = CommutatorCache(d4)
-    one = Congruence.all(8)
-    c1 = cache.commutator(one, one)
-    c2 = cache.commutator(one, one)
-    assert c1 is c2
 
 
 def test_difference_term_groups(cat):

@@ -227,6 +227,48 @@ def test_cli_non_group_signature(tmp_path):
     assert r.returncode == 0, r.stderr
 
 
+def _cut_fdelta_rows(data):
+    data["fdelta"]["mul"] = data["fdelta"]["mul"][:3]
+
+
+def _cut_action_row(data):
+    data["actions"]["mul:2"][1] = data["actions"]["mul:2"][1][:3]
+
+
+def _lengthen_action_row(data):
+    data["actions"]["mul:2"][0].append(0)
+
+
+def _drop_action_table(data):
+    del data["actions"]["mul:2"]
+
+
+@pytest.mark.parametrize("mutate", [_cut_fdelta_rows, _cut_action_row,
+                                    _lengthen_action_row, _drop_action_table])
+def test_cli_rejects_ragged_datum_tables(z4_datum, tmp_path, mutate):
+    """Every action table is present and every level of an f-delta or
+    action table has its full length."""
+    data = datum_to_json(z4_datum[0])
+    mutate(data)
+    dump_json(data, tmp_path / "ragged.json")
+    r = run_cli(["h2", "--datum", "ragged.json", "--sigma", "builtin:groups"],
+                tmp_path)
+    assert r.returncode == 2
+    assert "input error: bad datum file:" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_rejects_ragged_cocycle_table(files, z4_datum):
+    data = cocycle_to_json(z4_datum[0], z4_datum[1])
+    data["tables"]["mul"] = data["tables"]["mul"][:1]
+    dump_json(data, files / "ragged.json")
+    r = run_cli(["cocycle", "check", "--alg", "z4.json", "--con", "alpha.json",
+                 "--cocycle", "ragged.json", "--sigma", "builtin:groups"], files)
+    assert r.returncode == 2
+    assert "input error: bad cocycle file:" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_datum_file_with_m_as_term(z4_datum, cat):
     from affext.datum import validate_datum
     d, _ = z4_datum
