@@ -5,7 +5,7 @@ by base-n positional encoding with the leftmost argument most significant.
 The same encoding fixes tuple indexing in power algebras.
 """
 
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter
 
 DEFAULT_CAP = 1 << 24
@@ -116,6 +116,16 @@ class FiniteAlgebra:
                 raise AlgebraError("table entry %r for %r is not an element of the universe"
                                    % (bad, sym))
             self.tables[sym] = flat
+        self._associative = None  # associative_ops()'s memo
+
+    def associative_ops(self):
+        """The symbols of the associative binary operations, in signature
+        order; each table is tested once per algebra."""
+        if self._associative is None:
+            self._associative = tuple(
+                sym for sym, ar in self.signature.symbols
+                if ar == 2 and _is_associative(self.tables[sym], self.size))
+        return self._associative
 
     def op(self, sym, *args):
         tab = self.tables[sym]
@@ -159,43 +169,125 @@ def _apply_rows(tab, n, prefix, getters):
     return zip(*[get(tab[o:o + n]) for o, get in zip(offsets, getters)])
 
 
+def _is_associative(tab, n):
+    """(x*y)*z = x*(y*z) for the flat binary table tab, one row pair at a
+    time: row x*y must equal row x read at the entries of row y."""
+    if n == 1:
+        return True
+    rows = [tab[x * n:x * n + n] for x in range(n)]
+    reads = [itemgetter(*row) for row in rows]
+    return all(rows[tab[x * n + y]] == reads[y](rows[x])
+               for x in range(n) for y in range(n))
+
+
+def _images(ops, n, old, frontier, elems):
+    """The values of ops on every argument tuple over elems that holds at
+    least one element of frontier; old is elems without frontier."""
+    frontier_rows, elem_rows = _row_getters(frontier), _row_getters(elems)
+    found = set()
+    for tab, ar in ops:
+        # argument tuples whose first frontier element sits at position i
+        for i in range(ar):
+            pools = [old] * i + [frontier] + [elems] * (ar - i - 1)
+            last = frontier_rows if i == ar - 1 else elem_rows
+            for prefix in product(*pools[:-1]):
+                found.update(_apply_rows(tab, n, prefix, last))
+    return found
+
+
 def closure(alg, k, generators, max_rounds=None):
     """Subuniverse of alg**k generated by a set of k-tuples.
 
     An element of alg**k is a plain tuple of k elements of alg, and every
     operation acts on it coordinatewise through alg's flat tables; nullary
-    operations contribute their constant k-tuples to the generators.
-    Round r evaluates every operation on the argument tuples that contain
+    operations contribute their constant k-tuples to the generators (the
+    seeds).  Returns (elements, exact): the seeds sorted, then the other
+    elements in the order they were found; exact is False only when
+    max_rounds cut the closure short.
+
+    Two paths give the same set.  With max_rounds None and an associative
+    binary operation * in alg (alg.associative_ops()), the closure is the
+    semigroup path (_semigroup_closure): it multiplies on the right by kept
+    generators only, which suffices because x*(g0*...*gm) =
+    ((x*g0)*...)*gm, and runs the other operations semi-naively.  Otherwise
+    round r evaluates every operation on the argument tuples that contain
     at least one element found in round r-1, and stops the closure when it
-    finds nothing new.  max_rounds (None for no limit) caps the number of
-    rounds.  Returns (elements, exact): the generators sorted, then each
-    round's new elements sorted; exact is False when the last round
-    allowed by max_rounds still found new elements, so the result may be
+    finds nothing new; max_rounds (None for no limit) caps the number of
+    rounds, each round's new elements come sorted, and exact is False when
+    the last round allowed still found new elements, so the result may be
     short of the full subuniverse.
     """
     n = alg.size
     ops = [(alg.tables[sym], ar) for sym, ar in alg.signature.symbols]
-    seen = set(map(tuple, generators))
-    seen.update((tab[0],) * k for tab, ar in ops if ar == 0)
-    elems = sorted(seen)
-    frontier = elems
+    seeds = set(map(tuple, generators))
+    seeds.update((tab[0],) * k for tab, ar in ops if ar == 0)
+    seeds = sorted(seeds)
+    associative = alg.associative_ops() if max_rounds is None else ()
+    if associative:
+        return _semigroup_closure(alg, seeds, associative[0]), True
+    seen = set(seeds)
+    elems = frontier = seeds
     rounds = 0
     while frontier and (max_rounds is None or rounds < max_rounds):
         rounds += 1
-        old = elems[: len(elems) - len(frontier)]
-        frontier_rows, elem_rows = _row_getters(frontier), _row_getters(elems)
-        found = set()
-        for tab, ar in ops:
-            # argument tuples whose first frontier element sits at position i
-            for i in range(ar):
-                pools = [old] * i + [frontier] + [elems] * (ar - i - 1)
-                last = frontier_rows if i == ar - 1 else elem_rows
-                for prefix in product(*pools[:-1]):
-                    found.update(_apply_rows(tab, n, prefix, last))
+        found = _images(ops, n, elems[:len(elems) - len(frontier)], frontier, elems)
         frontier = sorted(found - seen)
         seen.update(frontier)
         elems = elems + frontier
     return elems, not frontier
+
+
+def _semigroup_closure(alg, seeds, mul):
+    """closure() when mul is associative: the seeds sorted, then the rest
+    of the subuniverse in the order found.
+
+    The span is the subsemigroup generated by the kept generators, kept
+    closed under right multiplication by each of them.  A generator that
+    is not yet in the span is kept: every old x gives x*g, and every new y
+    gives y*h for every kept h, a batch of new elements at a time.  Each
+    right multiplication by h is one column tab[h_j::n] per coordinate,
+    read at the whole batch through itemgetter.  The span is then closed
+    under * by associativity.  The other operations run semi-naively over
+    the span, and their new values arrive as further generators.  In a
+    finite group each kept generator at least doubles the span, so the
+    span H costs about |H|*(log2|H| + 1) products, not |H|**2.
+    """
+    n, tab = alg.size, alg.tables[mul]
+    others = [(alg.tables[sym], ar) for sym, ar in alg.signature.symbols
+              if sym != mul and ar > 0]
+    span, seen = [], set()
+    kept = []  # per kept generator h, the column tab[h_j::n] of each coordinate
+    done = 0   # span[:done] has been through every other operation
+    pending = seeds
+    while pending:
+        for g in pending:
+            if g in seen:
+                continue
+            cols = [tab[x::n] for x in g]
+            kept.append(cols)
+            products = chain([g], _right_products(span, [cols]))
+            while True:
+                batch = list(dict.fromkeys(t for t in products if t not in seen))
+                if not batch:
+                    break
+                span += batch
+                seen.update(batch)
+                products = _right_products(batch, kept)
+        if not others or done == len(span):
+            break
+        found = _images(others, n, span[:done], span[done:], span)
+        done = len(span)
+        pending = sorted(found - seen)
+    seeded = set(seeds)
+    return seeds + [t for t in span if t not in seeded]
+
+
+def _right_products(pool, kept):
+    """x*h for every x in pool and every kept h given by its columns, in
+    kept order and pool order, one h at a time."""
+    getters = _row_getters(pool)
+    for cols in kept:
+        yield from zip(*[get(col) for get, col in zip(getters, cols)])
 
 
 def subpower_tables(alg, elements):
@@ -414,12 +506,28 @@ def find_isomorphism(a, b, seed=0):
 
 
 def is_homomorphism(mapping, a, b):
-    """Check mapping (list a -> b) commutes with every operation."""
+    """Check mapping (list a -> b) commutes with every operation.
+
+    A table is compared a row at a time: for each prefix p of all but the
+    last argument, mapping applied to a's row at p must equal b's row at
+    mapping(p) read at mapping(0), ..., mapping(n-1).
+    """
     if a.signature != b.signature:
         return False
+    n, m = a.size, b.size
+    read = itemgetter(*mapping)
     for sym, ar in a.signature.symbols:
-        for args in product(range(a.size), repeat=ar):
-            if mapping[a.apply(sym, args)] != b.apply(sym, tuple(mapping[x] for x in args)):
+        ta, tb = a.tables[sym], b.tables[sym]
+        if ar == 0:
+            if mapping[ta[0]] != tb[0]:
+                return False
+            continue
+        for p, prefix in enumerate(product(range(n), repeat=ar - 1)):
+            q = 0
+            for x in prefix:
+                q = q * m + mapping[x]
+            # with n == 1 both sides are bare items, not 1-tuples
+            if itemgetter(*ta[p * n:p * n + n])(mapping) != read(tb[q * m:q * m + m]):
                 return False
     return True
 

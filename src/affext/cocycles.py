@@ -49,19 +49,33 @@ def cocycle_add(d, T1, T2):
     return TwoCocycle(tables)
 
 
-def cocycle_neg(d, T):
-    tables = {}
-    for sym, ar in d.signature.symbols:
-        tab = {}
-        for qs in product(range(d.qsize()), repeat=ar):
-            base = d.q_alg.apply(sym, qs)
-            tab[qs] = d.neg_at(base, T.value(sym, qs))
-        tables[sym] = tab
-    return TwoCocycle(tables)
-
-
 def cocycle_sub(d, T1, T2):
-    return cocycle_add(d, T1, cocycle_neg(d, T2))
+    """T1 - T2: at each cell over u = l(f^Q(qs)), T1 +_u (-_u T2) with
+    -_u y = m(delta(u), y, delta(u)), computed by _serialized_sub."""
+    return TwoCocycle.from_serialized(
+        d, _serialized_sub(d, T1.serialize(d), T2.serialize(d)))
+
+
+def _serialized_sub(d, a, b):
+    """cocycle_sub on serialized cochains, in one pass over the cells.
+
+    The value at a cell over q is plus_at(q, x, neg_at(q, y)), read from a
+    flat memo kept on the datum (slot (q*size + x)*size + y, filled on
+    first use), so it is the same sum on the fibers and off them.
+    """
+    size = d.dc.size
+    if d._differences is None:
+        d._differences = ([d.q_alg.apply(sym, qs) for sym, qs in d.cells()],
+                          [None] * (d.qsize() * size * size))
+    bases, memo = d._differences
+    out = []
+    for q, x, y in zip(bases, a, b):
+        i = (q * size + x) * size + y
+        v = memo[i]
+        if v is None:
+            v = memo[i] = d.plus_at(q, x, d.neg_at(q, y))
+        out.append(v)
+    return tuple(out)
 
 
 # --- the derived operation t^{d,T} ----------------------------------------
@@ -381,7 +395,8 @@ def cocycle_difference_coboundary(d, T, Tp):
     """The first h in fiber_respecting_maps order with coboundary(h) =
     T' - T, or None: a lookup in the datum's coboundary table."""
     from .cohomology import _coboundary_table
-    witnesses = _coboundary_table(d).get(cocycle_sub(d, Tp, T).serialize(d))
+    witnesses = _coboundary_table(d).get(
+        _serialized_sub(d, Tp.serialize(d), T.serialize(d)))
     return witnesses[0] if witnesses else None
 
 

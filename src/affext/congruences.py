@@ -1,5 +1,7 @@
 """Congruences, the pair algebra A(alpha), M(alpha,beta) and Delta_{alpha beta}."""
 
+from functools import lru_cache
+
 from .algebras import (AlgebraError, CapExceeded, FiniteAlgebra, closure,
                        congruence_violation, subpower_tables, DEFAULT_CAP)
 
@@ -35,7 +37,11 @@ class Congruence:
         return cls(n, rep)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def equality(cls, n):
+        """The least congruence, one shared instance per n: nothing changes
+        a Congruence after construction, and results such as trivial
+        commutators then share it."""
         return cls(n, range(n))
 
     @classmethod
@@ -214,6 +220,10 @@ class PairAlgebra(FiniteAlgebra):
         self.pairs = pairs
         self.pair_index = index
 
+    def associative_ops(self):
+        # a subuniverse of base**2 is associative wherever base is
+        return self.base.associative_ops()
+
     def p0(self, i):
         return self.pairs[i][0]
 
@@ -272,15 +282,10 @@ def delta(alg, alpha, beta, cap=DEFAULT_CAP, pairalg=None, matrices=None):
     """
     if pairalg is None:
         pairalg = pair_algebra(alg, alpha, cap=cap)
-    index = pairalg.pair_index
-    gens = []
-    for u in range(alg.size):
-        for v in range(alg.size):
-            if beta.related(u, v):
-                gens.append((index[(u, u)], index[(v, v)]))
-    via_cg = cg(pairalg, gens)
+    via_cg = delta_by_cg(pairalg, beta)
     if matrices is None:
         matrices = m_matrices(alg, alpha, beta, cap=cap, pairalg=pairalg)
+    index = pairalg.pair_index
     uf = UnionFind(pairalg.size)
     for (q1, q2, q3, q4) in matrices:
         uf.union(index[(q1, q3)], index[(q2, q4)])
@@ -288,6 +293,14 @@ def delta(alg, alpha, beta, cap=DEFAULT_CAP, pairalg=None, matrices=None):
     if via_cg != via_tr:
         raise AlgebraError("Delta computed by Cg and by Tr M disagree")
     return via_tr
+
+
+def delta_by_cg(pairalg, beta):
+    """The Cg half of delta(): the congruence of A(alpha) generated by
+    {((u,u),(v,v)) : u beta v}."""
+    index, n = pairalg.pair_index, pairalg.base.size
+    return cg(pairalg, [(index[(u, u)], index[(v, v)])
+                        for u in range(n) for v in range(n) if beta.related(u, v)])
 
 
 def delta_with_pair_algebra(alg, alpha, beta, cap=DEFAULT_CAP):

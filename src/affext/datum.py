@@ -6,7 +6,7 @@ from itertools import product
 from .algebras import (AlgebraError, FiniteAlgebra, Signature,
                        is_homomorphism, satisfies, DEFAULT_CAP)
 from .commutator import is_abelian, verify_ternary_abelian_group_on_blocks
-from .congruences import (Congruence, kernel_of_map, pair_algebra,
+from .congruences import (Congruence, delta_by_cg, kernel_of_map, pair_algebra,
                           delta as delta_congruence)
 from .terms import eval_term, is_var, term_vars, TermError
 
@@ -105,6 +105,8 @@ class AffineDatum:
         self.actions = actions
         self.name = name
         self._coboundaries = None  # cohomology._coboundary_table's memo
+        self._differences = None  # cocycles._serialized_sub's memo
+        self._cells = None  # cells()'s memo
 
     # --- basic maps -----------------------------------------------------
     def qsize(self):
@@ -202,12 +204,12 @@ class AffineDatum:
         return TwoCocycle(tables)
 
     def cells(self):
-        """All 2-cocycle cells in the documented deterministic order."""
-        out = []
-        for sym, ar in self.signature.symbols:
-            for qs in product(range(self.qsize()), repeat=ar):
-                out.append((sym, qs))
-        return out
+        """All 2-cocycle cells in the documented deterministic order, as a
+        tuple listed once per datum."""
+        if self._cells is None:
+            self._cells = tuple((sym, qs) for sym, ar in self.signature.symbols
+                                for qs in product(range(self.qsize()), repeat=ar))
+        return self._cells
 
     def cell_fiber(self, sym, qs):
         """The hat-alpha/Delta block (fiber) a cocycle value at this cell must
@@ -345,7 +347,9 @@ def extract_datum(ext, cap=DEFAULT_CAP, check_m_rule=True):
 
     pairalg = pair_algebra(alg, beta, cap=cap)
     d_bb = delta_congruence(alg, beta, beta, cap=cap, pairalg=pairalg)
-    if check_m_rule:
+    if check_m_rule and m_rule_delta(beta, pairalg.pairs, ext.m_elem) != d_bb:
+        # (AD1) holds, so the keyed partition is the pairwise rule; name
+        # the first pair of pairs where it and Delta part
         for i, (a, b) in enumerate(pairalg.pairs):
             for j, (c, d) in enumerate(pairalg.pairs):
                 rule = beta.related(a, c) and d == ext.m_elem(b, a, c)
@@ -600,20 +604,42 @@ def _merge(qrest, at_values, spos, ar):
     return tuple(out)
 
 
+def m_rule_delta(alpha, pairs, m):
+    """The m-rule partition of the alpha-pairs: (a,b) ~ (c,d) iff a alpha c
+    and m(b,a,e) = m(d,c,e), with e the least element of a's block, as a
+    congruence on the indices of pairs.
+
+    When m is a ternary abelian group operation on every alpha-block,
+    m(x,y,z) = x - y + z there, so the key equation says d = m(b,a,c), the
+    rule extract_datum checks Delta against; for an affine datum this is
+    Delta_{alpha,alpha} of <A,m>.  One pass, no M(alpha,alpha).
+    """
+    rep, key = alpha.rep, {}
+    return Congruence(len(pairs), [key.setdefault((rep[a], m(b, a, rep[a])), i)
+                                   for i, (a, b) in enumerate(pairs)])
+
+
 def datum_from_tables(q_tables, q_size, mq, asize, m_table, alpha_blocks,
                       rho_pair, lifting, fdelta_tables, action_tables,
                       signature, name=None, cap=DEFAULT_CAP):
     """Assemble an AffineDatum from raw serialized tables.
 
     Delta is recomputed from <A,m> and the class indexing is the documented
-    least-representative order, so file indices are stable.
+    least-representative order, so file indices are stable.  Delta is the
+    Cg half of congruences.delta() checked against m_rule_delta, with no
+    M(alpha,alpha); only when the two part (m is then not affine on the
+    blocks) does delta() decide, Cg against Tr M, as for any algebra.
     """
     q_alg = FiniteAlgebra(q_size, signature, q_tables, name="Q")
     m_flat = _flat_ternary(m_table, asize)
     alpha = Congruence.from_blocks(asize, alpha_blocks)
     m_alg = FiniteAlgebra(asize, _M_SIGNATURE, {"m": m_flat}, name="<A,m>")
     pairalg = pair_algebra(m_alg, alpha, cap=cap)
-    d_aa = delta_congruence(m_alg, alpha, alpha, cap=cap, pairalg=pairalg)
+    d_aa = delta_by_cg(pairalg, alpha)
+    m = lambda a, b, c: m_flat[(a * asize + b) * asize + c]
+    if d_aa != m_rule_delta(alpha, pairalg.pairs, m):
+        # not an affine datum; Cg and Tr M(alpha,alpha) decide as before
+        d_aa = delta_congruence(m_alg, alpha, alpha, cap=cap, pairalg=pairalg)
     dc = DeltaClasses(asize, m_flat, pairalg.pairs, d_aa, rho_pair)
     return AffineDatum(q_alg, _flat_ternary(mq, q_size), asize, m_flat, alpha,
                        dc, lifting, fdelta_tables, action_tables, name=name)

@@ -1,8 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
-from affext.algebras import (AlgebraError, FiniteAlgebra,
+from affext.algebras import (AlgebraError, FiniteAlgebra, Signature,
                              find_isomorphism, is_homomorphism, power_algebra,
                              quotient_algebra, subalgebra_generate,
                              tuple_decode, tuple_encode)
@@ -138,3 +139,48 @@ def test_iso_all_order8_catalog_types_distinct(cat):
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             assert find_isomorphism(cat[a], cat[b]) is None, (a, b)
+
+
+def loop_is_homomorphism(mapping, a, b):
+    """The reference: one apply per argument tuple of every operation."""
+    if a.signature != b.signature:
+        return False
+    for sym, ar in a.signature.symbols:
+        for args in product(range(a.size), repeat=ar):
+            if mapping[a.apply(sym, args)] != b.apply(sym, tuple(mapping[x] for x in args)):
+                return False
+    return True
+
+
+def test_is_homomorphism_matches_the_loop(cat):
+    """Random maps between catalog groups, and maps that are homomorphisms:
+    identities, isomorphisms onto relabelled copies and trivial maps."""
+    rng = random.Random(7)
+    groups = list(cat.values())
+    cases = []
+    for _ in range(300):
+        a, b = rng.choice(groups), rng.choice(groups)
+        cases.append(([rng.randrange(b.size) for _ in range(a.size)], a, b))
+    for g in groups:
+        e = g.tables["e"][0]
+        cases.append((list(range(g.size)), g, g))
+        cases.append(([e] * g.size, g, g))
+        cases.append(([e], cat["Z1"], g))
+        cases.append(([0] * g.size, g, cat["Z1"]))
+        perm = rng.sample(range(g.size), g.size)
+        inv = [0] * g.size
+        for x, y in enumerate(perm):
+            inv[y] = x
+        tables = {sym: tuple(perm[g.apply(sym, tuple(inv[y] for y in args))]
+                             for args in product(range(g.size), repeat=ar))
+                  for sym, ar in g.signature.symbols}
+        relabelled = FiniteAlgebra(g.size, g.signature, tables)
+        cases.append((perm, g, relabelled))
+        cases.append((rng.sample(range(g.size), g.size), g, relabelled))
+    # every map keeps a left-zero mul, so the constant alone decides
+    left_zero = Signature([("mul", 2), ("c", 0)])
+    a, b = (FiniteAlgebra(2, left_zero, {"mul": (0, 0, 1, 1), "c": (c,)}) for c in (0, 1))
+    cases += [([1, 0], a, b), ([0, 1], a, b), ([0, 1], cat["Z2"], a)]
+    verdicts = [is_homomorphism(*case) for case in cases]
+    assert verdicts == [loop_is_homomorphism(*case) for case in cases]
+    assert sum(verdicts) >= 5 * len(groups) and verdicts[-3:] == [True, False, False]

@@ -6,11 +6,13 @@ from itertools import product
 
 import pytest
 
+import affext.algebras as algebras
 import affext.cohomology as cohomology
 from affext.algebras import (CapExceeded, FiniteAlgebra, Signature, closure,
                              subalgebra_generate)
 from affext.cocycles import reconstruct
-from affext.cohomology import twin_pairs_of_identity
+from affext.cohomology import principal_derivations, twin_pairs_of_identity
+from affext.congruences import Congruence, pair_algebra
 from affext.datum import extract_datum, group_extension
 from affext.groups import catalog, cyclic
 
@@ -35,6 +37,11 @@ def naive_closure(alg, k, gens, max_rounds=None):
     return current, False
 
 
+def seeds_of(alg, k, gens):
+    return sorted(set(gens) | {(alg.tables[s][0],) * k
+                               for s, ar in alg.signature.symbols if ar == 0})
+
+
 def random_algebra(rng):
     n = rng.randint(1, 4)
     symbols = [("f%d" % i, rng.randint(0, 3)) for i in range(rng.randint(1, 2))]
@@ -53,12 +60,117 @@ def test_closure_matches_naive_fixpoint(k):
             elems, exact = closure(alg, k, gens, max_rounds=max_rounds)
             assert len(elems) == len(set(elems))
             assert (set(elems), exact) == naive_closure(alg, k, gens, max_rounds)
-            seeds = sorted(set(gens) | {(alg.tables[s][0],) * k
-                                        for s, ar in alg.signature.symbols if ar == 0})
+            seeds = seeds_of(alg, k, gens)
             assert elems[:len(seeds)] == seeds
         if k == 1:
             assert subalgebra_generate(alg, [g[0] for g in gens]) == sorted(
                 t[0] for t in naive_closure(alg, 1, gens)[0])
+
+
+def associative_tables(n):
+    """Every associative binary table on {0..n-1}, by the triple loop."""
+    return [tab for tab in product(range(n), repeat=n * n)
+            if all(tab[tab[x * n + y] * n + z] == tab[x * n + tab[y * n + z]]
+                   for x in range(n) for y in range(n) for z in range(n))]
+
+
+ASSOCIATIVE = {n: associative_tables(n) for n in (1, 2, 3)}
+
+
+@pytest.fixture
+def semigroup_calls(monkeypatch):
+    """The algebras closure sent down the semigroup path, in call order."""
+    calls = []
+    real = algebras._semigroup_closure
+
+    def spy(alg, seeds, mul):
+        calls.append(alg)
+        return real(alg, seeds, mul)
+
+    monkeypatch.setattr(algebras, "_semigroup_closure", spy)
+    return calls
+
+
+def check_against_naive(alg, k, gens):
+    elems, exact = closure(alg, k, gens)
+    assert exact and len(elems) == len(set(elems))
+    assert set(elems) == naive_closure(alg, k, gens)[0]
+    seeds = seeds_of(alg, k, gens)
+    assert elems[:len(seeds)] == seeds
+
+
+def test_associative_tables_counted():
+    # 1, 8 and 113 associative tables on 1, 2 and 3 elements
+    assert [len(ASSOCIATIVE[n]) for n in (1, 2, 3)] == [1, 8, 113]
+    for n, tables in ASSOCIATIVE.items():
+        everything = product(range(n), repeat=n * n)
+        assert [t for t in everything if algebras._is_associative(t, n)] == tables
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_semigroup_path_matches_naive_fixpoint(k, semigroup_calls):
+    """Every associative table on at most 3 elements, with 0-2 random extra
+    operations of arity 0-3 and 0-2 random generators."""
+    rng = random.Random(100 + k)
+    runs = 0
+    for n, tables in ASSOCIATIVE.items():
+        for tab in tables:
+            extra = [("f%d" % i, rng.randint(0, 3)) for i in range(rng.randint(0, 2))]
+            ops = {sym: tuple(rng.randrange(n) for _ in range(n ** ar))
+                   for sym, ar in extra}
+            alg = FiniteAlgebra(n, Signature([("mul", 2)] + extra), dict(ops, mul=tab))
+            gens = [tuple(rng.randrange(n) for _ in range(k))
+                    for _ in range(rng.randint(0, 2))]
+            check_against_naive(alg, k, gens)
+            runs += 1
+    assert len(semigroup_calls) == runs == 122
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_semigroup_path_on_catalog_groups(k, semigroup_calls):
+    rng = random.Random(k)
+    groups = [g for g in catalog().values() if g.size <= 6]
+    for g in groups:
+        for _ in range(6):
+            gens = [tuple(rng.randrange(g.size) for _ in range(k))
+                    for _ in range(rng.randint(0, 3))]
+            check_against_naive(g, k, gens)
+    assert len(semigroup_calls) == 6 * len(groups)
+
+
+def test_pair_algebra_reads_associativity_off_its_base(monkeypatch, semigroup_calls):
+    tested = []
+    real = algebras._is_associative
+    monkeypatch.setattr(algebras, "_is_associative",
+                        lambda tab, n: tested.append(n) or real(tab, n))
+    s3 = catalog()["S3"]
+    g = FiniteAlgebra(s3.size, s3.signature, s3.tables)  # nothing tested yet
+    pa = pair_algebra(g, Congruence.from_blocks(6, [[0, 3, 4], [1, 2, 5]]))
+    gens = [(0, 5), (7, 7)]
+    check_against_naive(pa, 2, gens)
+    check_against_naive(pa, 1, [(3,)])
+    assert semigroup_calls == [pa, pa]
+    assert tested == [g.size]  # the base's mul, once
+
+
+def test_pder_sums_and_bounded_closures_keep_the_round_path(semigroup_calls):
+    """The cross-fiber add table of PDer is not associative; a max_rounds
+    closure never takes the semigroup path."""
+    d, _ = extract_datum(group_extension(catalog()["S3"], [0, 3, 4]))
+    principal_derivations(d)
+    # only the unary polynomials of A_0 (k = |A_0|) took it
+    assert semigroup_calls and all(a.signature.names() == ["mul", "inv", "e"]
+                                   for a in semigroup_calls)
+    fiber, size = d.dc.rho_class, d.dc.size
+    add = tuple(d.plus_at(fiber[x], x, y) if fiber[x] == fiber[y] else x
+                for x in range(size) for y in range(size))
+    assert not algebras._is_associative(add, size)
+    g, (alg, theta) = catalog()["D4"], semidirect(cyclic(4), [0, 2])
+    del semigroup_calls[:]
+    for rounds in (1, 2, 10):
+        closure(g, 2, [(1, 2)], max_rounds=rounds)
+    twin_pairs_of_identity(alg, theta, depth_cap=2)
+    assert semigroup_calls == [alg]  # twin pairs' unary polynomials only
 
 
 def naive_twin_pairs(alg, theta, depth_caps):

@@ -9,6 +9,7 @@ and action entries, values off their fibers included.  Elsewhere an
 off-fiber datum can part them; the case found is pinned at the end.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -16,8 +17,9 @@ from hypothesis import given, settings
 
 import affext.cocycles as cocycles
 import affext.cohomology as cohomology
-from affext.cocycles import (coboundary_of, cocycle_difference_coboundary,
-                             cocycle_sub, fiber_respecting_maps)
+from affext.cocycles import (TwoCocycle, coboundary_of, cocycle_add,
+                             cocycle_difference_coboundary, cocycle_sub,
+                             fiber_respecting_maps)
 from affext.cohomology import (_check_subgroup, _cochain_group, are_equivalent,
                                cocycle_group, derivations, h1, h2)
 from affext.datum import DatumError, extract_datum
@@ -26,9 +28,16 @@ from affext.verify import catalog_extensions, datum_for_oracle_case, oracle_case
 from test_weak_gate_oracle import datum, outcome, perturbed, with_entries
 
 
+def reference_sub(d, T1, T2):
+    """T1 - T2 through a negated TwoCocycle and cocycle_add, cell by cell."""
+    neg = {sym: {qs: d.neg_at(d.q_alg.apply(sym, qs), v) for qs, v in tab.items()}
+           for sym, tab in T2.tables.items()}
+    return cocycle_add(d, T1, TwoCocycle(neg))
+
+
 def reference_difference_coboundary(d, T, Tp):
     """A witness h with coboundary(h) = T' - T, or None."""
-    target = cocycle_sub(d, Tp, T).serialize(d)
+    target = reference_sub(d, Tp, T).serialize(d)
     for h in fiber_respecting_maps(d):
         if coboundary_of(d, h).serialize(d) == target:
             return h
@@ -84,6 +93,17 @@ def test_equivalence_witness_matches_reference(cat, group_eqs, k_name, q_name):
     for T, Tp in product(z2, repeat=2):
         assert (cocycle_difference_coboundary(d, T, Tp)
                 == reference_difference_coboundary(d, T, Tp))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in catalog_extensions()])
+def test_cocycle_sub_matches_reference(cat, name):
+    """Random 2-cochains with any class in any cell, off the fibers too."""
+    d = extract_datum(dict(catalog_extensions(cat))[name])[0]
+    rng = random.Random(name)
+    for _ in range(30):
+        T1, T2 = (TwoCocycle.from_serialized(
+            d, [rng.randrange(d.dc.size) for _ in d.cells()]) for _ in range(2))
+        assert cocycle_sub(d, T1, T2) == reference_sub(d, T1, T2)
 
 
 @pytest.mark.parametrize("name", [name for name, _ in catalog_extensions()])

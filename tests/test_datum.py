@@ -2,10 +2,13 @@ from itertools import product
 
 import pytest
 
-from affext.congruences import Congruence
-from affext.datum import (DatumError, ExtensionRecord, check_action_compatible,
-                          extract_datum, group_extension, validate_datum,
-                          weak_sum, compatible_value)
+from affext.algebras import FiniteAlgebra
+from affext.congruences import Congruence, delta, delta_by_cg, pair_algebra
+from affext.datum import (_M_SIGNATURE, DatumError, ExtensionRecord,
+                          check_action_compatible, extract_datum, group_extension,
+                          m_rule_delta, validate_datum, weak_sum, compatible_value)
+from affext.serialization import InputError, datum_from_json, datum_to_json
+from affext.verify import catalog_extensions
 from affext.terms import parse_term
 
 
@@ -208,3 +211,33 @@ def test_extract_with_raw_m_table(cat):
                                       m_flat)
     d, T = extract_datum(ext)
     assert find_isomorphism(z4, reconstruct(d, T).alg) is not None
+
+
+@pytest.mark.parametrize("name", [name for name, _ in catalog_extensions()])
+def test_m_rule_partition_is_delta(cat, name):
+    """On <A,m> of each catalog datum the m-rule partition, Cg and
+    congruences.delta() (Cg checked against Tr M) give one congruence."""
+    d, _ = extract_datum(dict(catalog_extensions(cat))[name])
+    m_alg = FiniteAlgebra(d.asize, _M_SIGNATURE, {"m": d.m_flat})
+    pairalg = pair_algebra(m_alg, d.alpha)
+    via_rule = m_rule_delta(d.alpha, pairalg.pairs, d.dc.m_elem)
+    assert via_rule == delta_by_cg(pairalg, d.alpha) == delta(m_alg, d.alpha, d.alpha)
+    assert via_rule == d.dc.delta_cong
+
+
+def test_loading_runs_tr_m_only_off_the_m_rule(cat, monkeypatch):
+    """A datum file loads through Cg and the m-rule; an m that is not affine
+    on the blocks parts them, and Cg against Tr M decides as before."""
+    import affext.datum as datum_module
+    d, _ = extract_datum(group_extension(cat["Z6"], [0, 2, 4]))
+    doc = datum_to_json(d)
+    tr_m = []
+    monkeypatch.setattr(datum_module, "delta_congruence",
+                        lambda *a, **k: tr_m.append(a) or delta(*a, **k))
+    assert datum_from_json(doc).dc.delta_cong == d.dc.delta_cong
+    assert tr_m == []
+    n = d.asize
+    doc["m"] = [[[a for _ in range(n)] for _ in range(n)] for a in range(n)]
+    with pytest.raises(InputError, match="fdelta of 'mul' lacks a value"):
+        datum_from_json(doc)
+    assert len(tr_m) == 1

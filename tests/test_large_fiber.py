@@ -6,6 +6,7 @@ from affext.algebras import find_isomorphism
 from affext.cocycles import reconstruct
 from affext.cohomology import h1, h2
 from affext.datum import extract_datum, group_extension, validate_datum
+from affext.serialization import datum_from_json, datum_to_json
 from affext.groups import (classical_h2, cyclic, direct_product,
                            inversion_action, trivial_action)
 
@@ -59,3 +60,15 @@ def test_z16_over_its_order_8_subgroup(group_eqs):
               for g in (z16, direct_product(z2, z8))] for c in res.classes]
     assert sorted(types) == [[False, True], [True, False]]
     assert h1(d)["order"] == 2
+
+
+def test_z16_over_z8_datum_file_round_trip():
+    """Loading the Z16-over-Z8 datum reads Delta off Cg and the m-rule,
+    without M(alpha,alpha) on <A,m>, and gives back an equal datum."""
+    d, _ = extract_datum(group_extension(cyclic(16), list(range(0, 16, 2))))
+    doc = datum_to_json(d)
+    e = datum_from_json(doc)
+    doc["q_algebra"]["name"] = "Q"  # a loaded Q is named Q
+    assert datum_to_json(e) == doc
+    assert (e.dc.delta_cong, e.dc.classes, e.fdelta, e.actions, e.lifting) == (
+        d.dc.delta_cong, d.dc.classes, d.fdelta, d.actions, d.lifting)
