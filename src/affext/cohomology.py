@@ -2,8 +2,8 @@
 stabilizing automorphisms, trivial actions and variety comparisons."""
 
 from heapq import heapify, heappop, heappush
-from itertools import permutations, product
-from math import factorial, prod
+from itertools import product
+from math import prod
 
 from .algebras import (DEFAULT_CAP, AlgebraError, CapExceeded, FiniteAlgebra,
                        Signature, closure, find_isomorphism, is_homomorphism,
@@ -471,7 +471,19 @@ def are_equivalent(d, T, Tp):
 
 def stabilizing_isomorphism(ext_a, ext_b):
     """An isomorphism gamma with pi'.gamma = pi and gamma = m(gamma.r, r, id)
-    for all kernel traces, between two extensions on the same class universe."""
+    for all kernel traces, between two extensions on the same class universe.
+
+    The kernel blocks of ext_a are its pi-fibers.  Taking r = b0, the least
+    element of a fiber, gamma(x) = m(y, b0, x) on the fiber is fixed by the
+    one image y = gamma(b0) in the matching fiber of ext_b.  Each fiber
+    keeps the y whose map sends b0 to y, is a bijection onto that fiber and
+    meets the m-condition, so the search runs over one image per fiber,
+    Pi |fiber| candidates instead of Pi |fiber|! bijections.  Fibers
+    are taken in key order and y ascending, so valid gamma are met in
+    lexicographic order and the one returned is the least.
+    """
+    if ext_a.m_flat is None:
+        raise DatumError("extension carries no ternary operation")
     a, b = ext_a.alg, ext_b.alg
     if a.size != b.size or ext_a.q_alg is not ext_b.q_alg and \
             ext_a.q_alg.size != ext_b.q_alg.size:
@@ -485,31 +497,28 @@ def stabilizing_isomorphism(ext_a, ext_b):
     keys = sorted(fibers_a)
     if any(len(fibers_a[q]) != len(fibers_b[q]) for q in keys):
         return None
-    space = prod(factorial(len(fibers_a[q])) for q in keys)
+    space = prod(len(fibers_a[q]) for q in keys)
     if space > DEFAULT_CAP:
         raise CapExceeded("stabilizing_isomorphism", space, DEFAULT_CAP,
                           "{stage}: {size} candidate maps exceed cap {cap}")
-    pools = [[dict(zip(fibers_a[q], perm)) for perm in permutations(fibers_b[q])]
-             for q in keys]
-    beta = ext_a.beta
-    blocks = beta.blocks()
+    m = ext_a.m_elem
+    pools = []
+    for q in keys:
+        block, targets = fibers_a[q], fibers_b[q]
+        pool = []
+        for y in targets:
+            im = [m(y, block[0], x) for x in block]
+            if im[0] == y and sorted(im) == targets and all(
+                    im[j] == m(im[i], r, x)
+                    for i, r in enumerate(block) for j, x in enumerate(block)):
+                pool.append(im)
+        pools.append(pool)
     for parts in product(*pools):
         gamma = [0] * n
-        for part in parts:
-            for x, y in part.items():
+        for q, images in zip(keys, parts):
+            for x, y in zip(fibers_a[q], images):
                 gamma[x] = y
-        ok = True
-        for block in blocks:
-            for aa in block:
-                for x in block:
-                    if gamma[x] != ext_a.m_elem(gamma[aa], aa, x):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok and is_homomorphism(gamma, a, b):
+        if is_homomorphism(gamma, a, b):
             return gamma
     return None
 

@@ -2,13 +2,17 @@
 
 This module is the independent ground truth used to validate the general
 machinery: everything here is computed with plain group theory on dense
-multiplication tables, never through the datum/cocycle pipeline.
+multiplication tables, never through the datum/cocycle pipeline.  The
+classical Z^2 is found by a depth-first search that checks each group
+2-cocycle identity once, as soon as the four cells of f it reads are fixed;
+it returns exactly the maps, in the same order, that testing every map
+Q x Q -> K would (see classical_h2).
 """
 
 from itertools import product
 
-from .algebras import (AlgebraError, FiniteAlgebra, GROUP_SIGNATURE,
-                       find_isomorphism)
+from .algebras import (AlgebraError, CapExceeded, FiniteAlgebra,
+                       GROUP_SIGNATURE, find_isomorphism)
 from .congruences import Congruence
 
 
@@ -258,18 +262,6 @@ def is_action(k_alg, q_alg, phi):
     return True
 
 
-def classical_cocycle_identity(k_alg, q_alg, phi, f):
-    """f(x,y)+f(xy,z) = x*f(y,z)+f(x,yz) for all x,y,z (K written additively)."""
-    for x in range(q_alg.size):
-        for y in range(q_alg.size):
-            for z in range(q_alg.size):
-                lhs = mul_of(k_alg, f[x][y], f[mul_of(q_alg, x, y)][z])
-                rhs = mul_of(k_alg, phi[x][f[y][z]], f[x][mul_of(q_alg, y, z)])
-                if lhs != rhs:
-                    return False
-    return True
-
-
 def classical_coboundary(k_alg, q_alg, phi, h):
     """f(x,y) = h(x) + x*h(y) - h(xy)."""
     nq = q_alg.size
@@ -313,10 +305,23 @@ class ClassicalH2:
 
 
 def classical_h2(k_alg, q_alg, phi, cap=1 << 22, cat=None):
-    """Brute-force classical H^2(Q,K;phi) with representative extensions.
+    """Classical H^2(Q,K;phi) with representative extensions.
 
-    Enumerates every f: Q x Q -> K satisfying the group 2-cocycle identity,
-    partitions by coboundaries, and builds K x_{phi,f} Q per class.
+    Z^2 is found by a depth-first search over the |Q|^2 cells of f: Q x Q
+    -> K, assigned in row-major order with values in ascending order.  The
+    cocycle identity f(x,y) + f(xy,z) = x*f(y,z) + f(x,yz) at (x,y,z) reads
+    the cells (x,y), (xy,z), (y,z) and (x,yz); it is attached to the depth
+    of the last of them and checked there.  So each identity is checked
+    exactly once, as soon as all its cells are fixed, and a branch is cut
+    only when an identity on its fixed cells fails, which every completion
+    of it fails too.  The search therefore returns the same cocycles as
+    testing every one of the |K|^(|Q|^2) maps, in the same lexicographic
+    order as product(range(|K|), repeat=|Q|^2).
+
+    The cocycles are partitioned by the coboundaries in that order: a
+    cocycle not yet covered becomes the representative of its class and
+    covers f + B2, its coset since B2 is a subgroup.  K x_{phi,f} Q is
+    built for each representative.
     """
     if not is_abelian_group(k_alg):
         raise AlgebraError("kernel must be abelian")
@@ -324,34 +329,49 @@ def classical_h2(k_alg, q_alg, phi, cap=1 << 22, cat=None):
         raise AlgebraError("phi is not a homomorphism Q -> Aut K")
     nk, nq = k_alg.size, q_alg.size
     if nk ** (nq * nq) > cap:
-        raise AlgebraError("classical H2 search space exceeds cap")
-    cells = [(x, y) for x in range(nq) for y in range(nq)]
+        raise CapExceeded("classical_h2", nk ** (nq * nq), cap,
+                          "{stage}: {size} candidate maps exceed cap {cap}")
+    kmul, qmul = k_alg.tables["mul"], q_alg.tables["mul"]
+    ncells = nq * nq
+    # checks[depth]: the identities whose last cell is cell `depth` of the
+    # row-major order, as phi[x] and the cells (x,y), (xy,z), (y,z), (x,yz)
+    checks = [[] for _ in range(ncells)]
+    for x, y, z in product(range(nq), repeat=3):
+        cells = (x * nq + y, qmul[x * nq + y] * nq + z, y * nq + z,
+                 x * nq + qmul[y * nq + z])
+        checks[max(cells)].append((phi[x],) + cells)
+    vals = [0] * ncells
     cocycles = []
-    for values in product(range(nk), repeat=len(cells)):
-        f = [[0] * nq for _ in range(nq)]
-        for (x, y), v in zip(cells, values):
-            f[x][y] = v
-        f = tuple(tuple(row) for row in f)
-        if classical_cocycle_identity(k_alg, q_alg, phi, f):
-            cocycles.append(f)
-    coboundaries = set()
-    for h in product(range(nk), repeat=nq):
-        coboundaries.add(classical_coboundary(k_alg, q_alg, phi, h))
-    def f_add(f1, f2):
-        return tuple(tuple(mul_of(k_alg, f1[x][y], f2[x][y]) for y in range(nq))
-                     for x in range(nq))
-    seen = {}
+
+    def search(depth):
+        if depth == ncells:
+            cocycles.append(tuple(tuple(vals[r:r + nq])
+                                  for r in range(0, ncells, nq)))
+            return
+        here = checks[depth]
+        for v in range(nk):
+            vals[depth] = v
+            if all(kmul[vals[xy] * nk + vals[xy_z]]
+                   == kmul[act[vals[y_z]] * nk + vals[x_yz]]
+                   for act, xy, xy_z, y_z, x_yz in here):
+                search(depth + 1)
+
+    search(0)
+    coboundaries = sorted({classical_coboundary(k_alg, q_alg, phi, h)
+                           for h in product(range(nk), repeat=nq)})
+    covered = set()
     classes = []
     if cat is None:
         cat = catalog()
     for f in cocycles:
-        coset = min(f_add(f, g) for g in coboundaries)
-        if coset in seen:
+        if f in covered:
             continue
-        seen[coset] = f
+        covered.update(tuple(tuple(kmul[a * nk + b] for a, b in zip(frow, grow))
+                             for frow, grow in zip(f, g))
+                       for g in coboundaries)
         ext = semidirect_extension(k_alg, q_alg, phi, f)
         classes.append((f, ext, iso_type(ext, cat) or "unknown"))
-    return ClassicalH2(k_alg, q_alg, phi, cocycles, sorted(coboundaries), classes)
+    return ClassicalH2(k_alg, q_alg, phi, cocycles, coboundaries, classes)
 
 
 def is_abelian_group(alg):

@@ -9,7 +9,7 @@ from affext.cohomology import (are_equivalent, CapExceeded, coboundary_group,
                                stabilizer_derivation_isomorphism,
                                trivial_action_check, twin_pairs_of_identity)
 from affext.cocycles import TwoCocycle, cocycle_add, reconstruct
-from affext.datum import extract_datum, group_extension
+from affext.datum import DatumError, extract_datum, group_extension
 from affext.terms import parse_term
 
 from test_cohomology_oracle import AbelianGroupPresentation
@@ -201,28 +201,47 @@ def test_stabilizers_cap_checked_first():
         stabilizers(_blocks_of_two(25))
 
 
-def test_cap_exceeded_names_stage_size_and_cap(z4_datum, group_eqs):
+def test_cap_exceeded_names_stage_size_and_cap(z4_datum, group_eqs, cat):
+    from affext.groups import classical_h2, trivial_action
     d, _ = z4_datum
+    z2, z2_3 = cat["Z2"], cat["Z2xZ2xZ2"]
     caps = []
     for call in (lambda: stabilizers(_blocks_of_two(25)),
                  lambda: cocycle_group(d, group_eqs, cap=2),
-                 lambda: cocycle_group(d, group_eqs, cap=2, brute=True)):
+                 lambda: cocycle_group(d, group_eqs, cap=2, brute=True),
+                 lambda: classical_h2(z2, z2_3, trivial_action(z2, z2_3))):
         with pytest.raises(CapExceeded) as info:
             call()
         caps.append((info.value.stage, info.value.size, info.value.cap))
     assert caps == [("stabilizers", 1 << 25, 1 << 24), ("cocycle_group", 3, 2),
-                    ("cocycle_group", 128, 2)]
+                    ("cocycle_group", 128, 2), ("classical_h2", 1 << 64, 1 << 22)]
 
 
-def test_stabilizing_isomorphism_cap_checked_first():
-    """Z16 over its order-8 subgroup: two fibers of 8 give (8!)^2 candidate
-    maps, over the default cap."""
+def test_stabilizing_isomorphism_one_image_per_fiber():
+    """Z16 over its order-8 subgroup: two fibers of 8 give 8^2 candidates,
+    not (8!)^2, and the least stabilizing isomorphism is the identity."""
     from affext.cohomology import stabilizing_isomorphism
     from affext.groups import cyclic
     ext = group_extension(cyclic(16), list(range(0, 16, 2)))
-    with pytest.raises(CapExceeded, match="stabilizing_isomorphism: 1625702400 "
+    assert stabilizing_isomorphism(ext, ext) == list(range(16))
+
+
+def test_stabilizing_isomorphism_cap_checked_first():
+    """25 fibers of 2 give 2^25 candidates, over the default cap."""
+    from affext.cohomology import stabilizing_isomorphism
+    ext = _blocks_of_two(25)
+    with pytest.raises(CapExceeded, match="stabilizing_isomorphism: 33554432 "
                                           "candidate maps exceed cap 16777216"):
         stabilizing_isomorphism(ext, ext)
+
+
+def test_stabilizing_isomorphism_needs_ternary_operation():
+    from affext.cohomology import stabilizing_isomorphism
+    from affext.datum import ExtensionRecord
+    ext = _blocks_of_two(2)
+    bare = ExtensionRecord(ext.alg, ext.pi, ext.q_alg, None)
+    with pytest.raises(DatumError, match="no ternary operation"):
+        stabilizing_isomorphism(bare, bare)
 
 
 def test_identity_automorphism_is_zero_derivation(z4_extension, z4_datum):

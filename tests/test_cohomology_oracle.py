@@ -1,20 +1,23 @@
 """The group-structure paths of affext.cohomology against their slow
 references: the Cayley-table presentation with min-over-subgroup cosets,
-and the stabilizer search over every block-preserving map."""
+the stabilizer search over every block-preserving map and the
+stabilizing-isomorphism search over every product of fiber bijections."""
 
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from affext.algebras import AlgebraError, is_homomorphism
-from affext.cocycles import TwoCocycle, cocycle_add
+from affext.cocycles import TwoCocycle, cocycle_add, reconstruct
 from affext.cohomology import (_check_subgroup, _two_cochains,
                                coboundary_group, cocycle_group, derivations,
                                h1, h2, invariant_factors,
-                               principal_derivations, stabilizers)
+                               principal_derivations, stabilizers,
+                               stabilizing_isomorphism)
 from affext.datum import DatumError, extract_datum, group_extension
 from affext.groups import cyclic
+from affext.verify import datum_for_oracle_case, oracle_cases
 
 # (group, kernel): Z2^3/Z2, order-4 kernels of order-8 groups, Z4/Z2 and
 # cyclic groups over Z2 or Z3
@@ -163,6 +166,49 @@ def _old_stabilizers(ext):
 def test_stabilizers_match_full_search(cat, name, kernel):
     ext = group_extension(cat[name], kernel)
     assert stabilizers(ext) == _old_stabilizers(ext)
+
+
+def _old_stabilizing_isomorphism(ext_a, ext_b):
+    """Every product of fiber bijections, in lexicographic order, filtered
+    by the m-condition on the kernel blocks and by the homomorphism test."""
+    a, b, n = ext_a.alg, ext_b.alg, ext_a.alg.size
+    if a.size != b.size:
+        return None
+    fibers_a, fibers_b = {}, {}
+    for x in range(n):
+        fibers_a.setdefault(ext_a.pi[x], []).append(x)
+        fibers_b.setdefault(ext_b.pi[x], []).append(x)
+    keys = sorted(fibers_a)
+    if any(len(fibers_a[q]) != len(fibers_b[q]) for q in keys):
+        return None
+    pools = [[dict(zip(fibers_a[q], perm)) for perm in permutations(fibers_b[q])]
+             for q in keys]
+    blocks = ext_a.beta.blocks()
+    for parts in product(*pools):
+        gamma = [0] * n
+        for part in parts:
+            for x, y in part.items():
+                gamma[x] = y
+        if all(gamma[x] == ext_a.m_elem(gamma[r], r, x)
+               for block in blocks for r in block for x in block) \
+                and is_homomorphism(gamma, a, b):
+            return gamma
+    return None
+
+
+def test_stabilizing_isomorphism_matches_bijection_search(cat, group_eqs):
+    """The first gamma found on every cocycle pair of the oracle cases."""
+    pairs = 0
+    for k_name, q_name, _, act in oracle_cases(cat):
+        d, _ = datum_for_oracle_case(cat, k_name, q_name, act)
+        exts = [reconstruct(d, TwoCocycle.from_serialized(d, s))
+                for s in cocycle_group(d, group_eqs).serialized]
+        for ext_a in exts:
+            for ext_b in exts:
+                assert stabilizing_isomorphism(ext_a, ext_b) == \
+                    _old_stabilizing_isomorphism(ext_a, ext_b)
+                pairs += 1
+    assert pairs == 1113
 
 
 def test_non_closed_b2_raises(monkeypatch):

@@ -1,11 +1,15 @@
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
 
 import affext
+from affext import cli
 from affext.algebras import find_isomorphism
 from affext.congruences import Congruence
 from affext.serialization import (InputError, Workspace, algebra_from_json,
@@ -15,6 +19,10 @@ from affext.serialization import (InputError, Workspace, algebra_from_json,
                                   datum_from_json, datum_to_json, dump_json,
                                   equations_from_json, equations_to_json)
 
+
+# sha256 of `affext verify-paper --format json`: the report is a
+# byte-identical contract, the same digest the benchmark checks
+PAPER_DIGEST = "a4f840ab5161badb320a65ab35aa53a012d286657b8dedd3f1f33194fb4bfc6f"
 
 # the CLI runs in a temporary directory, so a relative PYTHONPATH would not resolve
 ENV = dict(os.environ,
@@ -175,6 +183,22 @@ def test_cli_oracle(files):
     r = run_cli(["oracle", "h2", "--kernel", "Z2", "--quot", "Z2"], files)
     assert r.returncode == 0
     assert "order 2" in r.stdout
+
+
+def test_cli_oracle_cap_exceeded(files):
+    """2^64 candidate maps Z2xZ2xZ2 x Z2xZ2xZ2 -> Z2 exceed the default cap."""
+    r = run_cli(["oracle", "h2", "--kernel", "Z2", "--quot", "Z2xZ2xZ2"], files)
+    assert r.returncode == 3
+    assert "cap exceeded: classical_h2" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_verify_paper_json_is_byte_identical():
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(["verify-paper", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == PAPER_DIGEST
 
 
 def test_cli_equiv_and_rebuild(files):

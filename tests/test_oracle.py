@@ -1,11 +1,13 @@
+from itertools import product
+
 import pytest
 
 from affext.algebras import AlgebraError
-from affext.groups import (center, classical_h2, commutator_subgroup,
-                           element_orders, inversion_action, is_abelian_group,
-                           is_action, is_group, iso_type,
-                           semidirect_extension, subgroup_generated,
-                           trivial_action, verify_grp_lemma)
+from affext.groups import (catalog, center, classical_coboundary, classical_h2,
+                           commutator_subgroup, element_orders,
+                           inversion_action, is_abelian_group, is_action,
+                           is_group, iso_type, mul_of, semidirect_extension,
+                           subgroup_generated, trivial_action, verify_grp_lemma)
 
 
 def test_catalog_sanity(cat):
@@ -68,6 +70,75 @@ def test_classical_h2_rejects_non_action(cat):
     bad = tuple(tuple((k + 1) % 2 for k in range(2)) for _ in range(2))
     with pytest.raises(AlgebraError):
         classical_h2(cat["Z2"], cat["Z2"], bad)
+
+
+def classical_cocycle_identity(k_alg, q_alg, phi, f):
+    """f(x,y)+f(xy,z) = x*f(y,z)+f(x,yz) for all x,y,z (K written additively)."""
+    for x in range(q_alg.size):
+        for y in range(q_alg.size):
+            for z in range(q_alg.size):
+                lhs = mul_of(k_alg, f[x][y], f[mul_of(q_alg, x, y)][z])
+                rhs = mul_of(k_alg, phi[x][f[y][z]], f[x][mul_of(q_alg, y, z)])
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def brute_classical_h2(k_alg, q_alg, phi, cat):
+    """Z2 by testing every map Q x Q -> K, classes by the least member of
+    each coset f + B2: (cocycles, coboundaries, [(representative, type)])."""
+    nk, nq = k_alg.size, q_alg.size
+    cells = [(x, y) for x in range(nq) for y in range(nq)]
+    cocycles = []
+    for values in product(range(nk), repeat=len(cells)):
+        f = [[0] * nq for _ in range(nq)]
+        for (x, y), v in zip(cells, values):
+            f[x][y] = v
+        f = tuple(tuple(row) for row in f)
+        if classical_cocycle_identity(k_alg, q_alg, phi, f):
+            cocycles.append(f)
+    coboundaries = {classical_coboundary(k_alg, q_alg, phi, h)
+                    for h in product(range(nk), repeat=nq)}
+
+    def f_add(f1, f2):
+        return tuple(tuple(mul_of(k_alg, f1[x][y], f2[x][y]) for y in range(nq))
+                     for x in range(nq))
+
+    seen = set()
+    classes = []
+    for f in cocycles:
+        coset = min(f_add(f, g) for g in coboundaries)
+        if coset in seen:
+            continue
+        seen.add(coset)
+        ext = semidirect_extension(k_alg, q_alg, phi, f)
+        classes.append((f, iso_type(ext, cat) or "unknown"))
+    return cocycles, sorted(coboundaries), classes
+
+
+def _brute_cases():
+    """Abelian catalog K and catalog Q with at most 2^16 maps Q x Q -> K,
+    under the trivial action and, where it is one, the inversion action."""
+    cat = catalog()
+    cases = []
+    for k_name, k_alg in sorted(cat.items()):
+        for q_name, q_alg in sorted(cat.items()):
+            if not is_abelian_group(k_alg) or k_alg.size ** (q_alg.size ** 2) > 1 << 16:
+                continue
+            for act in (trivial_action, inversion_action):
+                if is_action(k_alg, q_alg, act(k_alg, q_alg)):
+                    cases.append((k_name, q_name, act))
+    return cases
+
+
+@pytest.mark.parametrize("k_name,q_name,act", _brute_cases(),
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_classical_h2_matches_brute_enumeration(cat, k_name, q_name, act):
+    k_alg, q_alg = cat[k_name], cat[q_name]
+    phi = act(k_alg, q_alg)
+    res = classical_h2(k_alg, q_alg, phi, cat=cat)
+    got = (res.cocycles, res.coboundaries, [(f, t) for f, _, t in res.classes])
+    assert got == brute_classical_h2(k_alg, q_alg, phi, cat)
 
 
 def test_semidirect_extension_s3(cat):
