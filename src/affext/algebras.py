@@ -127,6 +127,17 @@ class FiniteAlgebra:
                 if ar == 2 and _is_associative(self.tables[sym], self.size))
         return self._associative
 
+    @classmethod
+    def subpower(cls, base, elements, name=None):
+        """The subalgebra of base**k whose universe is the list elements of
+        k-tuples, element i standing for elements[i], as a cls.  It
+        satisfies every identity of base, so associative_ops() is read off
+        base instead of tested on the new tables."""
+        sub = cls(len(elements), base.signature, subpower_tables(base, elements),
+                  name=name)
+        sub._associative = base.associative_ops()
+        return sub
+
     def op(self, sym, *args):
         tab = self.tables[sym]
         idx = 0
@@ -180,11 +191,11 @@ def _is_associative(tab, n):
                for x in range(n) for y in range(n))
 
 
-def _images(ops, n, old, frontier, elems):
-    """The values of ops on every argument tuple over elems that holds at
-    least one element of frontier; old is elems without frontier."""
+def _images(ops, n, old, frontier, elems, found, target=None):
+    """Add to found the values of ops on every argument tuple over elems
+    that holds at least one element of frontier; old is elems without
+    frontier.  Returns early once found holds target elements."""
     frontier_rows, elem_rows = _row_getters(frontier), _row_getters(elems)
-    found = set()
     for tab, ar in ops:
         # argument tuples whose first frontier element sits at position i
         for i in range(ar):
@@ -192,7 +203,8 @@ def _images(ops, n, old, frontier, elems):
             last = frontier_rows if i == ar - 1 else elem_rows
             for prefix in product(*pools[:-1]):
                 found.update(_apply_rows(tab, n, prefix, last))
-    return found
+                if len(found) == target:
+                    return
 
 
 def closure(alg, k, generators, max_rounds=None):
@@ -205,32 +217,49 @@ def closure(alg, k, generators, max_rounds=None):
     elements in the order they were found; exact is False only when
     max_rounds cut the closure short.
 
-    Two paths give the same set.  With max_rounds None and an associative
-    binary operation * in alg (alg.associative_ops()), the closure is the
-    semigroup path (_semigroup_closure): it multiplies on the right by kept
-    generators only, which suffices because x*(g0*...*gm) =
-    ((x*g0)*...)*gm, and runs the other operations semi-naively.  Otherwise
-    round r evaluates every operation on the argument tuples that contain
-    at least one element found in round r-1, and stops the closure when it
-    finds nothing new; max_rounds (None for no limit) caps the number of
-    rounds, each round's new elements come sorted, and exact is False when
-    the last round allowed still found new elements, so the result may be
-    short of the full subuniverse.
+    Without an associative binary operation in alg (alg.associative_ops()),
+    or with max_rounds 0, round r evaluates every operation on the argument
+    tuples that contain at least one element found in round r-1, and stops
+    the closure when it finds nothing new; max_rounds (None for no limit)
+    caps the number of rounds, each round's new elements come sorted, and
+    exact is False when the last round allowed still found new elements,
+    so the result may be short of the full subuniverse.
+
+    With an associative * and max_rounds None, the closure is the semigroup
+    path (_semigroup_closure): it multiplies on the right by kept generators
+    only, which suffices because x*(g0*...*gm) = ((x*g0)*...)*gm, and runs
+    the other operations semi-naively.  With an associative * and
+    max_rounds > 0, the semigroup path first gives the size of the
+    subuniverse S, then the rounds run as above with a coverage stop: a
+    round ends as soon as the elements seen hold all of S, and once they do
+    the closure returns exact = rounds < max_rounds, which is what the
+    further round, finding nothing, would have reported.  The rounds and
+    their order are those of the plain round path; only the empty last
+    round and the tail of the covering round are skipped.  S lies in the
+    k-th power of alg, so the semigroup path spans at most n**k elements.
     """
     n = alg.size
     ops = [(alg.tables[sym], ar) for sym, ar in alg.signature.symbols]
     seeds = set(map(tuple, generators))
     seeds.update((tab[0],) * k for tab, ar in ops if ar == 0)
     seeds = sorted(seeds)
-    associative = alg.associative_ops() if max_rounds is None else ()
+    associative = alg.associative_ops() if max_rounds != 0 else ()
+    target = None  # the size of the subuniverse, for the coverage stop
     if associative:
-        return _semigroup_closure(alg, seeds, associative[0]), True
+        span = _semigroup_closure(alg, seeds, associative[0])
+        if max_rounds is None:
+            return span, True
+        target = len(span)
     seen = set(seeds)
     elems = frontier = seeds
     rounds = 0
     while frontier and (max_rounds is None or rounds < max_rounds):
+        if len(seen) == target:
+            return elems, True
         rounds += 1
-        found = _images(ops, n, elems[:len(elems) - len(frontier)], frontier, elems)
+        found = set(seen)
+        _images(ops, n, elems[:len(elems) - len(frontier)], frontier, elems,
+                found, target)
         frontier = sorted(found - seen)
         seen.update(frontier)
         elems = elems + frontier
@@ -275,7 +304,8 @@ def _semigroup_closure(alg, seeds, mul):
                 products = _right_products(batch, kept)
         if not others or done == len(span):
             break
-        found = _images(others, n, span[:done], span[done:], span)
+        found = set()
+        _images(others, n, span[:done], span[done:], span, found)
         done = len(span)
         pending = sorted(found - seen)
     seeded = set(seeds)
@@ -302,8 +332,9 @@ def subpower_tables(alg, elements):
         if ar == 0:
             tables[sym] = (index[(tab[0],) * len(rows)],)
             continue
-        tables[sym] = tuple(index[t] for prefix in product(elements, repeat=ar - 1)
-                            for t in _apply_rows(tab, n, prefix, rows))
+        tables[sym] = tuple(map(index.__getitem__, chain.from_iterable(
+            _apply_rows(tab, n, prefix, rows)
+            for prefix in product(elements, repeat=ar - 1))))
     return tables
 
 
@@ -327,9 +358,8 @@ def power_algebra(alg, k, cap=DEFAULT_CAP):
         raise CapExceeded("power_algebra", size, cap,
                           "power algebra of size {size} exceeds cap {cap}")
     # product lists the k-tuples in base-n order, so tuple i has code i
-    tables = subpower_tables(alg, list(product(range(n), repeat=k)))
     name = "%s^%d" % (alg.name, k) if alg.name else None
-    return FiniteAlgebra(size, alg.signature, tables, name=name)
+    return FiniteAlgebra.subpower(alg, list(product(range(n), repeat=k)), name=name)
 
 
 def tuple_encode(coords, n):
@@ -378,20 +408,36 @@ def quotient_algebra(alg, cong):
 
 
 def congruence_violation(alg, cong):
-    """Witness (sym, position, (a, b), context) if cong is incompatible, else None."""
+    """Witness (sym, position, (a, b), context) if cong is incompatible, else None.
+
+    The witness is the first in the order symbol, pair a < b in one block,
+    position, context.  Each table is read once through the block labels;
+    then, as in congruences.cg, position i of an arity-k table is one slice
+    of stride s = n**(k-1-i) per prefix of the arguments before it, or at
+    the last position the single strided slice tab[a::n], and a and b are
+    compared a slice at a time.  The context at entry j of the q-th slice
+    has code q*s + j.
+    """
     rep = cong.rep
     n = alg.size
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rep[a] == rep[b]]
     for sym, ar in alg.signature.symbols:
         if ar == 0:
             continue
+        labels = [rep[v] for v in alg.tables[sym]]
         for a, b in pairs:
             for i in range(ar):
-                for ctx in product(range(n), repeat=ar - 1):
-                    args_a = ctx[:i] + (a,) + ctx[i:]
-                    args_b = ctx[:i] + (b,) + ctx[i:]
-                    if rep[alg.apply(sym, args_a)] != rep[alg.apply(sym, args_b)]:
-                        return (sym, i, (a, b), ctx)
+                s = n ** (ar - 1 - i)
+                if s == 1:
+                    rows = [(labels[a::n], labels[b::n])]
+                else:
+                    rows = ((labels[p + a * s:p + a * s + s],
+                             labels[p + b * s:p + b * s + s])
+                            for p in range(0, len(labels), n * s))
+                for q, (row_a, row_b) in enumerate(rows):
+                    if row_a != row_b:
+                        j = next(j for j in range(len(row_a)) if row_a[j] != row_b[j])
+                        return (sym, i, (a, b), tuple_decode(q * s + j, n, ar - 1))
     return None
 
 

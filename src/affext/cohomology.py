@@ -6,8 +6,7 @@ from itertools import product
 from math import prod
 
 from .algebras import (DEFAULT_CAP, AlgebraError, CapExceeded, FiniteAlgebra,
-                       Signature, closure, find_isomorphism, is_homomorphism,
-                       subpower_tables)
+                       Signature, closure, find_isomorphism, is_homomorphism)
 from .cocycles import (TwoCocycle, check_cocycle, coboundary_of, e_paths,
                        fiber_respecting_maps, reconstruct)
 from .datum import ClassMaps, DatumError, check_action_compatible
@@ -643,7 +642,7 @@ def _polynomial_algebra(alg):
             raise CapExceeded("polynomial_algebra", len(maps), DEFAULT_CAP,
                               "table of {sym!r} on {size} unary polynomials "
                               "exceeds cap {cap}", sym=sym)
-    return FiniteAlgebra(len(maps), alg.signature, subpower_tables(alg, maps)), maps
+    return FiniteAlgebra.subpower(alg, maps), maps
 
 
 def twin_pairs_of_identity(alg, theta, depth_cap=4):
@@ -653,7 +652,10 @@ def twin_pairs_of_identity(alg, theta, depth_cap=4):
     The closure in the square of the unary polynomial algebra of the pairs
     (id, id) and (c, e) of constants from a common theta block, run for at
     most depth_cap rounds; exact means the last round found nothing new,
-    otherwise the result is a lower bound.
+    otherwise the result is a lower bound.  When alg has an associative
+    operation the rounds stop as soon as they cover the subuniverse (see
+    algebras.closure); the pairs and exact are those of the full rounds,
+    so exact is False when the covering round is round depth_cap.
     """
     n = alg.size
     poly, maps = _polynomial_algebra(alg)

@@ -3,7 +3,7 @@
 from functools import lru_cache
 
 from .algebras import (AlgebraError, CapExceeded, FiniteAlgebra, closure,
-                       congruence_violation, subpower_tables, DEFAULT_CAP)
+                       congruence_violation, DEFAULT_CAP)
 
 
 class Congruence:
@@ -194,35 +194,12 @@ def all_congruences(alg, limit=12):
 
 
 class PairAlgebra(FiniteAlgebra):
-    """alpha as a subalgebra of alg x alg; element i is self.pairs[i].
+    """alpha as a subalgebra of alg x alg, built by pair_algebra(); element
+    i is self.pairs[i].
 
     Pairs are ordered lexicographically, which fixes all downstream class
     indexings.
     """
-
-    def __init__(self, alg, alpha, cap=DEFAULT_CAP):
-        witness = congruence_violation(alg, alpha)
-        if witness is not None:
-            raise AlgebraError("alpha is not a congruence: %s" % (witness,))
-        pairs = [(a, b) for a in range(alg.size) for b in range(alg.size)
-                 if alpha.related(a, b)]
-        index = {p: i for i, p in enumerate(pairs)}
-        P = len(pairs)
-        max_ar = max((ar for _, ar in alg.signature.symbols), default=0)
-        if P ** max(max_ar, 1) > cap:
-            raise CapExceeded("pair_algebra", P, cap,
-                              "pair algebra of size {size} exceeds cap {cap}")
-        tables = subpower_tables(alg, pairs)
-        name = "%s(alpha)" % alg.name if alg.name else None
-        super().__init__(P, alg.signature, tables, name=name)
-        self.base = alg
-        self.alpha = alpha
-        self.pairs = pairs
-        self.pair_index = index
-
-    def associative_ops(self):
-        # a subuniverse of base**2 is associative wherever base is
-        return self.base.associative_ops()
 
     def p0(self, i):
         return self.pairs[i][0]
@@ -239,7 +216,21 @@ class PairAlgebra(FiniteAlgebra):
 
 
 def pair_algebra(alg, alpha, cap=DEFAULT_CAP):
-    return PairAlgebra(alg, alpha, cap=cap)
+    witness = congruence_violation(alg, alpha)
+    if witness is not None:
+        raise AlgebraError("alpha is not a congruence: %s" % (witness,))
+    pairs = [(a, b) for a in range(alg.size) for b in range(alg.size)
+             if alpha.related(a, b)]
+    P = len(pairs)
+    max_ar = max((ar for _, ar in alg.signature.symbols), default=0)
+    if P ** max(max_ar, 1) > cap:
+        raise CapExceeded("pair_algebra", P, cap,
+                          "pair algebra of size {size} exceeds cap {cap}")
+    name = "%s(alpha)" % alg.name if alg.name else None
+    pa = PairAlgebra.subpower(alg, pairs, name=name)
+    pa.base, pa.alpha, pa.pairs = alg, alpha, pairs
+    pa.pair_index = {p: i for i, p in enumerate(pairs)}
+    return pa
 
 
 def hat_alpha(pairalg):

@@ -8,18 +8,15 @@ from .algebras import (AlgebraError, FiniteAlgebra, Signature,
 from .commutator import is_abelian, verify_ternary_abelian_group_on_blocks
 from .congruences import (Congruence, delta_by_cg, kernel_of_map, pair_algebra,
                           delta as delta_congruence)
-from .terms import eval_term, is_var, term_vars, TermError
+from .terms import eval_term, is_var, term_table, term_vars, TermError
 
 
 class DatumError(AlgebraError):
     pass
 
 
-def _flat_ternary(table_or_func, n):
-    if callable(table_or_func):
-        return tuple(table_or_func(a, b, c)
-                     for a in range(n) for b in range(n) for c in range(n))
-    seq = table_or_func
+def _flat_ternary(seq, n):
+    """A ternary table, nested or flat, as a flat tuple of n**3 entries."""
     if len(seq) and isinstance(seq[0], (list, tuple)):
         from .algebras import _flatten
         return _flatten(seq, 3, n)
@@ -309,9 +306,7 @@ class ExtensionRecord:
             if isinstance(term, str):
                 from .terms import parse_term
                 term = parse_term(term)
-            n = alg.size
-            m_flat = _flat_ternary(
-                lambda a, b, c: eval_term(alg, term, {"x0": a, "x1": b, "x2": c}), n)
+            m_flat = term_table(alg, term, ("x0", "x1", "x2"))
         else:
             m_flat = _flat_ternary(m_term_or_table, alg.size)
         return cls(alg, blockmap, q_alg, m_flat, lifting=lifting, name=name)
@@ -363,8 +358,8 @@ def extract_datum(ext, cap=DEFAULT_CAP, check_m_rule=True):
     nq = q_alg.size
     lifting = ext.lifting
 
-    mq_flat = _flat_ternary(
-        lambda a, b, c: pi[ext.m_elem(lifting[a], lifting[b], lifting[c])], nq)
+    mq_flat = tuple(pi[ext.m_elem(lifting[a], lifting[b], lifting[c])]
+                    for a, b, c in product(range(nq), repeat=3))
 
     # blocks of beta indexed by q, for representative-independence sweeps
     block_by_q = {}

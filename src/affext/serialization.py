@@ -12,7 +12,7 @@ from itertools import product
 
 from .algebras import AlgebraError, FiniteAlgebra, Signature, _unflatten
 from .congruences import Congruence
-from .terms import parse_term, term_to_str
+from .terms import parse_term, term_table, term_to_str
 
 
 class InputError(ValueError):
@@ -148,12 +148,9 @@ def datum_from_json(data):
                                  "source_algebra to interpret it in")
             src = algebra_from_json(data["source_algebra"])
             term = parse_term(m_table)
-            from .terms import eval_term
-            n = data["carrier_size"]
-            if src.size != n:
+            if src.size != data["carrier_size"]:
                 raise InputError("source_algebra size differs from carrier_size")
-            m_table = [[[eval_term(src, term, {"x0": a, "x1": b, "x2": c})
-                         for c in range(n)] for b in range(n)] for a in range(n)]
+            m_table = term_table(src, term, ("x0", "x1", "x2"))
         fdelta = {sym: _leaves(data["fdelta"][sym], ar) for sym, ar in sig.symbols}
         actions = {}
         for key, raw in data["actions"].items():

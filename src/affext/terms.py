@@ -108,6 +108,43 @@ def eval_term(alg, t, env):
     return alg.op(name, *args)
 
 
+def term_table(alg, t, variables):
+    """The values of t in alg at every assignment to variables, as one flat
+    tuple in the layout of an arity-len(variables) table: the assignment
+    (v0, v1, ...) sits at base-n position v0 v1 ..., leftmost most
+    significant.  Each node's tuple is built from its children's through
+    the node's flat table, so eval_term runs on no single assignment; a
+    variable outside variables or a symbol outside the signature raises
+    the TermError eval_term would raise, in the same order, and a node
+    with the wrong number of arguments raises TermError too.
+    """
+    n, k = alg.size, len(variables)
+    place = {v: n ** (k - 1 - j) for j, v in enumerate(variables)}
+    return _node_table(alg, t, place, n, n ** k)
+
+
+def _node_table(alg, t, place, n, size):
+    """term_table of t, with place mapping each variable to its stride."""
+    if is_var(t):
+        if t not in place:
+            raise TermError("unbound variable %r" % t)
+        stride = place[t]
+        return tuple(i // stride % n for i in range(size))
+    name = t[0]
+    ar = alg.signature.arity(name)
+    if ar is None:
+        raise TermError("symbol %r not in signature" % name)
+    if len(t) - 1 != ar:
+        raise TermError("symbol %r expects %d arguments, got %d" % (name, ar, len(t) - 1))
+    tab = alg.tables[name]
+    if ar == 0:
+        return (tab[0],) * size
+    codes = _node_table(alg, t[1], place, n, size)
+    for s in t[2:]:
+        codes = [c * n + x for c, x in zip(codes, _node_table(alg, s, place, n, size))]
+    return tuple(map(tab.__getitem__, codes))
+
+
 def linearize_term(t):
     """Rename leaves of t to x0,x1,... left-to-right with no repeats.
 

@@ -9,7 +9,7 @@ import pytest
 import affext.algebras as algebras
 import affext.cohomology as cohomology
 from affext.algebras import (CapExceeded, FiniteAlgebra, Signature, closure,
-                             subalgebra_generate)
+                             power_algebra, subalgebra_generate)
 from affext.cocycles import reconstruct
 from affext.cohomology import principal_derivations, twin_pairs_of_identity
 from affext.congruences import Congruence, pair_algebra
@@ -17,24 +17,48 @@ from affext.datum import extract_datum, group_extension
 from affext.groups import catalog, cyclic
 
 
-def naive_closure(alg, k, gens, max_rounds=None):
-    """The constants join the generators; then each round applies every
-    operation coordinatewise to every argument tuple over the current set.
-    exact means a round added nothing."""
-    current = {tuple(g) for g in gens}
-    current |= {(alg.apply(sym, ()),) * k for sym, ar in alg.signature.symbols if ar == 0}
-    rounds = 0
-    while max_rounds is None or rounds < max_rounds:
-        rounds += 1
+def naive_rounds(alg, k, gens):
+    """The naive fixpoint a round at a time.  The constants join the
+    generators, and the seeds come first, sorted; then each round applies
+    every operation coordinatewise to every argument tuple over the current
+    set and yields its new elements sorted, until a round adds nothing.
+    The empty set adds nothing without a round."""
+    current = set(seeds_of(alg, k, gens))
+    yield sorted(current)
+    while current:
         step = set(current)
         for sym, ar in alg.signature.symbols:
             for args in product(current, repeat=ar):
                 step.add(tuple(alg.apply(sym, [a[j] for a in args])
                                for j in range(k)))
+        yield sorted(step - current)
         if step == current:
-            return current, True
+            return
         current = step
-    return current, False
+
+
+def naive_closure(alg, k, gens, max_rounds=None):
+    """At most max_rounds naive rounds: the elements in the order found, and
+    exact, which means a round added nothing."""
+    rounds = naive_rounds(alg, k, gens)
+    elems = next(rounds)
+    if not elems:
+        return elems, True
+    done = 0
+    while max_rounds is None or done < max_rounds:
+        new = next(rounds)
+        done += 1
+        if not new:
+            return elems, True
+        elems = elems + new
+    return elems, False
+
+
+def naive_by_depth(alg, k, gens, depths):
+    """naive_closure for each max_rounds in depths, from one run."""
+    history = list(naive_rounds(alg, k, gens))
+    return {r: (sum(history[:r + 1], []),
+                not history[0] or r >= len(history) - 1) for r in depths}
 
 
 def seeds_of(alg, k, gens):
@@ -59,7 +83,8 @@ def test_closure_matches_naive_fixpoint(k):
         for max_rounds in (None, 1, 2):
             elems, exact = closure(alg, k, gens, max_rounds=max_rounds)
             assert len(elems) == len(set(elems))
-            assert (set(elems), exact) == naive_closure(alg, k, gens, max_rounds)
+            naive, naive_exact = naive_closure(alg, k, gens, max_rounds)
+            assert (set(elems), exact) == (set(naive), naive_exact)
             seeds = seeds_of(alg, k, gens)
             assert elems[:len(seeds)] == seeds
         if k == 1:
@@ -94,7 +119,7 @@ def semigroup_calls(monkeypatch):
 def check_against_naive(alg, k, gens):
     elems, exact = closure(alg, k, gens)
     assert exact and len(elems) == len(set(elems))
-    assert set(elems) == naive_closure(alg, k, gens)[0]
+    assert set(elems) == set(naive_closure(alg, k, gens)[0])
     seeds = seeds_of(alg, k, gens)
     assert elems[:len(seeds)] == seeds
 
@@ -151,26 +176,109 @@ def test_pair_algebra_reads_associativity_off_its_base(monkeypatch, semigroup_ca
     check_against_naive(pa, 1, [(3,)])
     assert semigroup_calls == [pa, pa]
     assert tested == [g.size]  # the base's mul, once
+    square = power_algebra(g, 2)
+    poly, _ = cohomology._polynomial_algebra(g)
+    assert square.associative_ops() == poly.associative_ops() == ("mul",)
+    assert tested == [g.size]
 
 
-def test_pder_sums_and_bounded_closures_keep_the_round_path(semigroup_calls):
-    """The cross-fiber add table of PDer is not associative; a max_rounds
-    closure never takes the semigroup path."""
+def test_pder_sums_keep_the_round_path_and_bases_are_tested_once(monkeypatch,
+                                                                  semigroup_calls):
+    """The cross-fiber add table of PDer is not associative, so its closure
+    keeps the round path; every table is tested for associativity at most
+    once, and the unary polynomials of A_0 read the answer off A_0."""
+    tested = []
+    real = algebras._is_associative
+    monkeypatch.setattr(algebras, "_is_associative",
+                        lambda tab, n: tested.append(tab) or real(tab, n))
     d, _ = extract_datum(group_extension(catalog()["S3"], [0, 3, 4]))
+    del semigroup_calls[:]
     principal_derivations(d)
-    # only the unary polynomials of A_0 (k = |A_0|) took it
-    assert semigroup_calls and all(a.signature.names() == ["mul", "inv", "e"]
-                                   for a in semigroup_calls)
     fiber, size = d.dc.rho_class, d.dc.size
     add = tuple(d.plus_at(fiber[x], x, y) if fiber[x] == fiber[y] else x
                 for x in range(size) for y in range(size))
-    assert not algebras._is_associative(add, size)
-    g, (alg, theta) = catalog()["D4"], semidirect(cyclic(4), [0, 2])
-    del semigroup_calls[:]
-    for rounds in (1, 2, 10):
-        closure(g, 2, [(1, 2)], max_rounds=rounds)
-    twin_pairs_of_identity(alg, theta, depth_cap=2)
-    assert semigroup_calls == [alg]  # twin pairs' unary polynomials only
+    assert not real(add, size)
+    assert add in tested
+    assert len(tested) == len(set(map(id, tested)))
+    # A_0 for the polynomial maps, then the unary polynomials for the twin
+    # pairs' subuniverse, their mul read off A_0's; never the sums
+    a0, poly = semigroup_calls
+    assert (a0.name, a0.size, poly.size) == ("A_0", 6, 324)
+    assert a0.tables["mul"] in tested and poly.tables["mul"] not in tested
+
+
+def test_bounded_closure_on_a_non_associative_algebra_keeps_the_round_path(
+        semigroup_calls):
+    sums = FiniteAlgebra(3, Signature([("add", 2)]),
+                         {"add": (0, 0, 0, 1, 1, 1, 2, 2, 0)})
+    assert sums.associative_ops() == ()
+    for r in range(6):
+        assert closure(sums, 2, [(1, 2)], max_rounds=r) == naive_closure(
+            sums, 2, [(1, 2)], r)
+    assert semigroup_calls == []
+
+
+def check_bounded_against_naive(alg, k, gens, depths=range(6)):
+    """closure with max_rounds r against naive_closure, in element order
+    and in exact, for every r in depths."""
+    for r, naive in naive_by_depth(alg, k, gens, depths).items():
+        assert closure(alg, k, gens, max_rounds=r) == naive, r
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bounded_closure_matches_naive_rounds_on_associative_tables(
+        k, semigroup_calls):
+    rng = random.Random(200 + k)
+    runs = 0
+    for n, tables in ASSOCIATIVE.items():
+        for tab in tables:
+            extra = [("f%d" % i, rng.randint(0, 3)) for i in range(rng.randint(0, 2))]
+            ops = {sym: tuple(rng.randrange(n) for _ in range(n ** ar))
+                   for sym, ar in extra}
+            alg = FiniteAlgebra(n, Signature([("mul", 2)] + extra), dict(ops, mul=tab))
+            gens = [tuple(rng.randrange(n) for _ in range(k))
+                    for _ in range(rng.randint(0, 2))]
+            check_bounded_against_naive(alg, k, gens)
+            runs += 1
+    # max_rounds 1..5 size the subuniverse by the semigroup path; 0 does not
+    assert len(semigroup_calls) == 5 * runs
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_bounded_closure_matches_naive_rounds_on_catalog_groups(k):
+    rng = random.Random(300 + k)
+    for g in catalog().values():
+        for _ in range(3):
+            gens = [tuple(rng.randrange(g.size) for _ in range(k))
+                    for _ in range(rng.randint(0, 3))]
+            check_bounded_against_naive(g, k, gens)
+
+
+def twin_pair_closure(alg, theta):
+    """The polynomial algebra and the seeds twin_pairs_of_identity closes."""
+    n = alg.size
+    poly, maps = cohomology._polynomial_algebra(alg)
+    index = {g: i for i, g in enumerate(maps)}
+    seeds = [(index[tuple(range(n))],) * 2]
+    seeds += [(index[(c,) * n], index[(e,) * n])
+              for block in theta.blocks() for c in block for e in block]
+    return poly, seeds
+
+
+@pytest.mark.parametrize("group, kernel, size, covered", [
+    ("D4", [0, 2, 4, 6], 1024, 3),   # rotations: the subuniverse after round 3
+    ("Q8", [0, 2, 4, 6], 1024, 3),
+    ("Z12", [0, 4, 8], 432, 4),      # exactly at the default depth cap
+])
+def test_bounded_twin_pair_closure_matches_naive_rounds(group, kernel, size, covered):
+    g = cyclic(12) if group == "Z12" else catalog()[group]
+    alg, theta = semidirect(g, kernel)
+    poly, seeds = twin_pair_closure(alg, theta)
+    naive = naive_by_depth(poly, 2, seeds, range(6))
+    for r in range(6):
+        assert closure(poly, 2, seeds, max_rounds=r) == naive[r], r
+    assert [len(naive[r][0]) == size for r in range(6)].index(True) == covered
+    assert [naive[r][1] for r in range(6)] == [r > covered for r in range(6)]
 
 
 def naive_twin_pairs(alg, theta, depth_caps):

@@ -301,6 +301,10 @@ def test_datum_file_with_m_as_term(z4_datum, cat):
     data["source_algebra"] = algebra_to_json(cat["Z4"])
     d2 = datum_from_json(data)
     assert all(r["holds"] for r in validate_datum(d2))
+    assert d2.m_flat == d.m_flat
+    data["m"] = "(mul x0 (foo x1))"
+    with pytest.raises(InputError, match="symbol 'foo' not in signature"):
+        datum_from_json(data)
     data.pop("source_algebra")
     with pytest.raises(InputError):
         datum_from_json(data)

@@ -1,14 +1,18 @@
 """Random small algebras: the sliced Cg against the displacement loop it
-replaced, the Cg route of is_abelian against the term-condition commutator,
-and the lattice laws of Con A and of the commutator."""
+replaced, the sliced congruence_violation against its apply loop, the Cg
+route of is_abelian against the term-condition commutator, and the lattice
+laws of Con A and of the commutator."""
 
+import random
 from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from affext.algebras import AlgebraError, FiniteAlgebra, Signature
+from affext.algebras import (AlgebraError, FiniteAlgebra, Signature,
+                             congruence_violation)
 from affext.commutator import is_abelian, tc_commutator
-from affext.congruences import Congruence, UnionFind, all_congruences, cg
+from affext.congruences import (Congruence, UnionFind, all_congruences, cg,
+                                kernel_of_map)
 
 
 def oracle_cg(alg, pairs):
@@ -68,6 +72,60 @@ def test_cg_matches_the_displacement_loop(data):
     elem = st.integers(0, alg.size - 1)
     pairs = data.draw(st.lists(st.tuples(elem, elem), max_size=3))
     assert cg(alg, pairs) == oracle_cg(alg, pairs)
+
+
+def oracle_congruence_violation(alg, cong):
+    """The first witness by one apply per argument tuple, in the order
+    symbol, pair a < b in one block, position, context."""
+    rep = cong.rep
+    n = alg.size
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rep[a] == rep[b]]
+    for sym, ar in alg.signature.symbols:
+        if ar == 0:
+            continue
+        for a, b in pairs:
+            for i in range(ar):
+                for ctx in product(range(n), repeat=ar - 1):
+                    args_a = ctx[:i] + (a,) + ctx[i:]
+                    args_b = ctx[:i] + (b,) + ctx[i:]
+                    if rep[alg.apply(sym, args_a)] != rep[alg.apply(sym, args_b)]:
+                        return (sym, i, (a, b), ctx)
+    return None
+
+
+@st.composite
+def near_congruences(draw):
+    """An algebra on at most 4 elements whose tables respect a random
+    partition, then up to two table cells and up to one element of the
+    partition moved: a violation, when there is one, can sit at any
+    symbol, pair, position and context."""
+    n = draw(st.integers(1, 4))
+    elem = st.integers(0, n - 1)
+    arities = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    labels = draw(st.lists(elem, min_size=n, max_size=n))
+    blocks = {x: [y for y in range(n) if labels[y] == labels[x]] for x in range(n)}
+    tables = {}
+    for k, ar in enumerate(arities):
+        image = {}  # block labels of the arguments -> a member of the value's block
+        tab = [rng.choice(blocks[image.setdefault(tuple(labels[x] for x in args),
+                                                  rng.randrange(n))])
+               for args in product(range(n), repeat=ar)]
+        for _ in range(draw(st.integers(0, 2))):
+            tab[rng.randrange(len(tab))] = rng.randrange(n)
+        tables["f%d" % k] = tuple(tab)
+    alg = FiniteAlgebra(n, Signature([("f%d" % k, ar) for k, ar in enumerate(arities)]),
+                        tables)
+    if draw(st.booleans()):
+        labels[draw(elem)] = draw(elem)
+    return alg, kernel_of_map(labels, n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_congruences())
+def test_congruence_violation_matches_the_apply_loop(case):
+    alg, cong = case
+    assert congruence_violation(alg, cong) == oracle_congruence_violation(alg, cong)
 
 
 @st.composite

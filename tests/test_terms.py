@@ -1,7 +1,11 @@
+import random
+from itertools import product
+
 import pytest
 
-from affext.terms import (TermError, eval_term, linearize_term, parse_term,
-                          term_to_str, term_vars, check_term)
+from affext.terms import (GROUP_DIFFERENCE_TERM, TermError, eval_term,
+                          linearize_term, parse_term, term_table, term_to_str,
+                          term_vars, check_term)
 
 
 def test_parse_round_trip():
@@ -70,23 +74,55 @@ def test_linearize_left_to_right():
     assert sigma == {"x0": "x1", "x1": "x0"}
 
 
+def random_term(rng, depth, nvars):
+    """A random group-signature term in x0..x(nvars-1) of depth at most depth."""
+    if depth == 0 or rng.random() < 0.3:
+        return "x%d" % rng.randrange(nvars)
+    name, ar = rng.choice([("mul", 2), ("inv", 1), ("e", 0)])
+    return (name,) + tuple(random_term(rng, depth - 1, nvars) for _ in range(ar))
+
+
+def eval_table(alg, t, variables):
+    """term_table by eval_term on every assignment, in product order."""
+    return tuple(eval_term(alg, t, dict(zip(variables, vals)))
+                 for vals in product(range(alg.size), repeat=len(variables)))
+
+
+def test_term_table_matches_eval_term(cat):
+    rng = random.Random(1)
+    ternary = ("x0", "x1", "x2")
+    for alg in cat.values():
+        terms = [GROUP_DIFFERENCE_TERM, parse_term("e"), "x1",
+                 random_term(rng, 4, 3), random_term(rng, 4, 3)]
+        for t in terms:
+            assert term_table(alg, t, ternary) == eval_table(alg, t, ternary)
+        # the variable order fixes the layout; variables may go unused
+        t = random_term(rng, 3, 2)
+        for variables in (("x1", "x0"), ("x0", "x1", "x5")):
+            assert term_table(alg, t, variables) == eval_table(alg, t, variables)
+
+
+def test_term_table_raises_what_eval_term_raises(cat):
+    z4 = cat["Z4"]
+    env = {"x0": 0, "x1": 0, "x2": 0}
+    for text in ("x5", "(foo x0)", "(mul x3 (foo x0))", "(mul (foo x3) x0)"):
+        t = parse_term(text)
+        with pytest.raises(TermError) as by_eval:
+            eval_term(z4, t, env)
+        with pytest.raises(TermError) as by_table:
+            term_table(z4, t, ("x0", "x1", "x2"))
+        assert str(by_table.value) == str(by_eval.value)
+    with pytest.raises(TermError):
+        term_table(z4, parse_term("(mul x0)"), ("x0",))
+
+
 def test_eval_respects_linearize(cat):
     """eval(t, env) = eval(t_sigma, env . sigma) for all env, algebras <= 6."""
-    import random
     rng = random.Random(0)
-    sym_pool = [("mul", 2), ("inv", 1), ("e", 0)]
-
-    def random_term(depth, nvars):
-        if depth == 0 or rng.random() < 0.3:
-            return "x%d" % rng.randrange(nvars)
-        name, ar = rng.choice(sym_pool)
-        return (name,) + tuple(random_term(depth - 1, nvars) for _ in range(ar))
-
-    from itertools import product
     for alg_name in ("Z4", "Z6", "S3"):
         alg = cat[alg_name]
         for _ in range(25):
-            t = random_term(3, 2)
+            t = random_term(rng, 3, 2)
             ts, sigma = linearize_term(t)
             for vals in product(range(alg.size), repeat=2):
                 env = {"x0": vals[0], "x1": vals[1]}
