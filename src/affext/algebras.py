@@ -117,6 +117,7 @@ class FiniteAlgebra:
                                    % (bad, sym))
             self.tables[sym] = flat
         self._associative = None  # associative_ops()'s memo
+        self._profile_memo = None  # (_profiles(), _invariant())
 
     def associative_ops(self):
         """The symbols of the associative binary operations, in signature
@@ -442,7 +443,23 @@ def congruence_violation(alg, cong):
 
 
 def _profiles(alg):
-    """Iterated invariant colors for isomorphism pruning."""
+    """Iterated invariant colors for isomorphism pruning, computed once per
+    algebra."""
+    if alg._profile_memo is None:
+        colors = tuple(_iterate_colors(alg))
+        alg._profile_memo = colors, tuple(sorted(colors))
+    return alg._profile_memo[0]
+
+
+def _invariant(alg):
+    """The sorted profile colors.  Each color is the rank of data read off
+    the tables through earlier colors, so isomorphic algebras have equal
+    invariants; find_isomorphism returns None when they differ."""
+    _profiles(alg)
+    return alg._profile_memo[1]
+
+
+def _iterate_colors(alg):
     n = alg.size
     colors = [0] * n
     for _ in range(n):
@@ -483,10 +500,10 @@ def find_isomorphism(a, b, seed=0):
     if a.size != b.size:
         return None
     n = a.size
+    if _invariant(a) != _invariant(b):
+        return None
     ca = _profiles(a)
     cb = _profiles(b)
-    if sorted(ca) != sorted(cb):
-        return None
     cand = [[y for y in range(n) if cb[y] == ca[x]] for x in range(n)]
     order = sorted(range(n), key=lambda x: (len(cand[x]), x))
     if seed:

@@ -445,7 +445,13 @@ def h2(d, equations, cap=1 << 24, brute=False, namer=None, seed=0):
 
 
 def _default_namer(d, seed=0):
-    from .algebras import GROUP_SIGNATURE
+    """Names a reconstruction by its catalog group when it has the group
+    signature and one matches; otherwise "iso-class-i" for the least i
+    whose earlier reconstruction is isomorphic to it (its own index when
+    none is).  Only earlier algebras with the same invariant (the sorted
+    profile colors, memoized per algebra) go to find_isomorphism: on any
+    other it returns None."""
+    from .algebras import GROUP_SIGNATURE, _invariant
 
     def namer(alg, previous):
         if alg.signature == GROUP_SIGNATURE:
@@ -453,8 +459,10 @@ def _default_namer(d, seed=0):
             t = iso_type(alg, seed=seed)
             if t is not None:
                 return t
+        key = _invariant(alg)
         for i, ext in enumerate(previous[:-1]):
-            if find_isomorphism(alg, ext.alg, seed=seed) is not None:
+            if _invariant(ext.alg) == key and \
+                    find_isomorphism(alg, ext.alg, seed=seed) is not None:
                 return "iso-class-%d" % i
         return "iso-class-%d" % (len(previous) - 1)
 
@@ -476,10 +484,16 @@ def stabilizing_isomorphism(ext_a, ext_b):
     element of a fiber, gamma(x) = m(y, b0, x) on the fiber is fixed by the
     one image y = gamma(b0) in the matching fiber of ext_b.  Each fiber
     keeps the y whose map sends b0 to y, is a bijection onto that fiber and
-    meets the m-condition, so the search runs over one image per fiber,
-    Pi |fiber| candidates instead of Pi |fiber|! bijections.  Fibers
-    are taken in key order and y ascending, so valid gamma are met in
-    lexicographic order and the one returned is the least.
+    meets the m-condition, so there are Pi |fiber| candidates instead of
+    Pi |fiber|! bijections; the cap counts them before anything is built.
+
+    The search plan (the fibers, their image pools, and the depth at which
+    each table entry of ext_a is checked) reads only ext_a and ext_b.pi, so
+    it is built once per (ext_a, ext_b.pi) and kept in ext_a.  The search
+    assigns the fibers depth-first in key order, y ascending, and checks
+    each entry as soon as the last fiber it reads or writes is assigned.
+    Candidates are met in lexicographic order, and the gamma returned is
+    the least.
     """
     if ext_a.m_flat is None:
         raise DatumError("extension carries no ternary operation")
@@ -487,12 +501,43 @@ def stabilizing_isomorphism(ext_a, ext_b):
     if a.size != b.size or ext_a.q_alg is not ext_b.q_alg and \
             ext_a.q_alg.size != ext_b.q_alg.size:
         return None
+    plans = ext_a._gamma_plans
+    if ext_b.pi not in plans:
+        plans[ext_b.pi] = _gamma_plan(ext_a, ext_b.pi)
+    plan = plans[ext_b.pi]
+    if plan is None or a.signature != b.signature:
+        return None
+    fibers, pools, checks = plan
+    n, tables = b.size, b.tables
+    gamma = [0] * n
+    stack = [iter(pools[0])]
+    while stack:
+        i = len(stack) - 1
+        for images in stack[i]:
+            for x, y in zip(fibers[i], images):
+                gamma[x] = y
+            if _entries_hold(checks[i], gamma, tables, n):
+                break
+        else:
+            stack.pop()
+            continue
+        if i + 1 == len(fibers):
+            return gamma
+        stack.append(iter(pools[i + 1]))
+    return None
+
+
+def _gamma_plan(ext_a, target_pi):
+    """stabilizing_isomorphism's (fibers, pools, checks), or None when a
+    fiber of ext_a and its target fiber differ in size.  checks[i] holds,
+    per symbol, the entries (value, args) of ext_a's table whose deepest
+    fiber is fibers[i]."""
+    a = ext_a.alg
     n = a.size
-    fibers_a = {}
-    fibers_b = {}
+    fibers_a, fibers_b = {}, {}
     for x in range(n):
         fibers_a.setdefault(ext_a.pi[x], []).append(x)
-        fibers_b.setdefault(ext_b.pi[x], []).append(x)
+        fibers_b.setdefault(target_pi[x], []).append(x)
     keys = sorted(fibers_a)
     if any(len(fibers_a[q]) != len(fibers_b[q]) for q in keys):
         return None
@@ -501,9 +546,9 @@ def stabilizing_isomorphism(ext_a, ext_b):
         raise CapExceeded("stabilizing_isomorphism", space, DEFAULT_CAP,
                           "{stage}: {size} candidate maps exceed cap {cap}")
     m = ext_a.m_elem
+    fibers = [fibers_a[q] for q in keys]
     pools = []
-    for q in keys:
-        block, targets = fibers_a[q], fibers_b[q]
+    for block, targets in zip(fibers, (fibers_b[q] for q in keys)):
         pool = []
         for y in targets:
             im = [m(y, block[0], x) for x in block]
@@ -512,14 +557,32 @@ def stabilizing_isomorphism(ext_a, ext_b):
                     for i, r in enumerate(block) for j, x in enumerate(block)):
                 pool.append(im)
         pools.append(pool)
-    for parts in product(*pools):
-        gamma = [0] * n
-        for q, images in zip(keys, parts):
-            for x, y in zip(fibers_a[q], images):
-                gamma[x] = y
-        if is_homomorphism(gamma, a, b):
-            return gamma
-    return None
+    depth = [0] * n
+    for i, block in enumerate(fibers):
+        for x in block:
+            depth[x] = i
+    checks = [[] for _ in fibers]
+    for sym, ar in a.signature.symbols:
+        by_depth = [[] for _ in fibers]
+        for args, v in zip(product(range(n), repeat=ar), a.tables[sym]):
+            by_depth[max(map(depth.__getitem__, args + (v,)))].append((v, args))
+        for i, entries in enumerate(by_depth):
+            if entries:
+                checks[i].append((sym, entries))
+    return fibers, pools, checks
+
+
+def _entries_hold(checks, gamma, tables, n):
+    """gamma(v) = f(gamma(args)) in the target tables for every entry."""
+    for sym, entries in checks:
+        tab = tables[sym]
+        for v, args in entries:
+            k = 0
+            for x in args:
+                k = k * n + gamma[x]
+            if tab[k] != gamma[v]:
+                return False
+    return True
 
 
 # --- stabilizing automorphisms and derivations -------------------------------

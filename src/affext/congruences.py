@@ -137,30 +137,60 @@ def cg(alg, pairs):
     With the argument at position i of an arity-k table, the contexts form
     one slice per prefix of stride s = n**(k-1-i); the last position is the
     single strided slice tab[a::n].
+
+    Classes are quick-find labels with member lists (the smaller class is
+    relabelled), so a slice whose two sides already carry equal labels is
+    skipped by one list comparison before any pair of it is walked.
     """
     n = alg.size
-    uf = UnionFind(n)
+    label = list(range(n))
+    members = [[x] for x in range(n)]
     queue = []
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise AlgebraError("pair (%d,%d) outside universe" % (a, b))
-        if uf.union(a, b):
-            queue.append((a, b))
+        _merge(label, members, queue, ((a, b),))
     tabs = [(alg.tables[sym], ar) for sym, ar in alg.signature.symbols if ar >= 1]
+    get = label.__getitem__
     while queue:
         a, b = queue.pop()
-        images = set()
         for tab, ar in tabs:
-            images.update(zip(tab[a::n], tab[b::n]))
-            for i in range(ar - 1):
-                s = n ** (ar - 1 - i)
-                sa, sb = a * s, b * s
-                for p in range(0, len(tab), n * s):
-                    images.update(zip(tab[p + sa:p + sa + s], tab[p + sb:p + sb + s]))
-        for x, y in images:
-            if x != y and uf.union(x, y):
-                queue.append((x, y))
-    return Congruence(n, uf.rep_array())
+            for xs, ys in _translation_slices(tab, ar, n, a, b):
+                if list(map(get, xs)) != list(map(get, ys)):
+                    _merge(label, members, queue, zip(xs, ys))
+    for block in members:
+        if block:  # None where the class was merged into another
+            least = min(block)
+            for x in block:
+                label[x] = least
+    return Congruence(n, label)
+
+
+def _merge(label, members, queue, pairs):
+    """Join the classes of each pair, queueing the pairs that merged two."""
+    for x, y in pairs:
+        lx, ly = label[x], label[y]
+        if lx == ly:
+            continue
+        if len(members[lx]) < len(members[ly]):
+            lx, ly = ly, lx
+        moved = members[ly]
+        for z in moved:
+            label[z] = lx
+        members[lx] += moved
+        members[ly] = None
+        queue.append((x, y))
+
+
+def _translation_slices(tab, ar, n, a, b):
+    """The (values at a, values at b) slices of one table, one per argument
+    position and prefix."""
+    yield tab[a::n], tab[b::n]
+    for i in range(ar - 1):
+        s = n ** (ar - 1 - i)
+        sa, sb = a * s, b * s
+        for p in range(0, len(tab), n * s):
+            yield tab[p + sa:p + sa + s], tab[p + sb:p + sb + s]
 
 
 def kernel_of_map(mapping, n):

@@ -272,6 +272,9 @@ class ExtensionRecord:
         self.m_flat = tuple(m_flat) if m_flat is not None else None
         self.name = name or alg.name
         self.datum = datum
+        # stabilizing_isomorphism's search plans, keyed by the target pi;
+        # they read only alg, pi and m_flat, which nothing changes later
+        self._gamma_plans = {}
         if len(self.pi) != alg.size:
             raise DatumError("pi must assign every element of B")
         if set(self.pi) != set(range(q_alg.size)):

@@ -9,6 +9,7 @@ it returns exactly the maps, in the same order, that testing every map
 Q x Q -> K would (see classical_h2).
 """
 
+from functools import lru_cache
 from itertools import product
 
 from .algebras import (AlgebraError, CapExceeded, FiniteAlgebra,
@@ -106,11 +107,11 @@ def symmetric3(name="S3"):
     return _group_from_mul(name, mul)
 
 
-def catalog():
-    """Named groups of order <= 8 used across the test and verification suites."""
+@lru_cache(maxsize=None)
+def _catalog_groups():
     z2 = cyclic(2)
     z4 = cyclic(4)
-    groups = [
+    return (
         cyclic(1, "Z1"),
         z2,
         cyclic(3),
@@ -125,8 +126,18 @@ def catalog():
         direct_product(z2, direct_product(z2, z2), "Z2xZ2xZ2"),
         dihedral8(),
         quaternion8(),
-    ]
-    return {g.name: g for g in groups}
+    )
+
+
+def catalog():
+    """Named groups of order <= 8 used across the test and verification suites.
+
+    The groups are built once per import and shared: nothing changes a
+    FiniteAlgebra's tables after construction, and their memos (such as
+    the profiles iso_type compares) then serve every caller.  Each call
+    returns a fresh dict, so a caller may add or drop names freely.
+    """
+    return {g.name: g for g in _catalog_groups()}
 
 
 def identity_of(alg):

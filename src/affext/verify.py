@@ -19,7 +19,8 @@ from .cohomology import (_cosets, _two_cochains, are_equivalent,
                          h2, stabilizer_derivation_isomorphism,
                          stabilizing_isomorphism, trivial_action_check)
 from .commutator import is_abelian, is_right_central, tc_commutator
-from .congruences import Congruence, delta_with_pair_algebra, hat_alpha
+from .congruences import (Congruence, delta, delta_with_pair_algebra, hat_alpha,
+                          m_matrices)
 from .datum import extract_datum, group_extension, validate_datum
 from .groups import (catalog, center, classical_h2, congruence_of_subgroup,
                      identity_of, inversion_action, semidirect_extension,
@@ -202,10 +203,12 @@ def claim_commutator_laws(cap=1 << 24):
         if not is_abelian(quot, Congruence.all(quot.size), cap=cap):
             failures.append({name: "Delta_{a1} quotient not abelian"})
         hat = hat_alpha(pairalg)
+        deltas = {}
         for beta_name, beta in (("alpha", alpha), ("one", one)):
-            from .congruences import delta as delta_fn
-            d_ab = delta_fn(alg, alpha, beta, cap=cap, pairalg=pairalg)
-            comm = tc_commutator(alg, alpha, beta, cap=cap)
+            matrices = m_matrices(alg, alpha, beta, cap=cap, pairalg=pairalg)
+            d_ab = deltas[beta_name] = delta(alg, alpha, beta, cap=cap,
+                                             pairalg=pairalg, matrices=matrices)
+            comm = tc_commutator(alg, alpha, beta, cap=cap, matrices=matrices)
             # lem 20(1): [a//b] Delta [a//d] implies (b,d) in [alpha,beta]
             for i, (a, b) in enumerate(pairalg.pairs):
                 for j, (c, dd) in enumerate(pairalg.pairs):
@@ -227,23 +230,19 @@ def claim_commutator_laws(cap=1 << 24):
                         failures.append({name: ("lem20(4)", beta_name,
                                                 (a, b, c, dd), (pa, pb, pc))})
         # lem 20(3): Delta_{aa} = Delta_{ag} meet hat for tested g
-        from .congruences import delta as delta_fn
-        d_aa = delta_fn(alg, alpha, alpha, cap=cap, pairalg=pairalg)
-        gammas = [alpha]
+        gammas = [("alpha", alpha)]
         if is_right_central(alg, alpha, cap=cap):
-            gammas.append(one)
-        for gamma in gammas:
-            d_ag = delta_fn(alg, alpha, gamma, cap=cap, pairalg=pairalg)
-            if d_ag.meet(hat) != d_aa:
+            gammas.append(("one", one))
+        for gamma_name, gamma in gammas:
+            if deltas[gamma_name].meet(hat) != deltas["alpha"]:
                 failures.append({name: ("lem20(3)", gamma.blocks())})
         # join laws from the Delta definition
         eta0 = pairalg.projection_kernel(0)
         eta1 = pairalg.projection_kernel(1)
         for beta_name, beta in (("alpha", alpha), ("one", one)):
-            d_ab = delta_fn(alg, alpha, beta, cap=cap, pairalg=pairalg)
-            if d_ab.join(eta0) != pairalg.preimage(beta, 0):
+            if deltas[beta_name].join(eta0) != pairalg.preimage(beta, 0):
                 failures.append({name: ("join eta0", beta_name)})
-            if d_ab.join(eta1) != pairalg.preimage(beta, 1):
+            if deltas[beta_name].join(eta1) != pairalg.preimage(beta, 1):
                 failures.append({name: ("join eta1", beta_name)})
     # lem 3: [1, ker q] = 0 in an abelian transfer product
     z2 = cat["Z2"]

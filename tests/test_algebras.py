@@ -130,6 +130,27 @@ def test_iso_relabeled(cat):
     assert is_homomorphism(iso, z4, relabeled)
 
 
+def test_profile_invariant_is_memoized_and_iso_invariant(cat):
+    """The invariant the h2 namer buckets by: computed once per algebra,
+    equal on a relabelled copy, and the pruning find_isomorphism applies."""
+    from affext.algebras import _invariant, _profiles
+    rng = random.Random(7)
+    for g in cat.values():
+        perm = list(range(g.size))
+        rng.shuffle(perm)
+        inv = [perm.index(i) for i in range(g.size)]
+        tables = {sym: tuple(perm[g.tables[sym][tuple_encode([inv[x] for x in args], g.size)]]
+                             for args in product(range(g.size), repeat=ar))
+                  for sym, ar in g.signature.symbols}
+        copy = FiniteAlgebra(g.size, g.signature, tables)
+        assert _profiles(g) is _profiles(g)
+        assert _invariant(g) == tuple(sorted(_profiles(g))) == _invariant(copy)
+    for a in cat.values():
+        for b in cat.values():
+            if a.size == b.size and _invariant(a) != _invariant(b):
+                assert find_isomorphism(a, b) is None
+
+
 def test_iso_size_mismatch(cat):
     assert find_isomorphism(cat["Z4"], cat["Z2"]) is None
 

@@ -117,6 +117,29 @@ def test_h2_json_pinned(group_eqs, n, kernel, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("group, kernel, labels", [
+    ("Z9", [0, 3, 6], ["iso-class-0", "iso-class-1", "iso-class-1"]),
+    ("Z3xZ3", [0, 1, 2], ["iso-class-0", "iso-class-1", "iso-class-1"]),
+    ("Z10", [0, 5], ["iso-class-0"]),
+    ("Z12", [0, 6], ["iso-class-0", "iso-class-1"]),
+    ("Z2xZ6", [0, 3], ["iso-class-0", "iso-class-1"]),
+    ("S3xZ2", [0, 1], ["iso-class-0", "iso-class-1"]),
+    ("Z14", [0, 7], ["iso-class-0"]),
+])
+def test_h2_class_labels_outside_the_catalog(group_eqs, group, kernel, labels):
+    """Orders 9-14 have no catalog name, so each class is named by
+    find_isomorphism against the earlier ones: Z9 and Z3xZ3 over Z3 have
+    two classes of Z9, which share the label of the first."""
+    from affext.groups import cyclic, direct_product, symmetric3
+    z2, z3 = cyclic(2), cyclic(3)
+    groups = {"Z9": cyclic(9), "Z3xZ3": direct_product(z3, z3),
+              "Z10": cyclic(10), "Z12": cyclic(12), "Z14": cyclic(14),
+              "Z2xZ6": direct_product(z2, cyclic(6)),
+              "S3xZ2": direct_product(symmetric3(), z2)}
+    d, _ = extract_datum(group_extension(groups[group], kernel))
+    assert [c["extension_iso_type"] for c in h2(d, group_eqs).classes] == labels
+
+
 def test_coboundary_group(z4_datum, group_eqs):
     d, _ = z4_datum
     b2 = coboundary_group(d)
@@ -226,13 +249,21 @@ def test_stabilizing_isomorphism_one_image_per_fiber():
     assert stabilizing_isomorphism(ext, ext) == list(range(16))
 
 
-def test_stabilizing_isomorphism_cap_checked_first():
-    """25 fibers of 2 give 2^25 candidates, over the default cap."""
+def test_stabilizing_isomorphism_cap_checked_first(monkeypatch):
+    """25 fibers of 2 give 2^25 candidates, over the default cap; no image
+    pool is built (m is never read) and no plan is kept."""
     from affext.cohomology import stabilizing_isomorphism
+    from affext.datum import ExtensionRecord
+
+    def unread_m(*args):
+        raise AssertionError("m read before the cap check")
+
     ext = _blocks_of_two(25)
+    monkeypatch.setattr(ExtensionRecord, "m_elem", unread_m)
     with pytest.raises(CapExceeded, match="stabilizing_isomorphism: 33554432 "
                                           "candidate maps exceed cap 16777216"):
         stabilizing_isomorphism(ext, ext)
+    assert ext._gamma_plans == {}
 
 
 def test_stabilizing_isomorphism_needs_ternary_operation():

@@ -1,23 +1,28 @@
 """The group-structure paths of affext.cohomology against their slow
 references: the Cayley-table presentation with min-over-subgroup cosets,
-the stabilizer search over every block-preserving map and the
-stabilizing-isomorphism search over every product of fiber bijections."""
+the stabilizer search over every block-preserving map, and the
+stabilizing-isomorphism search over every product of fiber bijections and
+over every product of image pools with a full homomorphism test."""
 
 from itertools import permutations, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affext.algebras import AlgebraError, is_homomorphism
+from affext.algebras import (DEFAULT_CAP, AlgebraError, CapExceeded,
+                             is_homomorphism)
 from affext.cocycles import TwoCocycle, cocycle_add, reconstruct
 from affext.cohomology import (_check_subgroup, _two_cochains,
                                coboundary_group, cocycle_group, derivations,
                                h1, h2, invariant_factors,
                                principal_derivations, stabilizers,
                                stabilizing_isomorphism)
-from affext.datum import DatumError, extract_datum, group_extension
+from affext.datum import (DatumError, ExtensionRecord, extract_datum,
+                          group_extension)
 from affext.groups import cyclic
-from affext.verify import datum_for_oracle_case, oracle_cases
+from affext.verify import (catalog_extensions, datum_for_oracle_case,
+                           oracle_cases)
 
 # (group, kernel): Z2^3/Z2, order-4 kernels of order-8 groups, Z4/Z2 and
 # cyclic groups over Z2 or Z3
@@ -209,6 +214,122 @@ def test_stabilizing_isomorphism_matches_bijection_search(cat, group_eqs):
                     _old_stabilizing_isomorphism(ext_a, ext_b)
                 pairs += 1
     assert pairs == 1113
+
+
+def _product_stabilizing_isomorphism(ext_a, ext_b):
+    """One image per fiber: every product of the pools, in lexicographic
+    order, each candidate put through a full homomorphism test."""
+    if ext_a.m_flat is None:
+        raise DatumError("extension carries no ternary operation")
+    a, b = ext_a.alg, ext_b.alg
+    if a.size != b.size or ext_a.q_alg is not ext_b.q_alg and \
+            ext_a.q_alg.size != ext_b.q_alg.size:
+        return None
+    n = a.size
+    fibers_a = {}
+    fibers_b = {}
+    for x in range(n):
+        fibers_a.setdefault(ext_a.pi[x], []).append(x)
+        fibers_b.setdefault(ext_b.pi[x], []).append(x)
+    keys = sorted(fibers_a)
+    if any(len(fibers_a[q]) != len(fibers_b[q]) for q in keys):
+        return None
+    space = prod(len(fibers_a[q]) for q in keys)
+    if space > DEFAULT_CAP:
+        raise CapExceeded("stabilizing_isomorphism", space, DEFAULT_CAP,
+                          "{stage}: {size} candidate maps exceed cap {cap}")
+    m = ext_a.m_elem
+    pools = []
+    for q in keys:
+        block, targets = fibers_a[q], fibers_b[q]
+        pool = []
+        for y in targets:
+            im = [m(y, block[0], x) for x in block]
+            if im[0] == y and sorted(im) == targets and all(
+                    im[j] == m(im[i], r, x)
+                    for i, r in enumerate(block) for j, x in enumerate(block)):
+                pool.append(im)
+        pools.append(pool)
+    for parts in product(*pools):
+        gamma = [0] * n
+        for q, images in zip(keys, parts):
+            for x, y in zip(fibers_a[q], images):
+                gamma[x] = y
+        if is_homomorphism(gamma, a, b):
+            return gamma
+    return None
+
+
+def _oracle_case_extensions(cat, group_eqs):
+    """Per oracle case, the reconstruction of every cocycle."""
+    out = []
+    for k_name, q_name, _, act in oracle_cases(cat):
+        d, _ = datum_for_oracle_case(cat, k_name, q_name, act)
+        out.append([reconstruct(d, TwoCocycle.from_serialized(d, s))
+                    for s in cocycle_group(d, group_eqs).serialized])
+    return out
+
+
+def test_stabilizing_isomorphism_matches_product_search(cat, group_eqs):
+    """The compiled search returns the product search's gamma on every
+    cocycle pair of the oracle cases."""
+    pairs = found = 0
+    for exts in _oracle_case_extensions(cat, group_eqs):
+        for ext_a in exts:
+            for ext_b in exts:
+                gamma = stabilizing_isomorphism(ext_a, ext_b)
+                assert gamma == _product_stabilizing_isomorphism(ext_a, ext_b)
+                pairs += 1
+                found += gamma is not None
+    assert (pairs, found) == (1113, 209)
+
+
+def _relabelled_quotients(ext):
+    """ext with pi followed by each non-identity automorphism of its
+    quotient: the same fibers under other keys."""
+    q = ext.q_alg
+    for sigma in permutations(range(q.size)):
+        if list(sigma) != list(range(q.size)) and is_homomorphism(list(sigma), q, q):
+            yield ExtensionRecord(ext.alg, [sigma[x] for x in ext.pi], q, ext.m_flat)
+
+
+def test_stabilizing_isomorphism_across_fiber_partitions(cat, group_eqs):
+    """Extensions of one order from different datums and with relabelled
+    quotients, so that one ext_a meets targets whose fiber partitions
+    differ: a plan is keyed on the target partition, not built for the
+    first target and reused."""
+    exts = [ext for _, ext in catalog_extensions(cat)]
+    for case in _oracle_case_extensions(cat, group_eqs):
+        exts += case[:2]
+    exts += [e for ext in exts for e in _relabelled_quotients(ext)]
+    pairs = found = 0
+    for ext_a in exts:
+        for ext_b in exts:
+            if ext_a.alg.size == ext_b.alg.size and ext_a.pi != ext_b.pi:
+                gamma = stabilizing_isomorphism(ext_a, ext_b)
+                assert gamma == _product_stabilizing_isomorphism(ext_a, ext_b)
+                pairs += 1
+                found += gamma is not None
+    assert (pairs, found) == (1002, 88)
+
+
+def test_one_gamma_plan_per_target_partition(cat, group_eqs, monkeypatch):
+    from affext import cohomology
+    built = []
+    plan = cohomology._gamma_plan
+
+    def counting_plan(ext_a, target_pi):
+        built.append((id(ext_a), target_pi))
+        return plan(ext_a, target_pi)
+
+    monkeypatch.setattr(cohomology, "_gamma_plan", counting_plan)
+    exts = dict(catalog_extensions(cat))
+    targets = [exts[k] for k in ("D4/center", "Q8/center", "Z2xZ4/K1", "Z2xZ4/K2")]
+    for ext_a in targets:
+        for _ in range(3):
+            for ext_b in targets:
+                stabilizing_isomorphism(ext_a, ext_b)
+    assert len(built) == len(set(built)) == 4 * len({t.pi for t in targets})
 
 
 def test_non_closed_b2_raises(monkeypatch):

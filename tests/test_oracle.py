@@ -23,6 +23,22 @@ def test_catalog_sanity(cat):
     assert is_abelian_group(cat["Z2xZ4"])
 
 
+def test_catalog_is_built_once_and_returned_fresh():
+    """Each call is a new dict over the same group objects, so one
+    caller's changes to its dict do not reach the next."""
+    first = catalog()
+    second = catalog()
+    assert first is not second
+    assert first.keys() == second.keys()
+    assert all(first[name] is second[name] for name in first)
+    del first["Z1"]
+    first["Z2"] = first["Z3"]
+    first["extra"] = first["Z4"]
+    third = catalog()
+    assert third.keys() == second.keys()
+    assert all(third[name] is second[name] for name in second)
+
+
 def test_element_orders(cat):
     assert sorted(element_orders(cat["Q8"])) == [1, 2, 4, 4, 4, 4, 4, 4]
     assert sorted(element_orders(cat["D4"])) == [1, 2, 2, 2, 2, 2, 4, 4]

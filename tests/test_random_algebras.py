@@ -1,5 +1,5 @@
-"""Random small algebras: the sliced Cg against the displacement loop it
-replaced, the sliced congruence_violation against its apply loop, the Cg
+"""Random small algebras: the labelled Cg against the union-find sliced Cg
+and the displacement loop they replaced, the sliced congruence_violation against its apply loop, the Cg
 route of is_abelian against the term-condition commutator, and the lattice
 laws of Con A and of the commutator."""
 
@@ -12,7 +12,7 @@ from affext.algebras import (AlgebraError, FiniteAlgebra, Signature,
                              congruence_violation)
 from affext.commutator import is_abelian, tc_commutator
 from affext.congruences import (Congruence, UnionFind, all_congruences, cg,
-                                kernel_of_map)
+                                kernel_of_map, pair_algebra)
 
 
 def oracle_cg(alg, pairs):
@@ -53,6 +53,34 @@ def oracle_cg(alg, pairs):
     return Congruence(n, uf.rep_array())
 
 
+def sliced_cg(alg, pairs):
+    """Cg by union-find: every slice of a merged pair's translations is
+    walked, its distinct result pairs collected and then joined."""
+    n = alg.size
+    uf = UnionFind(n)
+    queue = []
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise AlgebraError("pair (%d,%d) outside universe" % (a, b))
+        if uf.union(a, b):
+            queue.append((a, b))
+    tabs = [(alg.tables[sym], ar) for sym, ar in alg.signature.symbols if ar >= 1]
+    while queue:
+        a, b = queue.pop()
+        images = set()
+        for tab, ar in tabs:
+            images.update(zip(tab[a::n], tab[b::n]))
+            for i in range(ar - 1):
+                s = n ** (ar - 1 - i)
+                sa, sb = a * s, b * s
+                for p in range(0, len(tab), n * s):
+                    images.update(zip(tab[p + sa:p + sa + s], tab[p + sb:p + sb + s]))
+        for x, y in images:
+            if x != y and uf.union(x, y):
+                queue.append((x, y))
+    return Congruence(n, uf.rep_array())
+
+
 @st.composite
 def algebras(draw, max_size, arities):
     """A random algebra: one table per arity in arities, entries uniform."""
@@ -71,7 +99,24 @@ def test_cg_matches_the_displacement_loop(data):
     alg = data.draw(algebras(5, arities))
     elem = st.integers(0, alg.size - 1)
     pairs = data.draw(st.lists(st.tuples(elem, elem), max_size=3))
-    assert cg(alg, pairs) == oracle_cg(alg, pairs)
+    assert cg(alg, pairs) == sliced_cg(alg, pairs) == oracle_cg(alg, pairs)
+
+
+def test_cg_matches_sliced_cg_on_delta_inputs(cat):
+    """The Cg half of Delta_{alpha beta} for every pair of non-trivial
+    congruences of eight groups of order <= 8."""
+    inputs = 0
+    for name in ("Z4", "Z2xZ2", "S3", "Z8", "Z2xZ4", "Z2xZ2xZ2", "D4", "Q8"):
+        g = cat[name]
+        proper = [c for c in all_congruences(g) if not c.is_equality()]
+        for alpha in proper:
+            pairalg = pair_algebra(g, alpha)
+            index = pairalg.pair_index
+            for beta in proper:
+                gens = [(index[(u, u)], index[(v, v)]) for u, v in beta.pairs()]
+                assert cg(pairalg, gens) == sliced_cg(pairalg, gens)
+                inputs += 1
+    assert inputs == 357
 
 
 def oracle_congruence_violation(alg, cong):
