@@ -548,7 +548,8 @@ def _gamma_plan(ext_a, target_pi):
     m = ext_a.m_elem
     fibers = [fibers_a[q] for q in keys]
     pools = []
-    for block, targets in zip(fibers, (fibers_b[q] for q in keys)):
+    for q in keys:
+        block, targets = fibers_a[q], fibers_b[q]
         pool = []
         for y in targets:
             im = [m(y, block[0], x) for x in block]
