@@ -131,9 +131,10 @@ class FiniteAlgebra:
     @classmethod
     def subpower(cls, base, elements, name=None):
         """The subalgebra of base**k whose universe is the list elements of
-        k-tuples, element i standing for elements[i], as a cls.  It
-        satisfies every identity of base, so associative_ops() is read off
-        base instead of tested on the new tables."""
+        k-tuples, element i standing for elements[i], as a cls: the power
+        and pair algebras.  It satisfies every identity of base, so
+        associative_ops() is read off base instead of tested on the new
+        tables."""
         sub = cls(len(elements), base.signature, subpower_tables(base, elements),
                   name=name)
         sub._associative = base.associative_ops()
@@ -238,6 +239,8 @@ def closure(alg, k, generators, max_rounds=None):
     their order are those of the plain round path; only the empty last
     round and the tail of the covering round are skipped.  S lies in the
     k-th power of alg, so the semigroup path spans at most n**k elements.
+    Pairs of unary polynomials are closed here as 2n-tuples (the twin
+    pairs), with no table of the polynomials themselves.
     """
     n = alg.size
     ops = [(alg.tables[sym], ar) for sym, ar in alg.signature.symbols]
@@ -599,10 +602,7 @@ def satisfies(alg, equations):
     """First failing (lhs, rhs, env) for the equation set, or None."""
     from .terms import eval_term, term_vars
     for lhs, rhs in equations:
-        varnames = term_vars(lhs)
-        for v in term_vars(rhs):
-            if v not in varnames:
-                varnames.append(v)
+        varnames = term_vars(lhs, rhs)
         for vals in product(range(alg.size), repeat=len(varnames)):
             env = dict(zip(varnames, vals))
             if eval_term(alg, lhs, env) != eval_term(alg, rhs, env):

@@ -56,25 +56,30 @@ def cocycle_sub(d, T1, T2):
         d, _serialized_sub(d, T1.serialize(d), T2.serialize(d)))
 
 
+def _cell_bases(d):
+    """f^Q(qs) for each cell (f, qs), in cells() order, kept on the datum."""
+    if d._bases is None:
+        d._bases = tuple(d.q_alg.apply(sym, qs) for sym, qs in d.cells())
+    return d._bases
+
+
 def _serialized_sub(d, a, b):
     """cocycle_sub on serialized cochains, in one pass over the cells.
 
-    The value at a cell over q is plus_at(q, x, neg_at(q, y)), read from a
-    flat memo kept on the datum (slot (q*size + x)*size + y, filled on
-    first use), so it is the same sum on the fibers and off them.
+    The value at a cell over q is plus_at(q, x, neg_at(q, y)), that is
+    m(x, z, m(z, y, z)) with z = delta(l(q)), read inline from m_class's
+    memo, so it is the same sum on the fibers and off them.
     """
-    size = d.dc.size
-    if d._differences is None:
-        d._differences = ([d.q_alg.apply(sym, qs) for sym, qs in d.cells()],
-                          [None] * (d.qsize() * size * size))
-    bases, memo = d._differences
+    size, memo, m = d.dc.size, d.dc._m_memo(), d.dc.m_class
+    zeros = [d.delta_l(q) for q in range(d.qsize())]
     out = []
-    for q, x, y in zip(bases, a, b):
-        i = (q * size + x) * size + y
-        v = memo[i]
-        if v is None:
-            v = memo[i] = d.plus_at(q, x, d.neg_at(q, y))
-        out.append(v)
+    for q, x, y in zip(_cell_bases(d), a, b):
+        z = zeros[q]
+        neg = memo[(z * size + y) * size + z]
+        if neg is None:
+            neg = m(z, y, z)
+        v = memo[(x * size + z) * size + neg]
+        out.append(v if v is not None else m(x, z, neg))
     return tuple(out)
 
 
@@ -159,10 +164,7 @@ def check_cocycle(d, T, equations):
                 failures.append({"condition": "C1", "symbol": sym, "args": qs,
                                  "fiber": got, "expected": expected})
     for lhs, rhs in equations:
-        varnames = term_vars(lhs)
-        for v in term_vars(rhs):
-            if v not in varnames:
-                varnames.append(v)
+        varnames = term_vars(lhs, rhs)
         for vals in product(range(d.qsize()), repeat=len(varnames)):
             qenv = dict(zip(varnames, vals))
             lv = partial_derivative(d, T, lhs, qenv)
@@ -208,8 +210,9 @@ def reconstruct(d, T, name=None, verify=True):
             flat.append(val)
         tables[sym] = tuple(flat)
     alg = FiniteAlgebra(U, d.signature, tables, name=name or "A_T")
-    m_flat = tuple(d.dc.m_class(x, y, z)
-                   for x in range(U) for y in range(U) for z in range(U))
+    memo = d.dc._m_memo()  # m's table is the memo itself once it is full
+    m_flat = tuple(memo) if None not in memo else tuple(
+        d.dc.m_class(x, y, z) for x in range(U) for y in range(U) for z in range(U))
     lifting = tuple(d.delta_l(q) for q in range(nq))
     ext = ExtensionRecord(alg, d.dc.rho_class, d.q_alg, m_flat,
                           lifting=lifting, name=alg.name, datum=d)

@@ -5,10 +5,10 @@ from heapq import heapify, heappop, heappush
 from itertools import product
 from math import prod
 
-from .algebras import (DEFAULT_CAP, AlgebraError, CapExceeded, FiniteAlgebra,
-                       Signature, closure, find_isomorphism, is_homomorphism)
-from .cocycles import (TwoCocycle, check_cocycle, coboundary_of, e_paths,
-                       fiber_respecting_maps, reconstruct)
+from .algebras import (DEFAULT_CAP, AlgebraError, CapExceeded, closure,
+                       find_isomorphism)
+from .cocycles import (TwoCocycle, _cell_bases, check_cocycle, coboundary_of,
+                       e_paths, fiber_respecting_maps, reconstruct)
 from .datum import ClassMaps, DatumError, check_action_compatible
 from .terms import term_vars
 
@@ -100,35 +100,44 @@ def _cochain_group(d, bases):
 
 def _two_cochains(d):
     """(zero, add) of serialized 2-cochains: cell (f, qs) lies over f^Q(qs)."""
-    return _cochain_group(d, [d.q_alg.apply(sym, qs) for sym, qs in d.cells()])
+    return _cochain_group(d, _cell_bases(d))
 
 
-def _check_subgroup(members, zero, add, name):
-    """Raise DatumError unless the sorted list members is a subgroup.
+def _span(gens, zero, add, within, error):
+    """The subgroup generated by gens, as a list starting at zero.
 
     The subgroup H generated so far starts at {zero} and grows by each
-    member s outside it to the union of the cosets H + k*s; every element
-    reached must be a member.  When the sizes match at the end, the members
-    are exactly the subgroup they generate.
+    generator s outside it to the union of the cosets H + k*s; every
+    element reached, zero included, must satisfy within, or
+    DatumError(error) is raised.
     """
-    mset = set(members)
-    if zero not in mset:
-        raise DatumError("%s does not contain zero" % name)
+    if not within(zero):
+        raise DatumError(error)
     grown, seen = [zero], {zero}
-    for s in members:
+    for s in gens:
         if s in seen:
             continue
         new, ks = [], s
         while ks not in seen:
             coset = [add(h, ks) for h in grown]
-            if not mset.issuperset(coset):
-                raise DatumError("%s is not closed under addition" % name)
+            if not all(map(within, coset)):
+                raise DatumError(error)
             new += coset
             ks = add(ks, s)
         grown += new
         seen.update(new)
-    if len(grown) != len(members):
-        raise DatumError("%s is not closed under addition" % name)
+    return grown
+
+
+def _check_subgroup(members, zero, add, name):
+    """Raise DatumError unless the sorted list members is a subgroup: its
+    span stays inside it, and when the sizes match the members are exactly
+    the subgroup they generate."""
+    mset, error = set(members), "%s is not closed under addition" % name
+    if zero not in mset:
+        raise DatumError("%s does not contain zero" % name)
+    if len(_span(members, zero, add, mset.__contains__, error)) != len(members):
+        raise DatumError(error)
 
 
 def _cosets(elements, subgroup, add):
@@ -203,10 +212,7 @@ def _constraints_for(cm, equations, domains):
     """(C2) instances with at least one cell: (lhs side, rhs side, cells)."""
     d, cons = cm.d, []
     for lhs, rhs in equations:
-        varnames = term_vars(lhs)
-        for v in term_vars(rhs):
-            if v not in varnames:
-                varnames.append(v)
+        varnames = term_vars(lhs, rhs)
         for vals in product(range(d.qsize()), repeat=len(varnames)):
             qenv = dict(zip(varnames, vals))
             left = _compile_side(cm, lhs, qenv, domains)
@@ -280,9 +286,7 @@ def cocycle_group(d, equations, cap=1 << 24, brute=False):
     domains = {cell: list(d.fiber(d.cell_fiber(*cell))) for cell in cells}
     solutions = []
     if brute:
-        space = 1
-        for cell in cells:
-            space *= len(domains[cell])
+        space = prod(len(domains[cell]) for cell in cells)
         if space > cap:
             raise CapExceeded("cocycle_group", space, cap,
                               "{stage}: brute-force space {size} exceeds cap {cap}")
@@ -294,12 +298,12 @@ def cocycle_group(d, equations, cap=1 << 24, brute=False):
         cm = ClassMaps(d)
         constraints = _constraints_for(cm, equations, domains)
         order, pos = _cell_order(constraints, cells)
-        size, memo, plus_at = cm.size, cm.memo, d.plus_at
+        size, memo, m = cm.size, d.dc._m_memo(), d.dc.m_class
+        square = size * size
 
         def at_depths(side):
-            base, terms = side
-            return (base, base * size * size, d.delta_l(base),
-                    [(pos[cell], img) for cell, img in terms])
+            zero = d.delta_l(side[0])
+            return zero, zero * size, [(pos[cell], img) for cell, img in side[1]]
 
         triggers = [[] for _ in order]
         for lhs, rhs, con_cells in constraints:
@@ -311,14 +315,12 @@ def cocycle_group(d, equations, cap=1 << 24, brute=False):
         visited = [0]
 
         def value(side):
-            base, off, acc, terms = side
+            zero, off, terms = side
+            acc = zero
             for p, img in terms:
                 y = img[vals[p]]
-                i = off + acc * size + y
-                s = memo[i]
-                if s is None:
-                    s = memo[i] = plus_at(base, acc, y)
-                acc = s
+                s = memo[acc * square + off + y]
+                acc = s if s is not None else m(acc, zero, y)
             return acc
 
         def search(depth):
@@ -495,18 +497,24 @@ def stabilizing_isomorphism(ext_a, ext_b):
     Candidates are met in lexicographic order, and the gamma returned is
     the least.
     """
+    return next(_stabilizing_maps(ext_a, ext_b), None)
+
+
+def _stabilizing_maps(ext_a, ext_b):
+    """Every stabilizing isomorphism ext_a -> ext_b, each as a list, least
+    first: the depth-first search of stabilizing_isomorphism run to the end."""
     if ext_a.m_flat is None:
         raise DatumError("extension carries no ternary operation")
     a, b = ext_a.alg, ext_b.alg
     if a.size != b.size or ext_a.q_alg is not ext_b.q_alg and \
             ext_a.q_alg.size != ext_b.q_alg.size:
-        return None
+        return
     plans = ext_a._gamma_plans
     if ext_b.pi not in plans:
         plans[ext_b.pi] = _gamma_plan(ext_a, ext_b.pi)
     plan = plans[ext_b.pi]
     if plan is None or a.signature != b.signature:
-        return None
+        return
     fibers, pools, checks = plan
     n, tables = b.size, b.tables
     gamma = [0] * n
@@ -522,9 +530,9 @@ def stabilizing_isomorphism(ext_a, ext_b):
             stack.pop()
             continue
         if i + 1 == len(fibers):
-            return gamma
-        stack.append(iter(pools[i + 1]))
-    return None
+            yield list(gamma)
+        else:
+            stack.append(iter(pools[i + 1]))
 
 
 def _gamma_plan(ext_a, target_pi):
@@ -590,49 +598,22 @@ def _entries_hold(checks, gamma, tables, n):
 
 def stabilizers(ext):
     """Automorphisms gamma with pi.gamma = pi and, for every kernel-related
-    pair (a,x), gamma(x) = m(gamma(a), a, x).
+    pair (a,x), gamma(x) = m(gamma(a), a, x), sorted.
 
-    Taking a = b0, the least element of its block, gamma(x) = m(y, b0, x)
-    on the block is fixed by the one image y = gamma(b0), so the search
-    runs over one image per block.
+    They are the stabilizing isomorphisms from ext to itself, read off the
+    compiled search (_stabilizing_maps) after this function's own cap on
+    the Pi |block| candidates.  Each map is fixed on a block by y = gamma(b0),
+    b0 the block's least element, and listed once, keyed by that y; a loop
+    over every y of the block would meet one map twice when m(y, b0, b0)
+    differs from y, which no Mal'cev m allows.
     """
-    alg, beta = ext.alg, ext.beta
     if ext.m_flat is None:
         raise DatumError("extension carries no ternary operation")
-    n = alg.size
-    blocks = beta.blocks()
-    space = prod(len(block) for block in blocks)
+    space = prod(len(block) for block in ext.beta.blocks())
     if space > DEFAULT_CAP:
         raise CapExceeded("stabilizers", space, DEFAULT_CAP,
                           "{stage}: {size} candidate maps exceed cap {cap}")
-    pools = []
-    for block in blocks:
-        members = set(block)
-        images = ([ext.m_elem(y, block[0], x) for x in block] for y in block)
-        pools.append([im for im in images if members.issuperset(im)])
-    out = []
-    for choice in product(*pools):
-        gamma = [0] * n
-        for block, images in zip(blocks, choice):
-            for x, y in zip(block, images):
-                gamma[x] = y
-        if sorted(gamma) != list(range(n)):
-            continue
-        ok = True
-        for block in blocks:
-            for a in block:
-                for x in block:
-                    if gamma[x] != ext.m_elem(gamma[a], a, x):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok and is_homomorphism(gamma, alg, alg):
-            out.append(tuple(gamma))
-    out.sort()
-    return out
+    return sorted(map(tuple, _stabilizing_maps(ext, ext)))
 
 
 def stab_closed_under_composition(stabs):
@@ -695,40 +676,25 @@ def stabilizer_derivation_isomorphism(ext, d):
 
 # --- principal derivations and H^1 -------------------------------------------
 
-def _polynomial_algebra(alg):
-    """The unary polynomial maps of alg (the closure of the identity and the
-    constants in alg**n) as an algebra under pointwise operations, with the
-    list of maps its elements stand for."""
-    n = alg.size
-    maps, _ = closure(alg, n, [tuple(range(n))] + [(c,) * n for c in range(n)])
-    for sym, ar in alg.signature.symbols:
-        if len(maps) ** ar > DEFAULT_CAP:
-            raise CapExceeded("polynomial_algebra", len(maps), DEFAULT_CAP,
-                              "table of {sym!r} on {size} unary polynomials "
-                              "exceeds cap {cap}", sym=sym)
-    return FiniteAlgebra.subpower(alg, maps), maps
-
-
 def twin_pairs_of_identity(alg, theta, depth_cap=4):
     """Pairs (g, h) of unary polynomial maps coming from one term with
     theta-related parameter tuples.
 
-    The closure in the square of the unary polynomial algebra of the pairs
-    (id, id) and (c, e) of constants from a common theta block, run for at
-    most depth_cap rounds; exact means the last round found nothing new,
-    otherwise the result is a lower bound.  When alg has an associative
-    operation the rounds stop as soon as they cover the subuniverse (see
-    algebras.closure); the pairs and exact are those of the full rounds,
-    so exact is False when the covering round is round depth_cap.
+    A pair is the 2n-tuple g || h in alg**(2n), where every operation acts
+    coordinatewise, as it acts pointwise on the unary polynomials.  The
+    pairs are the closure there of id || id and c^n || e^n for constants c,
+    e from a common theta block, run for at most depth_cap rounds; exact
+    means the last round found nothing new, otherwise the result is a
+    lower bound.  When alg has an associative operation the rounds stop as
+    soon as they cover the subuniverse (see algebras.closure); the pairs
+    and exact are those of the full rounds, so exact is False when the
+    covering round is round depth_cap.
     """
     n = alg.size
-    poly, maps = _polynomial_algebra(alg)
-    index = {g: i for i, g in enumerate(maps)}
-    seeds = [(index[tuple(range(n))],) * 2]
-    seeds += [(index[(c,) * n], index[(e,) * n])
-              for block in theta.blocks() for c in block for e in block]
-    pairs, exact = closure(poly, 2, seeds, max_rounds=depth_cap)
-    return {(maps[g], maps[h]) for g, h in pairs}, exact
+    seeds = [tuple(range(n)) * 2] + [(c,) * n + (e,) * n for block in theta.blocks()
+                                     for c in block for e in block]
+    pairs, exact = closure(alg, 2 * n, seeds, max_rounds=depth_cap)
+    return {(t[:n], t[n:]) for t in pairs}, exact
 
 
 def principal_stabilizers(d, depth_cap=4):
@@ -749,19 +715,9 @@ def principal_derivations(d, depth_cap=4):
     a0, pstab, exact = principal_stabilizers(d, depth_cap=depth_cap)
     nq = d.qsize()
     gens = [tuple(gamma[d.delta_l(q)] for q in range(nq)) for gamma in pstab]
-    zero = tuple(d.delta_l(q) for q in range(nq))
-    # the fiber sums as one table on the classes: coordinate q of a
-    # derivation stays in the fiber over q, so sums across fibers are unused
-    fiber, size = d.dc.rho_class, d.dc.size
-    add = tuple(d.plus_at(fiber[x], x, y) if fiber[x] == fiber[y] else x
-                for x in range(size) for y in range(size))
-    sums = FiniteAlgebra(size, Signature([("add", 2)]), {"add": add})
-    sub, _ = closure(sums, nq, [zero] + gens)
-    ders = derivations(d)
-    dset = set(ders)
-    for h in sub:
-        if h not in dset:
-            raise DatumError("principal derivation outside Z1")
+    zero, add = _cochain_group(d, range(nq))
+    sub = _span(gens, zero, add, set(derivations(d)).__contains__,
+                "principal derivation outside Z1")
     return sorted(sub), exact
 
 
@@ -782,13 +738,21 @@ def trivial_action_check(d, all_liftings_cap=256):
     index sets and argument tuples; sweeps every lifting when cheap."""
     n = d.asize
     per_q = [[x for x in range(n) if d.pi_of(x) == q] for q in range(d.qsize())]
-    count = 1
-    for b in per_q:
-        count *= len(b)
-    if count <= all_liftings_cap:
+    if prod(map(len, per_q)) <= all_liftings_cap:
         lift_choices = [tuple(c) for c in product(*per_q)]
     else:
         lift_choices = [d.lifting]
+
+    def action_sum(lifting, sym, idx_set, cs):
+        """(delta(l(f(q))), the sum over idx_set of the actions on the
+        classes [l(q_i) // c_i]) for q = pi(cs)."""
+        qs = tuple(d.pi_of(c) for c in cs)
+        fq = d.q_alg.apply(sym, qs)
+        return d.dc.delta_of[lifting[fq]], d.sum_at(fq, [
+            d.action_apply(sym, i, qs[:i - 1] + qs[i:],
+                           d.dc.class_of_pair(lifting[qs[i - 1]], cs[i - 1]))
+            for i in idx_set])
+
     for lifting in lift_choices:
         for sym, ar in d.signature.symbols:
             if ar < 2:
@@ -797,27 +761,13 @@ def trivial_action_check(d, all_liftings_cap=256):
                 idx_set = [i + 1 for i in range(ar) if mask >> i & 1]
                 free = [i for i in range(1, ar + 1) if i not in idx_set]
                 for cs in product(range(n), repeat=ar):
-                    qs = tuple(d.pi_of(c) for c in cs)
-                    u = lifting[d.q_alg.apply(sym, qs)]
-                    lhs = d.sum_at(d.q_alg.apply(sym, qs), [
-                        d.action_apply(sym, i, qs[:i - 1] + qs[i:],
-                                       d.dc.class_of_pair(lifting[qs[i - 1]],
-                                                          cs[i - 1]))
-                        for i in idx_set])
+                    u, lhs = action_sum(lifting, sym, idx_set, cs)
                     for alt in product(range(n), repeat=len(free)):
                         cs2 = list(cs)
                         for p, v in zip(free, alt):
                             cs2[p - 1] = v
-                        cs2 = tuple(cs2)
-                        qs2 = tuple(d.pi_of(c) for c in cs2)
-                        u2 = lifting[d.q_alg.apply(sym, qs2)]
-                        rhs0 = d.sum_at(d.q_alg.apply(sym, qs2), [
-                            d.action_apply(sym, i, qs2[:i - 1] + qs2[i:],
-                                           d.dc.class_of_pair(lifting[qs2[i - 1]],
-                                                              cs2[i - 1]))
-                            for i in idx_set])
-                        rhs = d.dc.m_class(d.dc.delta_of[u], d.dc.delta_of[u2], rhs0)
-                        if lhs != rhs:
+                        u2, rhs0 = action_sum(lifting, sym, idx_set, cs2)
+                        if lhs != d.dc.m_class(u, u2, rhs0):
                             return False
     return True
 

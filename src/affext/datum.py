@@ -59,6 +59,7 @@ class DeltaClasses:
         self.fibers = {}
         for ci, q in enumerate(self.rho_class):
             self.fibers.setdefault(q, []).append(ci)
+        self._m = None  # _m_memo()
 
     def m_elem(self, a, b, c):
         n = self.asize
@@ -67,12 +68,31 @@ class DeltaClasses:
     def class_of_pair(self, a, b):
         return self.class_of[self.pair_index[(a, b)]]
 
+    def _m_memo(self):
+        """m_class's memo, allocated on first use."""
+        if self._m is None:
+            self._m = [None] * self.size ** 3
+        return self._m
+
     def m_class(self, x, y, z):
-        a1, b1 = self.class_reps[x]
-        a2, b2 = self.class_reps[y]
-        a3, b3 = self.class_reps[z]
-        key = (self.m_elem(a1, a2, a3), self.m_elem(b1, b2, b3))
-        return self.class_of[self.pair_index[key]]
+        """The class of m applied rowwise to the representatives of x, y, z.
+
+        The one cache of fiber sums, x +_u y = m_class(x, delta(u), y): slot
+        (x*size + y)*size + z of _m_memo(), in the ternary-table layout,
+        holds the value once computed and None before.  Hot loops read the
+        memo inline and call m_class on a None.  A miss that is not an
+        alpha-pair raises KeyError and stores nothing, as without the memo.
+        """
+        memo = self._m or self._m_memo()
+        i = (x * self.size + y) * self.size + z
+        v = memo[i]
+        if v is None:
+            a1, b1 = self.class_reps[x]
+            a2, b2 = self.class_reps[y]
+            a3, b3 = self.class_reps[z]
+            key = (self.m_elem(a1, a2, a3), self.m_elem(b1, b2, b3))
+            v = memo[i] = self.class_of[self.pair_index[key]]
+        return v
 
     def is_diagonal(self, c):
         a, b = self.class_reps[c]
@@ -102,8 +122,8 @@ class AffineDatum:
         self.actions = actions
         self.name = name
         self._coboundaries = None  # cohomology._coboundary_table's memo
-        self._differences = None  # cocycles._serialized_sub's memo
         self._cells = None  # cells()'s memo
+        self._bases = None  # cocycles._cell_bases's memo
 
     # --- basic maps -----------------------------------------------------
     def qsize(self):
@@ -225,26 +245,13 @@ class AffineDatum:
 
 class ClassMaps:
     """Integer views of a datum for one call of a search: f-delta and action
-    maps as lists indexed by class, and plus_at as a flat memo.
-
-    Slot (q*size + x)*size + y of memo holds plus_at(q, x, y), filled on
-    first use.  It is plus_at's own value, also when x or y is off the fiber
-    over q (fiber_tables() has None there), so callers that run before any
-    validation see the same sums as with plus_at.
-    """
+    maps as lists indexed by class.  Fiber sums are read from the datum's
+    one memo, DeltaClasses._m_memo()."""
 
     def __init__(self, d):
         self.d = d
         self.size = d.dc.size
-        self.memo = [None] * (d.qsize() * self.size * self.size)
         self._maps = {}
-
-    def plus(self, q, x, y):
-        i = (q * self.size + x) * self.size + y
-        s = self.memo[i]
-        if s is None:
-            s = self.memo[i] = self.d.plus_at(q, x, y)
-        return s
 
     def wrap(self, sym, k, qs):
         """The map c -> value at position k of sym when the other arguments
@@ -469,31 +476,23 @@ def validate_datum(d, cap=DEFAULT_CAP):
     add("(D3) m idempotent in Q", all(mq(q, q, q) == q for q in range(nq)))
     surj = set(d.dc.rho_class) == set(range(nq))
     add("(D3) rho surjective", surj)
-    hom_ok = True
-    wit = None
-    for trip in product(range(d.dc.size), repeat=3):
-        lhs = d.dc.rho_class[d.dc.m_class(*trip)]
-        rhs = mq(*(d.dc.rho_class[c] for c in trip))
-        if lhs != rhs:
-            hom_ok, wit = False, trip
-            break
-    add("(D3) rho is a homomorphism A(alpha) -> <Q,m>", hom_ok, wit)
-    ker_ok = True
-    for i, (a, b) in enumerate(d.dc.pairs):
-        for j, (c, e) in enumerate(d.dc.pairs):
-            same_fiber = (d.dc.rho_class[d.dc.class_of[i]]
-                          == d.dc.rho_class[d.dc.class_of[j]])
-            if same_fiber != d.alpha.related(a, c):
-                ker_ok = False
-    add("(D3) ker rho = hat-alpha", ker_ok)
+
+    def check_d3_hom():
+        for trip in product(range(d.dc.size), repeat=3):
+            if d.dc.rho_class[d.dc.m_class(*trip)] != mq(
+                    *(d.dc.rho_class[c] for c in trip)):
+                return False, trip
+        return True, None
+    guarded("(D3) rho is a homomorphism A(alpha) -> <Q,m>", check_d3_hom)
+    over = [(a, d.dc.rho_class[c]) for (a, _), c in zip(d.dc.pairs, d.dc.class_of)]
+    add("(D3) ker rho = hat-alpha", all((q == r) == d.alpha.related(a, c)
+                                        for a, q in over for c, r in over))
 
     add("lifting is a section (rho . delta . l = id)",
         all(d.dc.rho_class[d.delta_l(q)] == q for q in range(nq)))
     add("rho . delta is the canonical map A -> A/alpha",
-        all(d.pi_of(a) == d.pi_of(b) or not d.alpha.related(a, b)
-            for a in range(n) for b in range(n))
-        and all(d.pi_of(a) != d.pi_of(b) or d.alpha.related(a, b)
-                for a in range(n) for b in range(n)))
+        all((d.pi_of(a) == d.pi_of(b)) == d.alpha.related(a, b)
+            for a in range(n) for b in range(n)))
 
     # D1: homomorphic structure
     def check_d1():
@@ -575,13 +574,10 @@ def validate_datum(d, cap=DEFAULT_CAP):
     guarded("(AD2) action is unary and a(f,1) agrees with f-delta", check_ad2)
 
     # Delta agrees with the m-rule (reconstructibility of the universe)
-    ok, wit = True, None
-    for i, (a, b) in enumerate(d.dc.pairs):
-        for j, (c, e) in enumerate(d.dc.pairs):
-            rule = d.alpha.related(a, c) and e == m(b, a, c)
-            if rule != (d.dc.class_of[i] == d.dc.class_of[j]):
-                ok, wit = False, ((a, b), (c, e))
-    add("Delta matches the rule d = m(b,a,c)", ok, wit)
+    bad = [((a, b), (c, e)) for (a, b), i in zip(d.dc.pairs, d.dc.class_of)
+           for (c, e), j in zip(d.dc.pairs, d.dc.class_of)
+           if (d.alpha.related(a, c) and e == m(b, a, c)) != (i == j)]
+    add("Delta matches the rule d = m(b,a,c)", not bad, bad and bad[-1])
 
     return report
 
@@ -712,7 +708,7 @@ def _weak_columns(cm, term, qenv, cols, n):
 
     All n assignments lie over the Q assignment qenv; cols maps a variable
     to its column of classes.  Each node looks its f-delta and action maps
-    up once and adds through the memo, in weak_sum's order.
+    up once and adds through m_class's memo, in weak_sum's order.
     """
     if is_var(term):
         return qenv[term], cols[term]
@@ -725,10 +721,12 @@ def _weak_columns(cm, term, qenv, cols, n):
     uq = d.q_alg.apply(sym, qs)
     img = cm.wrap(sym, 1, qs)
     val = [img[x] for x in args[0][1]]
-    plus = cm.plus
+    zero, size, m = d.delta_l(uq), cm.size, d.dc.m_class
+    memo, off = d.dc._m_memo(), zero * size
     for k in range(2, len(subs) + 1):
         img = cm.wrap(sym, k, qs)
-        val = [plus(uq, x, img[y]) for x, y in zip(val, args[k - 1][1])]
+        val = [s if (s := memo[x * size * size + off + img[y]]) is not None
+               else m(x, zero, img[y]) for x, y in zip(val, args[k - 1][1])]
     return uq, val
 
 
@@ -770,10 +768,7 @@ def check_action_compatible(d, equations, mode="weak"):
                             "equation": q_fail[:2], "env": q_fail[2]}}
     cm = ClassMaps(d)
     for lhs, rhs in equations:
-        varnames = term_vars(lhs)
-        for v in term_vars(rhs):
-            if v not in varnames:
-                varnames.append(v)
+        varnames = term_vars(lhs, rhs)
         if mode == "weak":
             failures += _weak_failures(cm, lhs, rhs, varnames)
         else:

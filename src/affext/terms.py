@@ -65,10 +65,12 @@ def term_to_str(t):
     return "(" + " ".join([t[0]] + [term_to_str(s) for s in t[1:]]) + ")"
 
 
-def term_vars(t):
-    """Distinct variables of t in left-to-right leaf order."""
+def term_vars(*terms):
+    """Distinct variables of the terms in left-to-right leaf order, those of
+    the first term first: term_vars(lhs, rhs) names an equation's variables."""
     out = []
-    _collect_vars(t, out)
+    for t in terms:
+        _collect_vars(t, out)
     return out
 
 

@@ -158,12 +158,11 @@ def claim_equivalence_gamma(cap=1 << 24):
     for k_name, q_name, act_name, act in oracle_cases(cat):
         d, _ = datum_for_oracle_case(cat, k_name, q_name, act)
         z2 = cocycle_group(d, eqs, cap=cap)
-        exts = {s: reconstruct(d, TwoCocycle.from_serialized(d, s))
-                for s in z2.serialized}
-        for s1 in z2.serialized:
-            for s2 in z2.serialized:
-                eq = are_equivalent(d, TwoCocycle.from_serialized(d, s1),
-                                    TwoCocycle.from_serialized(d, s2))
+        cocycles = list(zip(z2.serialized, z2.cocycles()))
+        exts = {s: reconstruct(d, T) for s, T in cocycles}
+        for s1, T1 in cocycles:
+            for s2, T2 in cocycles:
+                eq = are_equivalent(d, T1, T2)
                 gam = stabilizing_isomorphism(exts[s1], exts[s2])
                 if eq != (gam is not None):
                     failures.append((k_name, q_name, s1, s2, eq))

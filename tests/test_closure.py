@@ -1,4 +1,5 @@
-"""The subpower-closure kernel against a naive round-by-round fixpoint."""
+"""The subpower-closure kernel against a naive round-by-round fixpoint,
+and the twin pairs and PDer against the tables they used to be built on."""
 
 import hashlib
 import random
@@ -7,9 +8,8 @@ from itertools import product
 import pytest
 
 import affext.algebras as algebras
-import affext.cohomology as cohomology
-from affext.algebras import (CapExceeded, FiniteAlgebra, Signature, closure,
-                             power_algebra, subalgebra_generate)
+from affext.algebras import (FiniteAlgebra, Signature, closure, power_algebra,
+                             subalgebra_generate)
 from affext.cocycles import reconstruct
 from affext.cohomology import principal_derivations, twin_pairs_of_identity
 from affext.congruences import Congruence, pair_algebra
@@ -177,34 +177,26 @@ def test_pair_algebra_reads_associativity_off_its_base(monkeypatch, semigroup_ca
     assert semigroup_calls == [pa, pa]
     assert tested == [g.size]  # the base's mul, once
     square = power_algebra(g, 2)
-    poly, _ = cohomology._polynomial_algebra(g)
+    poly, _ = polynomial_algebra(g)
     assert square.associative_ops() == poly.associative_ops() == ("mul",)
     assert tested == [g.size]
 
 
-def test_pder_sums_keep_the_round_path_and_bases_are_tested_once(monkeypatch,
-                                                                  semigroup_calls):
-    """The cross-fiber add table of PDer is not associative, so its closure
-    keeps the round path; every table is tested for associativity at most
-    once, and the unary polynomials of A_0 read the answer off A_0."""
+def test_pder_builds_no_table_and_bases_are_tested_once(monkeypatch,
+                                                       semigroup_calls):
+    """PDer spans its generators in the fiber groups and the twin pairs
+    close 2n-tuples in A_0 itself: the one closure is A_0's, and the one
+    table tested for associativity is A_0's mul, once."""
     tested = []
     real = algebras._is_associative
     monkeypatch.setattr(algebras, "_is_associative",
                         lambda tab, n: tested.append(tab) or real(tab, n))
     d, _ = extract_datum(group_extension(catalog()["S3"], [0, 3, 4]))
-    del semigroup_calls[:]
+    del semigroup_calls[:], tested[:]
     principal_derivations(d)
-    fiber, size = d.dc.rho_class, d.dc.size
-    add = tuple(d.plus_at(fiber[x], x, y) if fiber[x] == fiber[y] else x
-                for x in range(size) for y in range(size))
-    assert not real(add, size)
-    assert add in tested
-    assert len(tested) == len(set(map(id, tested)))
-    # A_0 for the polynomial maps, then the unary polynomials for the twin
-    # pairs' subuniverse, their mul read off A_0's; never the sums
-    a0, poly = semigroup_calls
-    assert (a0.name, a0.size, poly.size) == ("A_0", 6, 324)
-    assert a0.tables["mul"] in tested and poly.tables["mul"] not in tested
+    a0, = semigroup_calls
+    assert (a0.name, a0.size) == ("A_0", 6)
+    assert tested == [a0.tables["mul"]]
 
 
 def test_bounded_closure_on_a_non_associative_algebra_keeps_the_round_path(
@@ -254,15 +246,34 @@ def test_bounded_closure_matches_naive_rounds_on_catalog_groups(k):
             check_bounded_against_naive(g, k, gens)
 
 
-def twin_pair_closure(alg, theta):
-    """The polynomial algebra and the seeds twin_pairs_of_identity closes."""
+def polynomial_algebra(alg):
+    """The unary polynomial maps of alg (the closure of the identity and the
+    constants in alg**n) as an algebra under pointwise operations, with the
+    list of maps its elements stand for: the table the twin pairs were once
+    closed in."""
     n = alg.size
-    poly, maps = cohomology._polynomial_algebra(alg)
+    maps, _ = closure(alg, n, [tuple(range(n))] + [(c,) * n for c in range(n)])
+    return FiniteAlgebra.subpower(alg, maps), maps
+
+
+def twin_pair_closure(alg, theta):
+    """The polynomial algebra and the seeds the twin pairs close in its
+    square: (id, id) and (c, e) for c, e in one theta block."""
+    n = alg.size
+    poly, maps = polynomial_algebra(alg)
     index = {g: i for i, g in enumerate(maps)}
     seeds = [(index[tuple(range(n))],) * 2]
     seeds += [(index[(c,) * n], index[(e,) * n])
               for block in theta.blocks() for c in block for e in block]
-    return poly, seeds
+    return poly, maps, seeds
+
+
+def polynomial_twin_pairs(alg, theta, depth_cap):
+    """twin_pairs_of_identity as the closure in the square of the
+    polynomial algebra."""
+    poly, maps, seeds = twin_pair_closure(alg, theta)
+    pairs, exact = closure(poly, 2, seeds, max_rounds=depth_cap)
+    return {(maps[g], maps[h]) for g, h in pairs}, exact
 
 
 @pytest.mark.parametrize("group, kernel, size, covered", [
@@ -273,7 +284,7 @@ def twin_pair_closure(alg, theta):
 def test_bounded_twin_pair_closure_matches_naive_rounds(group, kernel, size, covered):
     g = cyclic(12) if group == "Z12" else catalog()[group]
     alg, theta = semidirect(g, kernel)
-    poly, seeds = twin_pair_closure(alg, theta)
+    poly, _, seeds = twin_pair_closure(alg, theta)
     naive = naive_by_depth(poly, 2, seeds, range(6))
     for r in range(6):
         assert closure(poly, 2, seeds, max_rounds=r) == naive[r], r
@@ -335,9 +346,36 @@ def test_twin_pairs_s3_z3_match_naive_fixpoint():
         "2f39feaf17119de56b6a0c1f3ef1665208ef9d5c96b0bd5cc968188e09923778")
 
 
-def test_polynomial_tables_check_cap_first(monkeypatch, z4_datum):
-    d, _ = z4_datum
-    a0 = reconstruct(d, d.trivial_cocycle())
-    monkeypatch.setattr(cohomology, "DEFAULT_CAP", 10)
-    with pytest.raises(CapExceeded):
-        twin_pairs_of_identity(a0.alg, a0.beta)
+@pytest.mark.parametrize("group, kernel", [
+    ("D4", [0, 2, 4, 6]),   # rotations
+    ("Q8", [0, 2, 4, 6]),   # Z4
+    ("Z12", [0, 4, 8]),
+    ("Z14", [0, 7]),
+])
+def test_twin_pairs_match_the_polynomial_square(group, kernel):
+    """The 2n-tuple closure in A_0 gives the pairs and exact of the closure
+    in the square of the polynomial algebra, at every depth cap 0-5."""
+    g = cyclic(int(group[1:])) if group[0] == "Z" else catalog()[group]
+    alg, theta = semidirect(g, kernel)
+    for depth_cap in range(6):
+        assert twin_pairs_of_identity(alg, theta, depth_cap=depth_cap) == \
+            polynomial_twin_pairs(alg, theta, depth_cap), depth_cap
+
+
+def test_pder_matches_the_closure_of_its_sums_table(cat):
+    """principal_derivations spans its generators; the closure of the
+    generators in the cross-fiber sums algebra it once built gives the
+    same subgroup."""
+    from affext.cohomology import principal_stabilizers
+    for name, kernel in [("S3", [0, 3, 4]), ("D4", [0, 2, 4, 6]),
+                         ("Q8", [0, 2, 4, 6]), ("Z2xZ2xZ2", [0, 1])]:
+        d, _ = extract_datum(group_extension(cat[name], kernel))
+        nq = d.qsize()
+        _, pstab, _ = principal_stabilizers(d)
+        gens = [tuple(gamma[d.delta_l(q)] for q in range(nq)) for gamma in pstab]
+        fiber, size = d.dc.rho_class, d.dc.size
+        add = tuple(d.plus_at(fiber[x], x, y) if fiber[x] == fiber[y] else x
+                    for x in range(size) for y in range(size))
+        sums = FiniteAlgebra(size, Signature([("add", 2)]), {"add": add})
+        sub, _ = closure(sums, nq, [tuple(d.delta_l(q) for q in range(nq))] + gens)
+        assert principal_derivations(d)[0] == sorted(sub), name

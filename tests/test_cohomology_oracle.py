@@ -167,10 +167,42 @@ def _old_stabilizers(ext):
     return sorted(out)
 
 
+def _product_stabilizers(ext):
+    """One image y per block, every product of the pools, each candidate
+    filtered by bijectivity, the m-condition and is_homomorphism."""
+    n, blocks = ext.alg.size, ext.beta.blocks()
+    pools = [[im for im in ([ext.m_elem(y, block[0], x) for x in block]
+                            for y in block) if set(block).issuperset(im)]
+             for block in blocks]
+    out = []
+    for choice in product(*pools):
+        gamma = [0] * n
+        for block, images in zip(blocks, choice):
+            for x, y in zip(block, images):
+                gamma[x] = y
+        if sorted(gamma) == list(range(n)) and all(
+                gamma[x] == ext.m_elem(gamma[a], a, x)
+                for block in blocks for a in block for x in block) \
+                and is_homomorphism(gamma, ext.alg, ext.alg):
+            out.append(tuple(gamma))
+    return sorted(out)
+
+
 @pytest.mark.parametrize("name,kernel", CASES[1:5])
 def test_stabilizers_match_full_search(cat, name, kernel):
     ext = group_extension(cat[name], kernel)
-    assert stabilizers(ext) == _old_stabilizers(ext)
+    assert stabilizers(ext) == _product_stabilizers(ext) == _old_stabilizers(ext)
+
+
+@pytest.mark.parametrize("name,kernel", CASES)
+def test_stabilizers_match_the_product_search(cat, name, kernel):
+    """The compiled gamma search against the product of one-image pools it
+    replaced, on every case, and on A_0 of each case's datum."""
+    ext = group_extension(_group(cat, name), kernel)
+    assert stabilizers(ext) == _product_stabilizers(ext)
+    d, _ = extract_datum(ext)
+    a0 = reconstruct(d, d.trivial_cocycle())
+    assert stabilizers(a0) == _product_stabilizers(a0)
 
 
 def _old_stabilizing_isomorphism(ext_a, ext_b):

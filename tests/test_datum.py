@@ -98,6 +98,47 @@ def test_validate_reports_the_ad1_witness(z4_datum):
     assert "not block-preserving" in ad1["witness"]
 
 
+def test_validate_reports_an_m_that_is_not_beta_compatible(cat):
+    """m is x - y + z inside the kernel blocks of Z4 over {0,2},{1,3} and
+    not beta-compatible across them; extraction succeeds, the (D3) check
+    meets a class triple with no m-class, and the report says so instead
+    of raising."""
+    def m(x, y, z):
+        if x % 2 == y % 2 == z % 2:
+            return (x - y + z) % 4
+        return x if x < 2 else (x + 1) % 4
+    beta = Congruence.from_blocks(4, [[0, 2], [1, 3]])
+    table = tuple(m(*t) for t in product(range(4), repeat=3))
+    d, _ = extract_datum(ExtensionRecord.from_kernel(cat["Z4"], beta, table))
+    with pytest.raises(KeyError):
+        for t in product(range(d.dc.size), repeat=3):
+            d.dc.m_class(*t)
+    report = {r["claim"]: r for r in validate_datum(d)}
+    d3 = report["(D3) rho is a homomorphism A(alpha) -> <Q,m>"]
+    assert not d3["holds"] and d3["witness"].startswith("check raised: ")
+    assert not report["alpha is a congruence of <A,m>"]["holds"]
+
+
+def test_m_class_entries_are_computed_once(cat, group_eqs):
+    """reconstruct, h2 and h1 on one datum compute each m-class entry at
+    most once: every computation reads m twice and fills one memo slot, and
+    a second round computes nothing."""
+    from affext.cocycles import reconstruct
+    from affext.cohomology import h1, h2
+    for name, kernel in [("Z4", [0, 2]), ("S3", [0, 3, 4]), ("D4", [0, 2, 4, 6])]:
+        d, T = extract_datum(group_extension(cat[name], kernel))
+        reads = []
+        m_elem = d.dc.m_elem
+        d.dc.m_elem = lambda a, b, c: reads.append((a, b, c)) or m_elem(a, b, c)
+        for _ in range(2):
+            reconstruct(d, T)
+            h2(d, group_eqs)
+            h1(d)
+            filled = sum(v is not None for v in d.dc._m)
+            assert len(reads) == 2 * filled, name
+        assert filled == d.dc.size ** 3  # reconstruct's m table reads all
+
+
 def test_plus_u_basics(z4_datum):
     d, _ = z4_datum
     for q in range(d.qsize()):

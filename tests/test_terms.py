@@ -8,6 +8,14 @@ from affext.terms import (GROUP_DIFFERENCE_TERM, TermError, eval_term,
                           term_vars, check_term)
 
 
+def test_term_vars_of_an_equation():
+    lhs, rhs = parse_term("(mul x2 (inv x0))"), parse_term("(mul x1 x2)")
+    assert term_vars(lhs) == ["x2", "x0"]
+    assert term_vars(lhs, rhs) == ["x2", "x0", "x1"]
+    assert term_vars(parse_term("e"), rhs) == ["x1", "x2"]
+    assert term_vars() == []
+
+
 def test_parse_round_trip():
     for text in ["x0", "(inv x1)", "(mul x0 (inv x1))",
                  "(mul (mul x0 x1) x2)", "(mul e x0)", "e"]:
