@@ -193,10 +193,9 @@ def _is_associative(tab, n):
                for x in range(n) for y in range(n))
 
 
-def _images(ops, n, old, frontier, elems, found, target=None):
-    """Add to found the values of ops on every argument tuple over elems
-    that holds at least one element of frontier; old is elems without
-    frontier.  Returns early once found holds target elements."""
+def _images(ops, n, old, frontier, elems, found):
+    """Add to found the values of ops on the argument tuples over elems that
+    hold an element of frontier; old is elems without frontier."""
     frontier_rows, elem_rows = _row_getters(frontier), _row_getters(elems)
     for tab, ar in ops:
         # argument tuples whose first frontier element sits at position i
@@ -205,69 +204,46 @@ def _images(ops, n, old, frontier, elems, found, target=None):
             last = frontier_rows if i == ar - 1 else elem_rows
             for prefix in product(*pools[:-1]):
                 found.update(_apply_rows(tab, n, prefix, last))
-                if len(found) == target:
-                    return
 
 
-def closure(alg, k, generators, max_rounds=None):
+def closure(alg, k, generators):
     """Subuniverse of alg**k generated by a set of k-tuples.
 
     An element of alg**k is a plain tuple of k elements of alg, and every
     operation acts on it coordinatewise through alg's flat tables; nullary
     operations contribute their constant k-tuples to the generators (the
-    seeds).  Returns (elements, exact): the seeds sorted, then the other
-    elements in the order they were found; exact is False only when
-    max_rounds cut the closure short.
+    seeds).  Returns the elements: the seeds sorted, then the others in the
+    order they were found.
 
-    Without an associative binary operation in alg (alg.associative_ops()),
-    or with max_rounds 0, round r evaluates every operation on the argument
-    tuples that contain at least one element found in round r-1, and stops
-    the closure when it finds nothing new; max_rounds (None for no limit)
-    caps the number of rounds, each round's new elements come sorted, and
-    exact is False when the last round allowed still found new elements,
-    so the result may be short of the full subuniverse.
-
-    With an associative * and max_rounds None, the closure is the semigroup
-    path (_semigroup_closure): it multiplies on the right by kept generators
-    only, which suffices because x*(g0*...*gm) = ((x*g0)*...)*gm, and runs
-    the other operations semi-naively.  With an associative * and
-    max_rounds > 0, the semigroup path first gives the size of the
-    subuniverse S, then the rounds run as above with a coverage stop: a
-    round ends as soon as the elements seen hold all of S, and once they do
-    the closure returns exact = rounds < max_rounds, which is what the
-    further round, finding nothing, would have reported.  The rounds and
-    their order are those of the plain round path; only the empty last
-    round and the tail of the covering round are skipped.  S lies in the
-    k-th power of alg, so the semigroup path spans at most n**k elements.
-    Pairs of unary polynomials are closed here as 2n-tuples (the twin
-    pairs), with no table of the polynomials themselves.
+    With an associative binary operation * in alg (alg.associative_ops()),
+    the closure is the semigroup path (_semigroup_closure): it multiplies
+    on the right by kept generators only, which suffices because
+    x*(g0*...*gm) = ((x*g0)*...)*gm, and runs the other operations
+    semi-naively.  Otherwise round r evaluates every operation on the
+    argument tuples holding an element found in round r-1, each round's new
+    elements come sorted, and the closure stops when a round finds nothing
+    new; before each round the elements seen are held to DEFAULT_CAP.
     """
     n = alg.size
     ops = [(alg.tables[sym], ar) for sym, ar in alg.signature.symbols]
     seeds = set(map(tuple, generators))
     seeds.update((tab[0],) * k for tab, ar in ops if ar == 0)
     seeds = sorted(seeds)
-    associative = alg.associative_ops() if max_rounds != 0 else ()
-    target = None  # the size of the subuniverse, for the coverage stop
+    associative = alg.associative_ops()
     if associative:
-        span = _semigroup_closure(alg, seeds, associative[0])
-        if max_rounds is None:
-            return span, True
-        target = len(span)
+        return _semigroup_closure(alg, seeds, associative[0])
     seen = set(seeds)
     elems = frontier = seeds
-    rounds = 0
-    while frontier and (max_rounds is None or rounds < max_rounds):
-        if len(seen) == target:
-            return elems, True
-        rounds += 1
+    while frontier:
+        if len(elems) > DEFAULT_CAP:
+            raise CapExceeded("closure", len(elems), DEFAULT_CAP,
+                              "{stage}: {size} elements exceed cap {cap}")
         found = set(seen)
-        _images(ops, n, elems[:len(elems) - len(frontier)], frontier, elems,
-                found, target)
+        _images(ops, n, elems[:len(elems) - len(frontier)], frontier, elems, found)
         frontier = sorted(found - seen)
         seen.update(frontier)
         elems = elems + frontier
-    return elems, not frontier
+    return elems
 
 
 def _semigroup_closure(alg, seeds, mul):
@@ -347,8 +323,7 @@ def subalgebra_generate(alg, gens):
     for g in gens:
         if not 0 <= g < alg.size:
             raise AlgebraError("generator %d outside universe" % g)
-    elems, _ = closure(alg, 1, [(g,) for g in gens])
-    return sorted(t[0] for t in elems)
+    return sorted(t[0] for t in closure(alg, 1, [(g,) for g in gens]))
 
 
 def power_algebra(alg, k, cap=DEFAULT_CAP):
@@ -364,13 +339,6 @@ def power_algebra(alg, k, cap=DEFAULT_CAP):
     # product lists the k-tuples in base-n order, so tuple i has code i
     name = "%s^%d" % (alg.name, k) if alg.name else None
     return FiniteAlgebra.subpower(alg, list(product(range(n), repeat=k)), name=name)
-
-
-def tuple_encode(coords, n):
-    idx = 0
-    for c in coords:
-        idx = idx * n + c
-    return idx
 
 
 def tuple_decode(idx, n, k):

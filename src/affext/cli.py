@@ -319,7 +319,6 @@ def _dispatch(args):
         if not res.classes:
             lines = ["H2 empty: the equations do not contain the datum"]
         else:
-            split = [c["extension_iso_type"] for c in res.classes if c["is_zero"]]
             names = ", ".join(
                 "%s%s" % (c["extension_iso_type"], " (split)" if c["is_zero"] else "")
                 for c in res.classes)

@@ -37,25 +37,6 @@ class TwoCocycle:
         return "TwoCocycle(%r)" % (self.tables,)
 
 
-def cocycle_add(d, T1, T2):
-    """(T + T')_f(x) = T_f(x) +_{l(f(x))} T'_f(x)."""
-    tables = {}
-    for sym, ar in d.signature.symbols:
-        tab = {}
-        for qs in product(range(d.qsize()), repeat=ar):
-            base = d.q_alg.apply(sym, qs)
-            tab[qs] = d.plus_at(base, T1.value(sym, qs), T2.value(sym, qs))
-        tables[sym] = tab
-    return TwoCocycle(tables)
-
-
-def cocycle_sub(d, T1, T2):
-    """T1 - T2: at each cell over u = l(f^Q(qs)), T1 +_u (-_u T2) with
-    -_u y = m(delta(u), y, delta(u)), computed by _serialized_sub."""
-    return TwoCocycle.from_serialized(
-        d, _serialized_sub(d, T1.serialize(d), T2.serialize(d)))
-
-
 def _cell_bases(d):
     """f^Q(qs) for each cell (f, qs), in cells() order, kept on the datum."""
     if d._bases is None:
@@ -64,7 +45,7 @@ def _cell_bases(d):
 
 
 def _serialized_sub(d, a, b):
-    """cocycle_sub on serialized cochains, in one pass over the cells.
+    """a - b on serialized 2-cochains, in one pass over the cells.
 
     The value at a cell over q is plus_at(q, x, neg_at(q, y)), that is
     m(x, z, m(z, y, z)) with z = delta(l(q)), read inline from m_class's
@@ -128,26 +109,6 @@ def partial_derivative(d, T, term, qenv):
     values = [eval_path(d, T, frames, node, qenv)
               for frames, node in e_paths(term)]
     return d.sum_at(base, values)
-
-
-def partial_derivative_recursive(d, T, term, qenv):
-    """Same value as partial_derivative, computed by distributing the
-    homomorphism property node by node; used as a cross-check."""
-    if is_var(term):
-        return d.delta_l(qenv[term])
-    sym = term[0]
-    subs = term[1:]
-    qs = tuple(d.eval_q(s, qenv) for s in subs)
-    base = d.q_alg.apply(sym, qs)
-    if not subs:
-        return T.value(sym, ())
-    val = d.fdelta_apply(sym, partial_derivative_recursive(d, T, subs[0], qenv),
-                         qs[1:])
-    for k in range(2, len(subs) + 1):
-        inner = partial_derivative_recursive(d, T, subs[k - 1], qenv)
-        val = d.plus_at(base, val,
-                        d.action_apply(sym, k, qs[:k - 1] + qs[k:], inner))
-    return d.plus_at(base, val, T.value(sym, qs))
 
 
 def check_cocycle(d, T, equations):

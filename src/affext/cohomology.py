@@ -1,7 +1,7 @@
 """Cohomology of affine datum: Z^2, B^2, H^2, Z^1, PDer, H^1, equivalence,
 stabilizing automorphisms, trivial actions and variety comparisons."""
 
-from heapq import heapify, heappop, heappush
+from functools import reduce
 from itertools import product
 from math import prod
 
@@ -9,69 +9,31 @@ from .algebras import (DEFAULT_CAP, AlgebraError, CapExceeded, closure,
                        find_isomorphism)
 from .cocycles import (TwoCocycle, _cell_bases, check_cocycle, coboundary_of,
                        e_paths, fiber_respecting_maps, reconstruct)
+from ._linear import factor, fiber_basis, kernel
 from .datum import ClassMaps, DatumError, check_action_compatible
-from .terms import term_vars
+from .terms import term_table, term_vars
 
 
 def invariant_factors(orders):
     """d1 | d2 | ... with product the group order, for a finite abelian
     group given by the orders of its elements (one entry per element).
-
-    For each prime p the p-part partition is recovered from the counts
-    of elements annihilated by successive powers of p.
-    """
-    n = len(orders)
-    if n <= 1:
-        return []
-    primes = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
-    partitions = {}
-    for p in primes:
-        t = []
-        k = 0
-        while True:
-            pk = p ** k
-            s = sum(1 for o in orders if pk % o == 0)
-            tk = 0
-            v = 1
-            while v < s:
-                v *= p
-                tk += 1
-            if v != s:
+    Per prime p, if p**t[k] elements are annihilated by p**k, then
+    t[k] - t[k-1] parts of the p-part partition are at least k."""
+    n, factors = len(orders), []
+    for p in sorted(set(factor(n))):
+        t = [0]
+        while len(t) < 2 or t[-1] != t[-2]:
+            s = sum(1 for o in orders if p ** len(t) % o == 0)
+            t.append(len(factor(s)))
+            if p ** t[-1] != s:
                 raise AlgebraError("annihilator count %d not a power of %d" % (s, p))
-            t.append(tk)
-            if k > 0 and t[k] == t[k - 1]:
-                break
-            k += 1
-        u = [t[i] - t[i - 1] for i in range(1, len(t))]  # u[k-1] = #parts >= k
-        lam = []
-        for k in range(1, len(u) + 1):
-            cnt = u[k - 1] - (u[k] if k < len(u) else 0)
-            lam.extend([k] * cnt)
-        if lam:
-            partitions[p] = sorted(lam, reverse=True)
-    width = max(len(v) for v in partitions.values())
-    factors = []
-    for i in range(width):
-        f = 1
-        for p, lam in partitions.items():
-            if i < len(lam):
-                f *= p ** lam[i]
-        factors.append(f)
+        at_least = [b - a for a, b in zip(t, t[1:])]
+        for i in range(max(at_least)):
+            if i == len(factors):
+                factors.append(1)
+            factors[i] *= p ** sum(1 for u in at_least if u > i)
     factors.sort()
-    total = 1
-    for f in factors:
-        total *= f
-    if total != n:
+    if n > 1 and prod(factors) != n:
         raise AlgebraError("invariant factor computation failed")
     return factors
 
@@ -182,73 +144,53 @@ def _invariant_factors_of(d, serialized):
     return _quotient(serialized, [zero], zero, add)[2]
 
 
-# --- Z^2 enumeration --------------------------------------------------------
+def _solutions(d, bases, solved, cap, stage):
+    """The subgroup of the fibers over bases that solved = (order,
+    generators, ...) gives, listed once its entries, order times length,
+    pass cap."""
+    entries = solved[0] * len(bases)
+    if entries > cap:
+        raise CapExceeded(stage, entries, cap,
+                          "{stage}: listing {size} entries exceeds cap {cap}")
+    zero, add = _cochain_group(d, bases)
+    return _span(solved[1], zero, add, lambda _: True, "")
 
-def _compile_side(cm, term, qenv, domains):
-    """(base, [(cell, img)]) for t^{d,T} at a fixed Q assignment.
 
-    One entry per member of E_t; img[v] carries the value v of its cell
-    through the f-delta/action chain of the path, for every v in the cell's
-    domain.  The side's value is the left-associated sum of the images at
-    base, as sum_at computes it.
-    """
-    d, out = cm.d, []
-    for frames, node in e_paths(term):
-        cell = (node[0], tuple(d.eval_q(s, qenv) for s in node[1:]))
-        chain = [cm.wrap(parent[0], k,
-                         tuple(d.eval_q(s, qenv) for s in parent[1:]))
-                 for parent, k in reversed(frames)]
-        img = [None] * cm.size
-        for v in domains[cell]:
-            w = v
-            for step in chain:
-                w = step[w]
-            img[v] = w
-        out.append((cell, img))
-    return d.eval_q(term, qenv), out
-
+# --- Z^2 ----------------------------------------------------------------------
 
 def _constraints_for(cm, equations, domains):
-    """(C2) instances with at least one cell: (lhs side, rhs side, cells)."""
-    d, cons = cm.d, []
+    """(C2) instances with a cell, as sides (base, [(i, img)]) of t^{d,T}
+    at a Q assignment, one entry per member of E_t: i indexes its cell in
+    cells() and img carries each value of the cell's domain through the
+    path's f-delta/action chain; the side is their sum at base.  Q values
+    come from one term table per subterm, and one img per chain and domain.
+    """
+    d, cons, images = cm.d, [], {}
+    index = {cell: i for i, cell in enumerate(d.cells())}
     for lhs, rhs in equations:
         varnames = term_vars(lhs, rhs)
-        for vals in product(range(d.qsize()), repeat=len(varnames)):
-            qenv = dict(zip(varnames, vals))
-            left = _compile_side(cm, lhs, qenv, domains)
-            right = _compile_side(cm, rhs, qenv, domains)
-            cells = {cell for cell, _ in left[1] + right[1]}
-            if cells:
-                cons.append((left, right, cells))
+        paths = [e_paths(t) for t in (lhs, rhs)]
+        tables = {s: term_table(d.q_alg, s, varnames) for t, ps in zip((lhs, rhs), paths)
+                  for s in [t] + [s for _, node in ps for s in node[1:]]}
+        for n in range(d.qsize() ** len(varnames)):
+            sides = []
+            for t, ps in zip((lhs, rhs), paths):
+                side = []
+                for frames, node in ps:
+                    cell = (node[0], tuple(tables[s][n] for s in node[1:]))
+                    key = id(domains[cell]), tuple(
+                        (p[0], k, tuple(tables[s][n] for s in p[1:]))
+                        for p, k in reversed(frames))
+                    if key not in images:
+                        steps = [cm.wrap(*step) for step in key[1]]
+                        images[key] = img = [None] * cm.size
+                        for v in domains[cell]:
+                            img[v] = reduce(lambda w, step: step[w], steps, v)
+                    side.append((index[cell], images[key]))
+                sides.append((tables[t][n], side))
+            if sides[0][1] or sides[1][1]:
+                cons.append(tuple(sides))
     return cons
-
-
-def _cell_order(constraints, cells):
-    """Cells ordered so constraints trigger early: repeatedly place the
-    unplaced cells of a constraint with the fewest of them (lowest index
-    first), then any cell no constraint mentions."""
-    left = [len(c[2]) for c in constraints]
-    users = {}
-    for i, c in enumerate(constraints):
-        for cell in c[2]:
-            users.setdefault(cell, []).append(i)
-    heap = [(k, i) for i, k in enumerate(left)]
-    heapify(heap)
-    pos = {}
-    while heap:
-        k, i = heappop(heap)
-        if k != left[i] or k == 0:
-            continue  # a stale count, or every cell already placed
-        for cell in sorted(constraints[i][2]):
-            if cell not in pos:
-                pos[cell] = len(pos)
-                for j in users[cell]:
-                    left[j] -= 1
-                    if left[j]:
-                        heappush(heap, (left[j], j))
-    for cell in cells:
-        pos.setdefault(cell, len(pos))
-    return sorted(pos, key=pos.get), pos
 
 
 class Z2Result:
@@ -270,80 +212,44 @@ class Z2Result:
         return [TwoCocycle.from_serialized(self.datum, s) for s in self.serialized]
 
 
+def _side_value(d, side, vals):
+    """The left-associated sum at base of img[vals[i]] over a side's terms."""
+    base, terms = side
+    zero = acc = d.delta_l(base)
+    for i, img in terms:
+        acc = d.dc.m_class(acc, zero, img[vals[i]])
+    return acc
+
+
 def cocycle_group(d, equations, cap=1 << 24, brute=False):
     """All 2-cocycles compatible with the equations, as an abelian group.
 
-    (C1) fixes each cell's fiber, so domains are fibers.  (C2) instances
-    become constraints, compiled once (_compile_side) and checked as soon as
-    their last cell is assigned; the cell order is chosen so constraints
-    trigger early.  brute=True is the oracle mode: full product enumeration
-    filtered through check_cocycle.
+    (C1) fixes each cell's fiber.  Z2 is the kernel of the linear (C2)
+    instances (_constraints_for, _linear.kernel), each other one checked
+    on its members; cap bounds the entries listed, order times cells,
+    before the first is built.  brute=True is the oracle mode: the product
+    of the fibers filtered through check_cocycle, cap bounding it.
     """
     gate = check_action_compatible(d, equations, mode="weak")
     if not gate["holds"]:
         return Z2Result(d, equations, [], gate)
     cells = d.cells()
-    domains = {cell: list(d.fiber(d.cell_fiber(*cell))) for cell in cells}
-    solutions = []
+    bases = [d.cell_fiber(*cell) for cell in cells]
+    domains = {cell: d.fiber(q) for cell, q in zip(cells, bases)}
     if brute:
         space = prod(len(domains[cell]) for cell in cells)
         if space > cap:
             raise CapExceeded("cocycle_group", space, cap,
                               "{stage}: brute-force space {size} exceeds cap {cap}")
-        for values in product(*(domains[c] for c in cells)):
-            T = TwoCocycle.from_serialized(d, values)
-            if check_cocycle(d, T, equations)["holds"]:
-                solutions.append(values)
+        solutions = [v for v in product(*(domains[c] for c in cells)) if check_cocycle(
+            d, TwoCocycle.from_serialized(d, v), equations)["holds"]]
     else:
-        cm = ClassMaps(d)
-        constraints = _constraints_for(cm, equations, domains)
-        order, pos = _cell_order(constraints, cells)
-        size, memo, m = cm.size, d.dc._m_memo(), d.dc.m_class
-        square = size * size
-
-        def at_depths(side):
-            zero = d.delta_l(side[0])
-            return zero, zero * size, [(pos[cell], img) for cell, img in side[1]]
-
-        triggers = [[] for _ in order]
-        for lhs, rhs, con_cells in constraints:
-            triggers[max(pos[cell] for cell in con_cells)].append(
-                (at_depths(lhs), at_depths(rhs)))
-        order_domains = [domains[cell] for cell in order]
-        serial = [pos[cell] for cell in cells]
-        vals = [None] * len(order)
-        visited = [0]
-
-        def value(side):
-            zero, off, terms = side
-            acc = zero
-            for p, img in terms:
-                y = img[vals[p]]
-                s = memo[acc * square + off + y]
-                acc = s if s is not None else m(acc, zero, y)
-            return acc
-
-        def search(depth):
-            if depth == len(order):
-                solutions.append(tuple([vals[p] for p in serial]))
-                return
-            checks = triggers[depth]
-            for v in order_domains[depth]:
-                visited[0] += 1
-                if visited[0] > cap:
-                    raise CapExceeded("cocycle_group", visited[0], cap,
-                                      "{stage}: search visited more than {cap} nodes")
-                vals[depth] = v
-                for lhs, rhs in checks:
-                    if value(lhs) != value(rhs):
-                        break
-                else:
-                    search(depth + 1)
-
-        try:
-            search(0)
-        finally:
-            del search  # the recursive closure refers to itself
+        constraints = _constraints_for(ClassMaps(d), equations, domains)
+        solved = kernel(d, bases, constraints)
+        solutions = _solutions(d, bases, solved, cap, "cocycle_group")
+        for lhs, rhs in map(constraints.__getitem__, solved[2]):
+            solutions = [v for v in solutions
+                         if _side_value(d, lhs, v) == _side_value(d, rhs, v)]
     solutions.sort()
     if solutions:
         zero, add = _two_cochains(d)
@@ -353,28 +259,51 @@ def cocycle_group(d, equations, cap=1 << 24, brute=False):
     return Z2Result(d, equations, solutions, gate)
 
 
+# --- B^2 and Z^1 ---------------------------------------------------------------
+
+def _delta_kernel(d):
+    """The _linear.kernel, kept on the datum, of delta(h) = 0 at each cell
+    in cells() order, with coboundary_of's terms in its order: the f-delta
+    image of h(q1), -h(f(qs)) and the action images of h(q2), ..., summed
+    at f(qs)."""
+    if d._delta_kernel is None:
+        cm, negs, cons = ClassMaps(d), {}, []
+        for (sym, qs), base in zip(d.cells(), _cell_bases(d)):
+            if base not in negs:
+                z, negs[base] = d.delta_l(base), [None] * cm.size
+                for x in d.fiber(base):
+                    negs[base][x] = d.dc.m_class(z, x, z)
+            terms = [(base, negs[base])]
+            if qs:
+                terms = [(qs[0], cm.wrap(sym, 1, qs))] + terms + [
+                    (qs[k - 1], cm.wrap(sym, k, qs)) for k in range(2, len(qs) + 1)]
+            cons.append(((base, terms), (base, [])))
+        d._delta_kernel = kernel(d, range(d.qsize()), cons)
+    return d._delta_kernel
+
+
 class B2Result:
-    def __init__(self, datum, serialized, witnesses):
+    def __init__(self, datum, serialized):
         self.datum = datum
         self.serialized = serialized
-        self.witnesses = witnesses
 
     @property
     def order(self):
         return len(self.serialized)
+
+    @property
+    def witnesses(self):
+        """The datum's coboundary table, built on the first read."""
+        return _coboundary_table(self.datum)
 
     def invariant_factors(self):
         return _invariant_factors_of(self.datum, self.serialized)
 
 
 def _coboundary_table(d):
-    """The coboundary map delta: C^1 -> C^2 of the datum, enumerated once:
-    {serialized delta(h): [h, ...]} over every fiber-respecting h, the
-    witnesses of each image in fiber_respecting_maps order.
-
-    Kept on the datum, which nothing changes after construction; B^2, Z^1
-    and cocycle equivalence all read this one table.
-    """
+    """{serialized delta(h): [h, ...]} over every fiber-respecting h, in
+    fiber_respecting_maps order: delta enumerated once and kept on the
+    datum, for the B^2 witnesses and cocycle equivalence."""
     if d._coboundaries is None:
         table = {}
         for h in fiber_respecting_maps(d):
@@ -384,14 +313,25 @@ def _coboundary_table(d):
 
 
 def coboundary_group(d):
-    """B^2 = delta(C^1): the images of the datum's coboundary table, checked
-    to be a subgroup; witnesses maps each image g to the maps h with
-    delta(h) = g, in fiber_respecting_maps order."""
-    table = _coboundary_table(d)
-    serialized = sorted(table)
-    zero, add = _two_cochains(d)
-    _check_subgroup(serialized, zero, add, "B2")
-    return B2Result(d, serialized, table)
+    """B^2 = delta(C^1), sorted: with delta(0) = 0 and all delta's maps
+    homomorphisms of fibers (_delta_kernel), the span of delta on the maps
+    that are one fiber generator at one q and zero elsewhere, of order
+    |C^1|/|Z^1|, held to DEFAULT_CAP before it is listed.  witnesses, the
+    maps h behind each image, is the coboundary table, built when read.
+    """
+    nq = d.qsize()
+    zero_map = tuple(d.delta_l(q) for q in range(nq))
+    if coboundary_of(d, zero_map).serialize(d) != _two_cochains(d)[0]:
+        raise DatumError("B2 does not contain zero")
+    z1_order, _, nonlinear = _delta_kernel(d)
+    if nonlinear:
+        sym, qs = d.cells()[nonlinear[0]]
+        raise DatumError("delta is not a homomorphism of fibers at %s%r" % (sym, qs))
+    gens = [coboundary_of(d, zero_map[:q] + (g,) + zero_map[q + 1:]).serialize(d)
+            for q in range(nq) for g, _, _ in fiber_basis(d, q)[0]]
+    order = prod(len(d.fiber(q)) for q in range(nq)) // z1_order
+    return B2Result(d, sorted(_solutions(d, _cell_bases(d), (order, gens),
+                                         DEFAULT_CAP, "coboundary_group")))
 
 
 class CohomologyResult:
@@ -622,22 +562,25 @@ def stab_closed_under_composition(stabs):
 
 
 def derivations(d):
-    """Z^1 = ker delta: the sorted fiber-respecting maps h satisfying the
-    1-cocycle identity, read from the datum's coboundary table and checked
-    to be a subgroup under pointwise +_{l(x)}.
+    """Z^1 = ker delta: the sorted fiber-respecting maps h with delta(h) the
+    zero cochain, checked to be a subgroup under pointwise +_{l(x)}: the
+    kernel of delta's linear cells (_delta_kernel), held to DEFAULT_CAP
+    before it is listed, each other cell checked with coboundary_of.
 
-    Why the kernel is Z^1: the fiber over f(x) is an abelian group, so
-    delta(h)_f(x) = (f-delta(h(x1)) - h(f(x))) + sum of action terms is its
-    zero exactly when h(f(x)) = f-delta(h(x1)) + sum of action terms, the
-    1-cocycle identity at f and x.  For a nullary f with value c,
-    delta(h)_f = -h(c) is zero exactly when h(c) = delta(l(c)).  The
-    argument needs the f-delta and action values in their fibers; on a
-    datum where they leave them, both sides are sums outside any group.
+    On the fibers, delta(h)_f(x) is zero exactly when h(f(x)) =
+    f-delta(h(x1)) + the action terms, the 1-cocycle identity at f and x
+    (for a nullary f with value c, when h(c) = delta(l(c))); off them both
+    sides are sums outside any group, and the two can part.
     """
-    zero = d.trivial_cocycle().serialize(d)
-    out = sorted(_coboundary_table(d).get(zero, ()))
+    bases = range(d.qsize())
+    solved = _delta_kernel(d)
+    out = _solutions(d, bases, solved, DEFAULT_CAP, "derivations")
+    if solved[2]:
+        zero = d.trivial_cocycle().serialize(d)
+        out = [h for h in out if coboundary_of(d, h).serialize(d) == zero]
+    out.sort()
     if out:
-        zero, add = _cochain_group(d, range(d.qsize()))
+        zero, add = _cochain_group(d, bases)
         _check_subgroup(out, zero, add, "Z1")
     return out
 
@@ -676,32 +619,27 @@ def stabilizer_derivation_isomorphism(ext, d):
 
 # --- principal derivations and H^1 -------------------------------------------
 
-def twin_pairs_of_identity(alg, theta, depth_cap=4):
+def twin_pairs_of_identity(alg, theta):
     """Pairs (g, h) of unary polynomial maps coming from one term with
-    theta-related parameter tuples.
+    theta-related parameter tuples, and exact: True, as the closure runs
+    to its fixpoint (held to its cap without an associative operation).
 
     A pair is the 2n-tuple g || h in alg**(2n), where every operation acts
     coordinatewise, as it acts pointwise on the unary polynomials.  The
     pairs are the closure there of id || id and c^n || e^n for constants c,
-    e from a common theta block, run for at most depth_cap rounds; exact
-    means the last round found nothing new, otherwise the result is a
-    lower bound.  When alg has an associative operation the rounds stop as
-    soon as they cover the subuniverse (see algebras.closure); the pairs
-    and exact are those of the full rounds, so exact is False when the
-    covering round is round depth_cap.
+    e from a common theta block.
     """
     n = alg.size
     seeds = [tuple(range(n)) * 2] + [(c,) * n + (e,) * n for block in theta.blocks()
                                      for c in block for e in block]
-    pairs, exact = closure(alg, 2 * n, seeds, max_rounds=depth_cap)
-    return {(t[:n], t[n:]) for t in pairs}, exact
+    return {(t[:n], t[n:]) for t in closure(alg, 2 * n, seeds)}, True
 
 
-def principal_stabilizers(d, depth_cap=4):
+def principal_stabilizers(d):
     """PStab: twins of the identity with a fixed point, intersected with the
     stabilizers of the semidirect product."""
     a0 = reconstruct(d, d.trivial_cocycle(), name="A_0")
-    pairs, exact = twin_pairs_of_identity(a0.alg, a0.beta, depth_cap=depth_cap)
+    pairs, exact = twin_pairs_of_identity(a0.alg, a0.beta)
     ident = tuple(range(a0.alg.size))
     twins = sorted({g for g, h in pairs
                     if h == ident and any(g[x] == x for x in range(a0.alg.size))})
@@ -709,10 +647,10 @@ def principal_stabilizers(d, depth_cap=4):
     return a0, [g for g in twins if g in stabs], exact
 
 
-def principal_derivations(d, depth_cap=4):
+def principal_derivations(d):
     """PDer: the subgroup of Z^1 generated by the derivations of principal
     stabilizing automorphisms of the semidirect product."""
-    a0, pstab, exact = principal_stabilizers(d, depth_cap=depth_cap)
+    a0, pstab, exact = principal_stabilizers(d)
     nq = d.qsize()
     gens = [tuple(gamma[d.delta_l(q)] for q in range(nq)) for gamma in pstab]
     zero, add = _cochain_group(d, range(nq))
@@ -721,10 +659,10 @@ def principal_derivations(d, depth_cap=4):
     return sorted(sub), exact
 
 
-def h1(d, depth_cap=4):
+def h1(d):
     """H^1 = Z^1/PDer as coset representatives with invariant factors."""
     ders = derivations(d)
-    pder, exact = principal_derivations(d, depth_cap=depth_cap)
+    pder, exact = principal_derivations(d)
     zero, add = _cochain_group(d, range(d.qsize()))
     _, reps, factors = _quotient(ders, pder, zero, add)
     return {"order": len(reps), "invariant_factors": factors,

@@ -288,9 +288,9 @@ def m_matrices(alg, alpha, beta, cap=DEFAULT_CAP, pairalg=None):
     gens = [(i, i) for i in range(P)]  # [x x // y y]
     gens += [(index[(u, u)], index[(v, v)])  # [u v // u v]
              for u in range(alg.size) for v in range(alg.size) if beta.related(u, v)]
-    elems, _ = closure(pairalg, 2, gens)
     pairs = pairalg.pairs
-    return {(pairs[i][0], pairs[j][0], pairs[i][1], pairs[j][1]) for i, j in elems}
+    return {(pairs[i][0], pairs[j][0], pairs[i][1], pairs[j][1])
+            for i, j in closure(pairalg, 2, gens)}
 
 
 def delta(alg, alpha, beta, cap=DEFAULT_CAP, pairalg=None, matrices=None):

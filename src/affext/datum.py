@@ -122,6 +122,8 @@ class AffineDatum:
         self.actions = actions
         self.name = name
         self._coboundaries = None  # cohomology._coboundary_table's memo
+        self._fiber_tables = None  # fiber_tables()'s memo
+        self._delta_kernel = None  # cohomology._delta_kernel's memo
         self._cells = None  # cells()'s memo
         self._bases = None  # cocycles._cell_bases's memo
 
@@ -160,8 +162,10 @@ class AffineDatum:
 
         Each fiber is checked to be an abelian group with zero delta(l(q)),
         so sums of cochains that are looked up cell by cell in these tables
-        live in a product of abelian groups.
+        live in a product of abelian groups.  Built once per datum.
         """
+        if self._fiber_tables is not None:
+            return self._fiber_tables
         size = self.dc.size
         tables = []
         for q in range(self.qsize()):
@@ -187,6 +191,7 @@ class AffineDatum:
             for (x, y), s in plus.items():
                 tab[x * size + y] = s
             tables.append(tuple(tab))
+        self._fiber_tables = tables
         return tables
 
     def plus_u(self, x, u, y):
@@ -678,37 +683,13 @@ def compatible_value(d, term, assignment):
     return None
 
 
-def weak_sum(d, term, env):
-    """The transfer-free part of a term's interpretation: the sum over
-    consistent evaluations, computed by structural recursion.
-
-    env assigns Delta-classes to variables.  At each node the class argument
-    in position 1 goes through f-delta and positions >= 2 through the
-    action, exactly the expansion used by the reconstruction.
-    """
-    if is_var(term):
-        return env[term]
-    sym = term[0]
-    subs = term[1:]
-    ar = len(subs)
-    qenv = {v: d.dc.rho_class[env[v]] for v in env}
-    if ar == 0:
-        return d.delta_l(d.q_alg.tables[sym][0])
-    qs = tuple(d.eval_q(s, qenv) for s in subs)
-    uq = d.q_alg.apply(sym, qs)
-    val = d.fdelta_apply(sym, weak_sum(d, subs[0], env), qs[1:])
-    for k in range(2, ar + 1):
-        arm = d.action_apply(sym, k, qs[:k - 1] + qs[k:], weak_sum(d, subs[k - 1], env))
-        val = d.plus_at(uq, val, arm)
-    return val
-
-
 def _weak_columns(cm, term, qenv, cols, n):
-    """(t^Q, the column of weak_sum(t)) on n class assignments at once.
+    """(t^Q, the column of t's transfer-free sum) on n class assignments.
 
     All n assignments lie over the Q assignment qenv; cols maps a variable
     to its column of classes.  Each node looks its f-delta and action maps
-    up once and adds through m_class's memo, in weak_sum's order.
+    up once and adds through m_class's memo: position 1 goes through
+    f-delta and positions >= 2 through the action, left to right.
     """
     if is_var(term):
         return qenv[term], cols[term]
@@ -731,8 +712,8 @@ def _weak_columns(cm, term, qenv, cols, n):
 
 
 def _weak_failures(cm, lhs, rhs, varnames):
-    """weak_sum(lhs) != weak_sum(rhs), for every class assignment in
-    product(range(size)) order, grouped by the Q assignment underneath."""
+    """Where the transfer-free sums of lhs and rhs differ, per class assignment
+    in product(range(size)) order, grouped by the Q assignment underneath."""
     d, found = cm.d, []
     for qvals in product(range(d.qsize()), repeat=len(varnames)):
         envs = list(product(*(d.dc.fibers.get(q, ()) for q in qvals)))
@@ -752,8 +733,8 @@ def _weak_failures(cm, lhs, rhs, varnames):
 def check_action_compatible(d, equations, mode="weak"):
     """Compatibility of the datum's action with a set of equations.
 
-    weak mode compares the transfer-free sums (weak_sum) on every class
-    assignment, evaluated a whole product of fibers at a time; full mode
+    weak mode compares the transfer-free sums on every class assignment,
+    evaluated a whole product of fibers at a time; full mode
     enumerates compatible sequences and appropriate pairs per the pairing
     rules.  Returns a report dict with failure witnesses.
     """

@@ -403,6 +403,25 @@ def element_orders(alg):
     return orders
 
 
+def _blocks_onto(pairalg, cong, target, image):
+    """(map, class_of): map sends each block of cong to image(x, y) of its
+    pairs [x//y] when that is one value per block, one-to-one onto the
+    group target and multiplicative on block representatives, else None;
+    class_of gives each pair's block."""
+    blocks = cong.blocks()
+    class_of = {p: ci for ci, block in enumerate(blocks) for p in block}
+    images = [{image(*pairalg.pairs[p]) for p in block} for block in blocks]
+    if any(len(i) != 1 for i in images):
+        return None, class_of
+    sigma = [i.pop() for i in images]
+    mul, n = pairalg.tables["mul"], pairalg.size
+    if not len(set(sigma)) == len(blocks) == target.size or any(
+            sigma[class_of[mul[b1[0] * n + b2[0]]]] != mul_of(target, s1, s2)
+            for b1, s1 in zip(blocks, sigma) for b2, s2 in zip(blocks, sigma)):
+        return None, class_of
+    return sigma, class_of
+
+
 def verify_grp_lemma(g_alg, k_sub, cap=1 << 24):
     """Cross-check the pair-algebra quotients of a group against group theory.
 
@@ -442,77 +461,20 @@ def verify_grp_lemma(g_alg, k_sub, cap=1 << 24):
         report["parts"]["conjugation action"] = "not an action"
         return report
     semi = semidirect_extension(k_group, q_alg, phi, name="KxQ")
-    blocks_aa = d_aa.blocks()
-    class_of = {}
-    for ci, block in enumerate(blocks_aa):
-        for p in block:
-            class_of[p] = ci
-    sigma = {}
-    ok = True
-    for ci, block in enumerate(blocks_aa):
-        x, y = pairalg.pairs[block[0]]
-        img = k_index[mul_of(g_alg, y, inv_of(g_alg, x))] * q_alg.size + proj[x]
-        sigma[ci] = img
-        for p in block[1:]:
-            x2, y2 = pairalg.pairs[p]
-            img2 = k_index[mul_of(g_alg, y2, inv_of(g_alg, x2))] * q_alg.size + proj[x2]
-            if img2 != img:
-                ok = False
-    if ok and len(set(sigma.values())) == len(blocks_aa) == semi.size:
-        # homomorphism check for mul on class representatives
-        for c1 in range(len(blocks_aa)):
-            for c2 in range(len(blocks_aa)):
-                p1 = blocks_aa[c1][0]
-                p2 = blocks_aa[c2][0]
-                prod = pairalg.tables["mul"][p1 * pairalg.size + p2]
-                if sigma[class_of[prod]] != mul_of(semi, sigma[c1], sigma[c2]):
-                    ok = False
-                    break
-            if not ok:
-                break
-    else:
-        ok = False
-    report["parts"]["sigma onto semidirect product"] = bool(ok)
+    sigma, _ = _blocks_onto(pairalg, d_aa, semi, lambda x, y: k_index[
+        mul_of(g_alg, y, inv_of(g_alg, x))] * q_alg.size + proj[x])
+    report["parts"]["sigma onto semidirect product"] = sigma is not None
 
     # (b) G(aK)/Delta_{aK 1} ~= K/[K,G] via [x//y] -> y x^-1 [K,G]
-    d_a1 = None
     from .congruences import delta as delta_fn
     d_a1 = delta_fn(g_alg, alpha, Congruence.all(g_alg.size), cap=cap, pairalg=pairalg)
     kg = commutator_subgroup(g_alg, sub, list(range(g_alg.size)))
-    kq_group, kproj_full = None, None
     # quotient K/[K,G] computed inside K
     kg_in_k = [k_index[x] for x in kg]
     kq_group, kproj = quotient_group(k_group, sorted(kg_in_k), name="K/[K,G]")
-    blocks_a1 = d_a1.blocks()
-    class_of_a1 = {}
-    for ci, block in enumerate(blocks_a1):
-        for p in block:
-            class_of_a1[p] = ci
-    psi2 = {}
-    ok2 = True
-    for ci, block in enumerate(blocks_a1):
-        imgs = set()
-        for p in block:
-            x, y = pairalg.pairs[p]
-            imgs.add(kproj[k_index[mul_of(g_alg, y, inv_of(g_alg, x))]])
-        if len(imgs) != 1:
-            ok2 = False
-            break
-        psi2[ci] = imgs.pop()
-    if ok2 and len(set(psi2.values())) == len(blocks_a1) == kq_group.size:
-        for c1 in range(len(blocks_a1)):
-            for c2 in range(len(blocks_a1)):
-                p1 = blocks_a1[c1][0]
-                p2 = blocks_a1[c2][0]
-                prod = pairalg.tables["mul"][p1 * pairalg.size + p2]
-                if psi2[class_of_a1[prod]] != mul_of(kq_group, psi2[c1], psi2[c2]):
-                    ok2 = False
-                    break
-            if not ok2:
-                break
-    else:
-        ok2 = False
-    report["parts"]["K/[K,G] quotient"] = bool(ok2)
+    psi2, class_of_a1 = _blocks_onto(pairalg, d_a1, kq_group, lambda x, y: kproj[
+        k_index[mul_of(g_alg, y, inv_of(g_alg, x))]])
+    report["parts"]["K/[K,G] quotient"] = psi2 is not None
 
     # (c) central K: extracted transfer equals the classical cocycle
     if set(sub) <= set(center(g_alg)):
@@ -523,9 +485,9 @@ def verify_grp_lemma(g_alg, k_sub, cap=1 << 24):
                 bot = mul_of(g_alg, lift[q1], lift[q2])
                 ci = class_of_a1[pairalg.pair_index[(top, bot)]]
                 classical = kproj[k_index[mul_of(g_alg, bot, inv_of(g_alg, top))]]
-                if psi2[ci] != classical:
+                if psi2 is None or psi2[ci] != classical:
                     ok3 = False
-        report["parts"]["transfer matches l(x)l(y)l(xy)^-1"] = bool(ok3)
+        report["parts"]["transfer matches l(x)l(y)l(xy)^-1"] = ok3
     report["holds"] = all(bool(v) for v in report["parts"].values())
     if not report["holds"]:
         report["witness"] = report["parts"]

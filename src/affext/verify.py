@@ -6,7 +6,6 @@ the acceptance tests both run through here.
 """
 
 import time
-from itertools import product
 
 from .algebras import find_isomorphism, quotient_algebra, satisfies
 from .cocycles import (TwoCocycle, central_tensor_decomposition, check_cocycle,

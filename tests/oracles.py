@@ -1,0 +1,216 @@
+"""Slow references kept as oracles: the forms the library once computed
+with, now compared with what replaced them.
+
+- weak_sum: the transfer-free sum of a term by structural recursion, as
+  the weak gate's columns compute it a whole product of fibers at a time.
+- partial_derivative_recursive: t^{d,T} node by node.
+- cocycle_add, cocycle_sub: 2-cochain sums on TwoCocycle tables.
+- tuple_encode: base-n codes of tuples.
+- search_z2: the propagated backtracking search for Z2, one frame per cell
+  in a constraint-driven cell order.
+- table_b2, table_z1: B2 and Z1 read off delta on every fiber-respecting
+  map.
+"""
+
+from heapq import heapify, heappop, heappush
+from itertools import product
+
+from affext.algebras import CapExceeded
+from affext.cocycles import (TwoCocycle, _serialized_sub, coboundary_of,
+                             fiber_respecting_maps)
+from affext.cohomology import (_check_subgroup, _cochain_group,
+                               _constraints_for, _two_cochains)
+from affext.datum import ClassMaps, DatumError, check_action_compatible
+from affext.terms import is_var
+
+
+def weak_sum(d, term, env):
+    """The transfer-free part of a term's interpretation: the sum over
+    consistent evaluations, computed by structural recursion.
+
+    env assigns Delta-classes to variables.  At each node the class argument
+    in position 1 goes through f-delta and positions >= 2 through the
+    action, exactly the expansion used by the reconstruction.
+    """
+    if is_var(term):
+        return env[term]
+    sym = term[0]
+    subs = term[1:]
+    ar = len(subs)
+    qenv = {v: d.dc.rho_class[env[v]] for v in env}
+    if ar == 0:
+        return d.delta_l(d.q_alg.tables[sym][0])
+    qs = tuple(d.eval_q(s, qenv) for s in subs)
+    uq = d.q_alg.apply(sym, qs)
+    val = d.fdelta_apply(sym, weak_sum(d, subs[0], env), qs[1:])
+    for k in range(2, ar + 1):
+        arm = d.action_apply(sym, k, qs[:k - 1] + qs[k:], weak_sum(d, subs[k - 1], env))
+        val = d.plus_at(uq, val, arm)
+    return val
+
+
+def partial_derivative_recursive(d, T, term, qenv):
+    """Same value as partial_derivative, computed by distributing the
+    homomorphism property node by node."""
+    if is_var(term):
+        return d.delta_l(qenv[term])
+    sym = term[0]
+    subs = term[1:]
+    qs = tuple(d.eval_q(s, qenv) for s in subs)
+    base = d.q_alg.apply(sym, qs)
+    if not subs:
+        return T.value(sym, ())
+    val = d.fdelta_apply(sym, partial_derivative_recursive(d, T, subs[0], qenv),
+                         qs[1:])
+    for k in range(2, len(subs) + 1):
+        inner = partial_derivative_recursive(d, T, subs[k - 1], qenv)
+        val = d.plus_at(base, val,
+                        d.action_apply(sym, k, qs[:k - 1] + qs[k:], inner))
+    return d.plus_at(base, val, T.value(sym, qs))
+
+
+def cocycle_add(d, T1, T2):
+    """(T + T')_f(x) = T_f(x) +_{l(f(x))} T'_f(x)."""
+    tables = {}
+    for sym, ar in d.signature.symbols:
+        tab = {}
+        for qs in product(range(d.qsize()), repeat=ar):
+            base = d.q_alg.apply(sym, qs)
+            tab[qs] = d.plus_at(base, T1.value(sym, qs), T2.value(sym, qs))
+        tables[sym] = tab
+    return TwoCocycle(tables)
+
+
+def cocycle_sub(d, T1, T2):
+    """T1 - T2: at each cell over u = l(f^Q(qs)), T1 +_u (-_u T2) with
+    -_u y = m(delta(u), y, delta(u)), computed by _serialized_sub."""
+    return TwoCocycle.from_serialized(
+        d, _serialized_sub(d, T1.serialize(d), T2.serialize(d)))
+
+
+def tuple_encode(coords, n):
+    idx = 0
+    for c in coords:
+        idx = idx * n + c
+    return idx
+
+
+def _cell_order(constraints, cells):
+    """Cells ordered so constraints trigger early: repeatedly place the
+    unplaced cells of a constraint with the fewest of them (lowest index
+    first), then any cell no constraint mentions."""
+    left = [len(c[2]) for c in constraints]
+    users = {}
+    for i, c in enumerate(constraints):
+        for cell in c[2]:
+            users.setdefault(cell, []).append(i)
+    heap = [(k, i) for i, k in enumerate(left)]
+    heapify(heap)
+    pos = {}
+    while heap:
+        k, i = heappop(heap)
+        if k != left[i] or k == 0:
+            continue  # a stale count, or every cell already placed
+        for cell in sorted(constraints[i][2]):
+            if cell not in pos:
+                pos[cell] = len(pos)
+                for j in users[cell]:
+                    left[j] -= 1
+                    if left[j]:
+                        heappush(heap, (left[j], j))
+    for cell in cells:
+        pos.setdefault(cell, len(pos))
+    return sorted(pos, key=pos.get), pos
+
+
+def search_z2(d, equations, cap=1 << 24):
+    """cocycle_group's serialized Z2 by the propagated search it once ran:
+    the compiled (C2) constraints, each checked as soon as its last cell is
+    assigned, in _cell_order; the gate and the subgroup checks are
+    cocycle_group's, and cap bounds the nodes visited.  The search recurses
+    once per cell."""
+    if not check_action_compatible(d, equations, mode="weak")["holds"]:
+        return []
+    cells = d.cells()
+    domains = {cell: list(d.fiber(d.cell_fiber(*cell))) for cell in cells}
+    cm = ClassMaps(d)
+    constraints = [(lhs, rhs, {cells[i] for i, _ in lhs[1] + rhs[1]})
+                   for lhs, rhs in _constraints_for(cm, equations, domains)]
+    order, pos = _cell_order(constraints, cells)
+    size, memo, m = cm.size, d.dc._m_memo(), d.dc.m_class
+    square = size * size
+
+    def at_depths(side):
+        zero = d.delta_l(side[0])
+        return zero, zero * size, [(pos[cells[i]], img) for i, img in side[1]]
+
+    triggers = [[] for _ in order]
+    for lhs, rhs, con_cells in constraints:
+        triggers[max(pos[cell] for cell in con_cells)].append(
+            (at_depths(lhs), at_depths(rhs)))
+    order_domains = [domains[cell] for cell in order]
+    serial = [pos[cell] for cell in cells]
+    vals = [None] * len(order)
+    visited = [0]
+    solutions = []
+
+    def value(side):
+        zero, off, terms = side
+        acc = zero
+        for p, img in terms:
+            y = img[vals[p]]
+            s = memo[acc * square + off + y]
+            acc = s if s is not None else m(acc, zero, y)
+        return acc
+
+    def search(depth):
+        if depth == len(order):
+            solutions.append(tuple([vals[p] for p in serial]))
+            return
+        checks = triggers[depth]
+        for v in order_domains[depth]:
+            visited[0] += 1
+            if visited[0] > cap:
+                raise CapExceeded("cocycle_group", visited[0], cap,
+                                  "{stage}: search visited more than {cap} nodes")
+            vals[depth] = v
+            for lhs, rhs in checks:
+                if value(lhs) != value(rhs):
+                    break
+            else:
+                search(depth + 1)
+
+    try:
+        search(0)
+    finally:
+        del search  # the recursive closure refers to itself
+    solutions.sort()
+    if solutions:
+        zero, add = _two_cochains(d)
+        if zero not in set(solutions):
+            raise DatumError("trivial cocycle is not compatible; gate failed")
+        _check_subgroup(solutions, zero, add, "Z2")
+    return solutions
+
+
+def table_b2(d, maps=None):
+    """Sorted B2 as the images of delta on every fiber-respecting map (or
+    on maps), checked to be a subgroup."""
+    images = {coboundary_of(d, h).serialize(d)
+              for h in (fiber_respecting_maps(d) if maps is None else maps)}
+    serialized = sorted(images)
+    zero, add = _two_cochains(d)
+    _check_subgroup(serialized, zero, add, "B2")
+    return serialized
+
+
+def table_z1(d):
+    """Sorted Z1 as the fiber-respecting maps delta sends to zero, checked
+    to be a subgroup."""
+    zero = d.trivial_cocycle().serialize(d)
+    out = sorted(h for h in fiber_respecting_maps(d)
+                 if coboundary_of(d, h).serialize(d) == zero)
+    if out:
+        zero, add = _cochain_group(d, range(d.qsize()))
+        _check_subgroup(out, zero, add, "Z1")
+    return out

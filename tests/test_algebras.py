@@ -6,8 +6,10 @@ import pytest
 from affext.algebras import (AlgebraError, FiniteAlgebra, Signature,
                              find_isomorphism, is_homomorphism, power_algebra,
                              quotient_algebra, subalgebra_generate,
-                             tuple_decode, tuple_encode)
+                             tuple_decode)
 from affext.congruences import Congruence, cg
+
+from oracles import tuple_encode
 
 
 def test_subalgebra_examples(cat):

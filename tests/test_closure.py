@@ -3,13 +3,13 @@ and the twin pairs and PDer against the tables they used to be built on."""
 
 import hashlib
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
 import affext.algebras as algebras
-from affext.algebras import (FiniteAlgebra, Signature, closure, power_algebra,
-                             subalgebra_generate)
+from affext.algebras import (CapExceeded, FiniteAlgebra, Signature, closure,
+                             power_algebra, subalgebra_generate)
 from affext.cocycles import reconstruct
 from affext.cohomology import principal_derivations, twin_pairs_of_identity
 from affext.congruences import Congruence, pair_algebra
@@ -37,28 +37,9 @@ def naive_rounds(alg, k, gens):
         current = step
 
 
-def naive_closure(alg, k, gens, max_rounds=None):
-    """At most max_rounds naive rounds: the elements in the order found, and
-    exact, which means a round added nothing."""
-    rounds = naive_rounds(alg, k, gens)
-    elems = next(rounds)
-    if not elems:
-        return elems, True
-    done = 0
-    while max_rounds is None or done < max_rounds:
-        new = next(rounds)
-        done += 1
-        if not new:
-            return elems, True
-        elems = elems + new
-    return elems, False
-
-
-def naive_by_depth(alg, k, gens, depths):
-    """naive_closure for each max_rounds in depths, from one run."""
-    history = list(naive_rounds(alg, k, gens))
-    return {r: (sum(history[:r + 1], []),
-                not history[0] or r >= len(history) - 1) for r in depths}
+def naive_closure(alg, k, gens):
+    """The naive fixpoint: the elements in the order the rounds found them."""
+    return sum(naive_rounds(alg, k, gens), [])
 
 
 def seeds_of(alg, k, gens):
@@ -80,16 +61,14 @@ def test_closure_matches_naive_fixpoint(k):
         alg = random_algebra(rng)
         gens = [tuple(rng.randrange(alg.size) for _ in range(k))
                 for _ in range(rng.randint(0, 2))]
-        for max_rounds in (None, 1, 2):
-            elems, exact = closure(alg, k, gens, max_rounds=max_rounds)
-            assert len(elems) == len(set(elems))
-            naive, naive_exact = naive_closure(alg, k, gens, max_rounds)
-            assert (set(elems), exact) == (set(naive), naive_exact)
-            seeds = seeds_of(alg, k, gens)
-            assert elems[:len(seeds)] == seeds
+        elems = closure(alg, k, gens)
+        assert len(elems) == len(set(elems))
+        assert set(elems) == set(naive_closure(alg, k, gens))
+        seeds = seeds_of(alg, k, gens)
+        assert elems[:len(seeds)] == seeds
         if k == 1:
             assert subalgebra_generate(alg, [g[0] for g in gens]) == sorted(
-                t[0] for t in naive_closure(alg, 1, gens)[0])
+                t[0] for t in naive_closure(alg, 1, gens))
 
 
 def associative_tables(n):
@@ -117,9 +96,9 @@ def semigroup_calls(monkeypatch):
 
 
 def check_against_naive(alg, k, gens):
-    elems, exact = closure(alg, k, gens)
-    assert exact and len(elems) == len(set(elems))
-    assert set(elems) == set(naive_closure(alg, k, gens)[0])
+    elems = closure(alg, k, gens)
+    assert len(elems) == len(set(elems))
+    assert set(elems) == set(naive_closure(alg, k, gens))
     seeds = seeds_of(alg, k, gens)
     assert elems[:len(seeds)] == seeds
 
@@ -200,28 +179,31 @@ def test_pder_builds_no_table_and_bases_are_tested_once(monkeypatch,
 
 
 def test_bounded_closure_on_a_non_associative_algebra_keeps_the_round_path(
-        semigroup_calls):
+        semigroup_calls, monkeypatch):
+    """The round path runs to the fixpoint, in the naive rounds' order,
+    and holds the elements seen to the cap before each round."""
     sums = FiniteAlgebra(3, Signature([("add", 2)]),
                          {"add": (0, 0, 0, 1, 1, 1, 2, 2, 0)})
     assert sums.associative_ops() == ()
-    for r in range(6):
-        assert closure(sums, 2, [(1, 2)], max_rounds=r) == naive_closure(
-            sums, 2, [(1, 2)], r)
+    assert closure(sums, 2, [(1, 2)]) == naive_closure(sums, 2, [(1, 2)])
     assert semigroup_calls == []
+    monkeypatch.setattr(algebras, "DEFAULT_CAP", 1)
+    with pytest.raises(CapExceeded, match="^closure: 2 elements exceed cap 1$"):
+        closure(sums, 2, [(1, 2)])
 
 
-def check_bounded_against_naive(alg, k, gens, depths=range(6)):
-    """closure with max_rounds r against naive_closure, in element order
-    and in exact, for every r in depths."""
-    for r, naive in naive_by_depth(alg, k, gens, depths).items():
-        assert closure(alg, k, gens, max_rounds=r) == naive, r
+def check_rounds_against_naive(alg, k, gens):
+    """The round path, which closure takes on an algebra without an
+    associative operation, against naive_closure in element order: alg is
+    made to report no associative operation."""
+    alg._associative = ()
+    assert closure(alg, k, gens) == naive_closure(alg, k, gens)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_bounded_closure_matches_naive_rounds_on_associative_tables(
         k, semigroup_calls):
     rng = random.Random(200 + k)
-    runs = 0
     for n, tables in ASSOCIATIVE.items():
         for tab in tables:
             extra = [("f%d" % i, rng.randint(0, 3)) for i in range(rng.randint(0, 2))]
@@ -230,10 +212,8 @@ def test_bounded_closure_matches_naive_rounds_on_associative_tables(
             alg = FiniteAlgebra(n, Signature([("mul", 2)] + extra), dict(ops, mul=tab))
             gens = [tuple(rng.randrange(n) for _ in range(k))
                     for _ in range(rng.randint(0, 2))]
-            check_bounded_against_naive(alg, k, gens)
-            runs += 1
-    # max_rounds 1..5 size the subuniverse by the semigroup path; 0 does not
-    assert len(semigroup_calls) == 5 * runs
+            check_rounds_against_naive(alg, k, gens)
+    assert semigroup_calls == []
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -243,7 +223,8 @@ def test_bounded_closure_matches_naive_rounds_on_catalog_groups(k):
         for _ in range(3):
             gens = [tuple(rng.randrange(g.size) for _ in range(k))
                     for _ in range(rng.randint(0, 3))]
-            check_bounded_against_naive(g, k, gens)
+            alg = FiniteAlgebra(g.size, g.signature, g.tables)
+            check_rounds_against_naive(alg, k, gens)
 
 
 def polynomial_algebra(alg):
@@ -252,7 +233,7 @@ def polynomial_algebra(alg):
     list of maps its elements stand for: the table the twin pairs were once
     closed in."""
     n = alg.size
-    maps, _ = closure(alg, n, [tuple(range(n))] + [(c,) * n for c in range(n)])
+    maps = closure(alg, n, [tuple(range(n))] + [(c,) * n for c in range(n)])
     return FiniteAlgebra.subpower(alg, maps), maps
 
 
@@ -268,37 +249,36 @@ def twin_pair_closure(alg, theta):
     return poly, maps, seeds
 
 
-def polynomial_twin_pairs(alg, theta, depth_cap):
+def polynomial_twin_pairs(alg, theta):
     """twin_pairs_of_identity as the closure in the square of the
     polynomial algebra."""
     poly, maps, seeds = twin_pair_closure(alg, theta)
-    pairs, exact = closure(poly, 2, seeds, max_rounds=depth_cap)
-    return {(maps[g], maps[h]) for g, h in pairs}, exact
+    return {(maps[g], maps[h]) for g, h in closure(poly, 2, seeds)}, True
 
 
 @pytest.mark.parametrize("group, kernel, size, covered", [
     ("D4", [0, 2, 4, 6], 1024, 3),   # rotations: the subuniverse after round 3
     ("Q8", [0, 2, 4, 6], 1024, 3),
-    ("Z12", [0, 4, 8], 432, 4),      # exactly at the default depth cap
+    ("Z12", [0, 4, 8], 432, 4),      # round 4, where a depth cap of 4 stopped
 ])
 def test_bounded_twin_pair_closure_matches_naive_rounds(group, kernel, size, covered):
+    """The closure in the polynomial square holds the naive fixpoint, which
+    the naive rounds reach at round covered: the next round is empty."""
     g = cyclic(12) if group == "Z12" else catalog()[group]
     alg, theta = semidirect(g, kernel)
     poly, _, seeds = twin_pair_closure(alg, theta)
-    naive = naive_by_depth(poly, 2, seeds, range(6))
-    for r in range(6):
-        assert closure(poly, 2, seeds, max_rounds=r) == naive[r], r
-    assert [len(naive[r][0]) == size for r in range(6)].index(True) == covered
-    assert [naive[r][1] for r in range(6)] == [r > covered for r in range(6)]
+    history = list(naive_rounds(poly, 2, seeds))
+    pairs = closure(poly, 2, seeds)
+    assert len(pairs) == size and set(pairs) == set(sum(history, []))
+    assert len(history) == covered + 2 and history[-1] == []
 
 
-def naive_twin_pairs(alg, theta, depth_caps):
-    """Twin pairs of the identity from the naive fixpoint alone, for each
-    depth cap: the unary polynomials in alg**n, their pointwise algebra,
-    then the pairs."""
+def naive_twin_pairs(alg, theta, rounds=None):
+    """Twin pairs of the identity from the naive fixpoint alone: the unary
+    polynomials in alg**n, their pointwise algebra, then the pairs, from
+    the seeds and at most rounds naive rounds (all of them for None)."""
     n = alg.size
-    maps, _ = naive_closure(alg, n, [tuple(range(n))] + [(c,) * n for c in range(n)])
-    maps = sorted(maps)
+    maps = sorted(naive_closure(alg, n, [tuple(range(n))] + [(c,) * n for c in range(n)]))
     index = {g: i for i, g in enumerate(maps)}
     tables = {sym: tuple(index[tuple(alg.apply(sym, [g[x] for g in args])
                                      for x in range(n))]
@@ -308,11 +288,8 @@ def naive_twin_pairs(alg, theta, depth_caps):
     seeds = [(index[tuple(range(n))],) * 2]
     seeds += [(index[(c,) * n], index[(e,) * n])
               for block in theta.blocks() for c in block for e in block]
-    out = {}
-    for depth_cap in depth_caps:
-        pairs, exact = naive_closure(poly, 2, seeds, depth_cap)
-        out[depth_cap] = {(maps[g], maps[h]) for g, h in pairs}, exact
-    return out
+    history = islice(naive_rounds(poly, 2, seeds), None if rounds is None else rounds + 1)
+    return {(maps[g], maps[h]) for g, h in sum(history, [])}
 
 
 def semidirect(alg, kernel):
@@ -326,21 +303,24 @@ def digest(pairs):
 
 
 def test_twin_pairs_z12_z3_match_naive_fixpoint():
+    """The covering round is round 4, the old default depth cap, where
+    exact used to read False; the unbounded closure is exact."""
     alg, theta = semidirect(cyclic(12), [0, 4, 8])
-    for depth_cap, naive in naive_twin_pairs(alg, theta, (1, 2, 4)).items():
-        assert twin_pairs_of_identity(alg, theta, depth_cap=depth_cap) == naive
     pairs, exact = twin_pairs_of_identity(alg, theta)
-    assert (len(pairs), exact) == (432, False)
+    assert pairs == naive_twin_pairs(alg, theta)
+    assert (len(pairs), exact) == (432, True)
     assert digest(pairs) == (
         "7eb8b252ccf6a133a024bea4695424cbce33531947f747ad3807aee92773415f")
 
 
 def test_twin_pairs_s3_z3_match_naive_fixpoint():
+    """The naive fixpoint takes ~25 s here, so its first two rounds are
+    checked to lie in the pairs, and the pairs against the closure in the
+    polynomial square."""
     alg, theta = semidirect(catalog()["S3"], [0, 3, 4])
-    for depth_cap, naive in naive_twin_pairs(alg, theta, (1, 2)).items():
-        assert twin_pairs_of_identity(alg, theta, depth_cap=depth_cap) == naive
-    # naive_twin_pairs at the default depth 4 takes ~25 s; its result:
     pairs, exact = twin_pairs_of_identity(alg, theta)
+    assert naive_twin_pairs(alg, theta, rounds=2) <= pairs
+    assert (pairs, exact) == polynomial_twin_pairs(alg, theta)
     assert (len(pairs), exact) == (2916, True)
     assert digest(pairs) == (
         "2f39feaf17119de56b6a0c1f3ef1665208ef9d5c96b0bd5cc968188e09923778")
@@ -353,13 +333,11 @@ def test_twin_pairs_s3_z3_match_naive_fixpoint():
     ("Z14", [0, 7]),
 ])
 def test_twin_pairs_match_the_polynomial_square(group, kernel):
-    """The 2n-tuple closure in A_0 gives the pairs and exact of the closure
-    in the square of the polynomial algebra, at every depth cap 0-5."""
+    """The 2n-tuple closure in A_0 gives the pairs of the closure in the
+    square of the polynomial algebra."""
     g = cyclic(int(group[1:])) if group[0] == "Z" else catalog()[group]
     alg, theta = semidirect(g, kernel)
-    for depth_cap in range(6):
-        assert twin_pairs_of_identity(alg, theta, depth_cap=depth_cap) == \
-            polynomial_twin_pairs(alg, theta, depth_cap), depth_cap
+    assert twin_pairs_of_identity(alg, theta) == polynomial_twin_pairs(alg, theta)
 
 
 def test_pder_matches_the_closure_of_its_sums_table(cat):
@@ -377,5 +355,5 @@ def test_pder_matches_the_closure_of_its_sums_table(cat):
         add = tuple(d.plus_at(fiber[x], x, y) if fiber[x] == fiber[y] else x
                     for x in range(size) for y in range(size))
         sums = FiniteAlgebra(size, Signature([("add", 2)]), {"add": add})
-        sub, _ = closure(sums, nq, [tuple(d.delta_l(q) for q in range(nq))] + gens)
+        sub = closure(sums, nq, [tuple(d.delta_l(q) for q in range(nq))] + gens)
         assert principal_derivations(d)[0] == sorted(sub), name

@@ -19,10 +19,12 @@ from affext.algebras import satisfies
 from affext.cocycles import TwoCocycle, e_paths, partial_derivative
 from affext.cohomology import _check_subgroup, _two_cochains, cocycle_group
 from affext.datum import (AffineDatum, DatumError, check_action_compatible,
-                          extract_datum, group_extension, weak_sum)
+                          extract_datum, group_extension)
 from affext.groups import catalog
 from affext.serialization import builtin_equations
 from affext.terms import parse_term, term_vars
+
+from oracles import weak_sum
 
 FAILING = [(parse_term("(mul x0 (inv x1))"), parse_term("(mul x1 x0)"))]
 EQUATIONS = {"groups": builtin_equations("groups"),
