@@ -567,12 +567,13 @@ def is_homomorphism(mapping, a, b):
 
 
 def satisfies(alg, equations):
-    """First failing (lhs, rhs, env) for the equation set, or None."""
-    from .terms import eval_term, term_vars
+    """First failing (lhs, rhs, env) for the equation set, or None: the
+    first place, in product order, where the sides' term tables part."""
+    from .terms import term_table, term_vars
     for lhs, rhs in equations:
         varnames = term_vars(lhs, rhs)
-        for vals in product(range(alg.size), repeat=len(varnames)):
-            env = dict(zip(varnames, vals))
-            if eval_term(alg, lhs, env) != eval_term(alg, rhs, env):
-                return (lhs, rhs, env)
+        left, right = term_table(alg, lhs, varnames), term_table(alg, rhs, varnames)
+        if left != right:
+            k = next(k for k, (a, b) in enumerate(zip(left, right)) if a != b)
+            return (lhs, rhs, dict(zip(varnames, tuple_decode(k, alg.size, len(varnames)))))
     return None

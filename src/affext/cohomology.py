@@ -6,7 +6,7 @@ from itertools import product
 from math import prod
 
 from .algebras import (DEFAULT_CAP, AlgebraError, CapExceeded, closure,
-                       find_isomorphism)
+                       find_isomorphism, is_homomorphism)
 from .cocycles import (TwoCocycle, _cell_bases, check_cocycle, coboundary_of,
                        e_paths, fiber_respecting_maps, reconstruct)
 from ._linear import factor, fiber_basis, kernel
@@ -636,15 +636,19 @@ def twin_pairs_of_identity(alg, theta):
 
 
 def principal_stabilizers(d):
-    """PStab: twins of the identity with a fixed point, intersected with the
-    stabilizers of the semidirect product."""
+    """PStab: the twins of the identity with a fixed point that are
+    stabilizing automorphisms of the semidirect product A_0, each tested
+    (a bijection, pi.g = pi, g(x) = m(g(a), a, x) on kernel blocks, a
+    homomorphism) instead of listing Stab(A_0)."""
     a0 = reconstruct(d, d.trivial_cocycle(), name="A_0")
     pairs, exact = twin_pairs_of_identity(a0.alg, a0.beta)
     ident = tuple(range(a0.alg.size))
-    twins = sorted({g for g, h in pairs
-                    if h == ident and any(g[x] == x for x in range(a0.alg.size))})
-    stabs = set(stabilizers(a0))
-    return a0, [g for g in twins if g in stabs], exact
+    blocks, pi, m = a0.beta.blocks(), a0.pi, a0.m_elem
+    twins = sorted({g for g, h in pairs if h == ident and any(g[x] == x for x in ident)})
+    return a0, [g for g in twins if len(set(g)) == len(g)
+                and all(pi[y] == pi[x] for x, y in enumerate(g))
+                and all(g[x] == m(g[a], a, x) for b in blocks for a in b for x in b)
+                and is_homomorphism(list(g), a0.alg, a0.alg)], exact
 
 
 def principal_derivations(d):

@@ -3,8 +3,8 @@
 from functools import partial
 from itertools import product
 
-from .algebras import AlgebraError
-from .congruences import Congruence, cg, m_matrices, pair_algebra, DEFAULT_CAP
+from .algebras import AlgebraError, CapExceeded, congruence_violation
+from .congruences import Congruence, cg, m_matrices, DEFAULT_CAP
 from .terms import eval_term, term_vars
 
 
@@ -17,7 +17,6 @@ def tc_commutator(alg, alpha, beta, cap=DEFAULT_CAP, matrices=None):
     """
     if matrices is None:
         matrices = m_matrices(alg, alpha, beta, cap=cap)
-    matrices = sorted(matrices)
     delta_c = Congruence.equality(alg.size)
     while True:
         rep = delta_c.rep
@@ -31,35 +30,61 @@ def tc_commutator(alg, alpha, beta, cap=DEFAULT_CAP, matrices=None):
 
 
 def is_abelian(alg, alpha, cap=DEFAULT_CAP):
-    """[alpha,alpha] = 0.
+    """[alpha,alpha] = 0: tc_commutator, unless some basic ternary m is
+    Mal'cev on every alpha-block.  Then alpha must be a congruence, m must
+    be x - y + z for an abelian group on every block (else False), and
+    for every basic f, position i and context c, the translation tau_c
+    must take each alpha-pair (x, y) to the same increment tau_c(y) -
+    tau_c(x) as tau_c' takes (rep x, y - x) to, c' the reps of c; a - b
+    is m(a, b, rep a).  The cap counts the entries before any is read.
 
-    When some basic ternary operation m of alg is Mal'cev on every
-    alpha-block, this is one Cg on A(alpha) instead of the M(alpha,alpha)
-    closure; otherwise (group signatures, for one) it is tc_commutator.
-
-    Why the Cg route is exact: let R, a relation on A(alpha), join the two
-    columns of each matrix of M(alpha,alpha).  R is reflexive and
-    compatible, and the four entries of a matrix share one alpha-block.
-    For (u,v) in R, applying m to (v,v), (u,v), (u,u) in R gives
-    (m(v,u,u), m(v,v,u)) = (v,u), so R is symmetric; for (u,v), (v,w) in
-    R, applying m to (u,v), (v,v), (v,w) gives (u,w), so R is transitive.
-    Both steps use only m(x,y,y) = x = m(y,y,x) on alpha-pairs.  So R is a
-    congruence, and R = Tr M = Delta_{alpha,alpha}, the Cg on A(alpha) of
-    {((u,u),(v,v)) : u alpha v}.  [alpha,alpha] = 0 says that no matrix
-    has q1 = q2 but q3 != q4: no Delta-class holds two pairs (x,y) and
-    (x,y') with y != y'.
+    Why it is exact.  Let theta be the kernel of (x,y) -> (rep x, y - x)
+    on A(alpha), and Delta the Cg there of ((u,u),(v,v)), u alpha v.
+    - theta <= Delta: m applied to (x,y), (x,x) and a generator
+      ((x,x),(x',x')) joins (x,y) and (x', y - x + x').
+    - Abelian means no Delta-class holds (x,y), (x,y') with y != y', and
+      no theta-class does; if (x,y) Delta (x',y'), m of (x',y'), (x',x'),
+      (x,x) adds (x, y' - x' + x) to the class.  So alpha is abelian iff
+      Delta = theta iff theta (it holds the generators) is a congruence.
+    - f(b) - f(a) on pairs (a_j, b_j) is the sum over i of the steps
+      tau_c(b_i) - tau_c(a_i), c = (b_1..b_{i-1}, a_{i+1}..).  Steps equal
+      to those at the canonical base make it depend on the theta-classes
+      alone; conversely each step is f of theta-related tuples of pairs.
+    - An abelian Mal'cev block is affine (Herrmann 1979), so when m is
+      not x - y + z on a block, alpha is not abelian.
     """
     blocks = alpha.blocks()
-    if not any(ar == 3 and is_malcev_on_blocks(partial(alg.op, sym), blocks)
-               for sym, ar in alg.signature.symbols):
+    m = next((alg.tables[sym] for sym, ar in alg.signature.symbols
+              if ar == 3 and is_malcev_on_blocks(partial(alg.op, sym), blocks)), None)
+    if m is None:
         return tc_commutator(alg, alpha, alpha, cap=cap).is_equality()
-    pairalg = pair_algebra(alg, alpha, cap=cap)
-    index = pairalg.pair_index
-    delta_c = cg(pairalg, [(index[(u, u)], index[(v, v)]) for u, v in alpha.pairs()])
-    first = {}
-    for i, (x, _) in enumerate(pairalg.pairs):
-        if first.setdefault((delta_c.rep[i], x), i) != i:
-            return False
+    witness = congruence_violation(alg, alpha)
+    if witness is not None:
+        raise AlgebraError("alpha is not a congruence: %s" % (witness,))
+    n, rep = alg.size, alpha.rep
+    if not verify_ternary_abelian_group_on_blocks(m, blocks, n):
+        return False
+    pairs = [(x, y) for x, y in alpha.pairs() if x != y]
+    ops = [(alg.tables[sym], ar) for sym, ar in alg.signature.symbols if ar]
+    entries = sum(ar * n ** (ar - 1) for _, ar in ops) * len(pairs)
+    if entries > cap:
+        raise CapExceeded("is_abelian", entries, cap,
+                          "{stage}: {size} translation entries exceed cap {cap}")
+    diff = [m[(a * n + b) * n + rep[a]] for a in range(n) for b in range(n)]
+    canonical = [(rep[x], diff[y * n + x]) for x, y in pairs]
+    for tab, ar in ops:
+        hat = [0]  # hat[k]: the code k with each base-n digit sent to its rep
+        for _ in range(ar):
+            hat = [h * n + r for h in hat for r in rep]
+        for i in range(ar):
+            s, want = n ** (ar - 1 - i), {}
+            for b in (p + j for p in range(0, len(tab), n * s) for j in range(s)):
+                col, h = tab[b:b + n * s:s], hat[b]
+                if h not in want:
+                    base = tab[h:h + n * s:s]
+                    want[h] = [diff[base[y] * n + base[x]] for x, y in canonical]
+                if [diff[col[y] * n + col[x]] for x, y in pairs] != want[h]:
+                    return False
     return True
 
 

@@ -10,18 +10,27 @@ with, now compared with what replaced them.
   in a constraint-driven cell order.
 - table_b2, table_z1: B2 and Z1 read off delta on every fiber-respecting
   map.
+- cg_is_abelian: [alpha,alpha] = 0 by one Cg on the pair algebra A(alpha).
+- eval_satisfies: the first failing assignment of an equation set by one
+  eval_term per assignment and side.
+- intersected_principal_stabilizers: PStab as the fixed-point twins of
+  the identity intersected with the listed Stab(A_0).
 """
 
+from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import product
 
 from affext.algebras import CapExceeded
 from affext.cocycles import (TwoCocycle, _serialized_sub, coboundary_of,
-                             fiber_respecting_maps)
+                             fiber_respecting_maps, reconstruct)
 from affext.cohomology import (_check_subgroup, _cochain_group,
-                               _constraints_for, _two_cochains)
+                               _constraints_for, _two_cochains, stabilizers,
+                               twin_pairs_of_identity)
+from affext.commutator import is_malcev_on_blocks, tc_commutator
+from affext.congruences import cg, pair_algebra
 from affext.datum import ClassMaps, DatumError, check_action_compatible
-from affext.terms import is_var
+from affext.terms import eval_term, is_var, term_vars
 
 
 def weak_sum(d, term, env):
@@ -214,3 +223,56 @@ def table_z1(d):
         zero, add = _cochain_group(d, range(d.qsize()))
         _check_subgroup(out, zero, add, "Z1")
     return out
+
+
+def cg_is_abelian(alg, alpha, cap=1 << 24):
+    """[alpha,alpha] = 0, when some basic ternary m of alg is Mal'cev on
+    every alpha-block, by one Cg on A(alpha); otherwise tc_commutator.
+
+    Let R, a relation on A(alpha), join the two columns of each matrix of
+    M(alpha,alpha).  R is reflexive and compatible, and the four entries of
+    a matrix share one alpha-block.  For (u,v) in R, applying m to (v,v),
+    (u,v), (u,u) in R gives (m(v,u,u), m(v,v,u)) = (v,u), so R is
+    symmetric; for (u,v), (v,w) in R, applying m to (u,v), (v,v), (v,w)
+    gives (u,w), so R is transitive.  So R is a congruence, and R = Tr M =
+    Delta_{alpha,alpha}, the Cg on A(alpha) of {((u,u),(v,v)) : u alpha
+    v}.  [alpha,alpha] = 0 says that no Delta-class holds two pairs (x,y)
+    and (x,y') with y != y'.
+    """
+    blocks = alpha.blocks()
+    if not any(ar == 3 and is_malcev_on_blocks(partial(alg.op, sym), blocks)
+               for sym, ar in alg.signature.symbols):
+        return tc_commutator(alg, alpha, alpha, cap=cap).is_equality()
+    pairalg = pair_algebra(alg, alpha, cap=cap)
+    index = pairalg.pair_index
+    delta_c = cg(pairalg, [(index[(u, u)], index[(v, v)]) for u, v in alpha.pairs()])
+    first = {}
+    for i, (x, _) in enumerate(pairalg.pairs):
+        if first.setdefault((delta_c.rep[i], x), i) != i:
+            return False
+    return True
+
+
+def eval_satisfies(alg, equations):
+    """First failing (lhs, rhs, env) for the equation set, or None: one
+    eval_term per assignment and side, in product order."""
+    for lhs, rhs in equations:
+        varnames = term_vars(lhs, rhs)
+        for vals in product(range(alg.size), repeat=len(varnames)):
+            env = dict(zip(varnames, vals))
+            if eval_term(alg, lhs, env) != eval_term(alg, rhs, env):
+                return (lhs, rhs, env)
+    return None
+
+
+def intersected_principal_stabilizers(d):
+    """principal_stabilizers(d) as (A_0, PStab, exact), with PStab the
+    sorted twins of the identity that have a fixed point and lie in
+    stabilizers(A_0), which is listed under its own cap."""
+    a0 = reconstruct(d, d.trivial_cocycle(), name="A_0")
+    pairs, exact = twin_pairs_of_identity(a0.alg, a0.beta)
+    ident = tuple(range(a0.alg.size))
+    twins = sorted({g for g, h in pairs
+                    if h == ident and any(g[x] == x for x in range(a0.alg.size))})
+    stabs = set(stabilizers(a0))
+    return a0, [g for g in twins if g in stabs], exact

@@ -3,7 +3,9 @@ against the forms they replaced (tests/oracles.py): the propagated search
 for Z2, and B2 and Z1 read off delta on every fiber-respecting map.  Also
 the pieces of the solver on their own (the cyclic decomposition of a fiber
 and the Howell kernel over Z/p^k), the caps checked before listing, and a
-Z2 search that needs no Python frame per cell."""
+Z2 search that needs no Python frame per cell.  PStab by a membership
+test on each fixed-point twin, against the intersection with the listed
+Stab(A_0) it replaced, and H1 of Z64/Z2, where that list is over its cap."""
 
 import inspect
 import random
@@ -16,13 +18,14 @@ import affext.cohomology as cohomology
 from affext.algebras import CapExceeded
 from affext._linear import fiber_basis, howell, howell_kernel
 from affext.cohomology import (coboundary_group, cocycle_group, derivations,
-                               h1, h2)
+                               h1, h2, principal_stabilizers, stabilizers)
 from affext.datum import DatumError, extract_datum, group_extension
 from affext.groups import (catalog, classical_h2, cyclic, direct_product,
                            trivial_action)
 from affext.verify import catalog_extensions
 
-from oracles import search_z2, table_b2, table_z1
+from oracles import (intersected_principal_stabilizers, search_z2, table_b2,
+                     table_z1)
 from test_weak_gate_oracle import datum, with_entries
 
 
@@ -33,7 +36,7 @@ def _groups():
             "Z16": cyclic(16), "Z4xZ4": direct_product(z4, z4),
             "Z2^5": direct_product(direct_product(cat["Z2xZ2xZ2"], z2), z2),
             "Z2xZ8": direct_product(z2, cyclic(8)),
-            "Z24": cyclic(24)}
+            "Z24": cyclic(24), "Z64": cyclic(64)}
 
 
 GROUPS = _groups()
@@ -77,6 +80,24 @@ def test_b2_and_z1_match_the_coboundary_table(kind, case):
     d = _datum(kind, case)
     assert coboundary_group(d).serialized == table_b2(d)
     assert derivations(d) == table_z1(d)
+
+
+@pytest.mark.parametrize("kind, case", DATUMS, ids=DATUM_IDS)
+def test_principal_stabilizers_match_the_intersection(kind, case):
+    d = _datum(kind, case)
+    _, pstab, exact = principal_stabilizers(d)
+    assert (pstab, exact) == intersected_principal_stabilizers(d)[1:]
+
+
+def test_z64_over_z2_h1_without_listing_stab():
+    """Stab(A_0) has 2^32 candidate maps here, over the stabilizers cap;
+    only the twins of the identity are tested."""
+    d = ladder_datum("Z64", (0, 32))
+    a0 = principal_stabilizers(d)[0]
+    with pytest.raises(CapExceeded, match="stabilizers"):
+        stabilizers(a0)
+    res = h1(d)
+    assert (res["order"], res["Z1_order"], res["PDer_order"]) == (2, 2, 1)
 
 
 @pytest.mark.parametrize("group, kernel, k_alg", [

@@ -1,7 +1,8 @@
 """Random small algebras: the labelled Cg against the union-find sliced Cg
-and the displacement loop they replaced, the sliced congruence_violation against its apply loop, the Cg
-route of is_abelian against the term-condition commutator, and the lattice
-laws of Con A and of the commutator."""
+and the displacement loop they replaced, the sliced congruence_violation
+against its apply loop, is_abelian against the Cg on A(alpha) it replaced
+and the term-condition commutator, satisfies against its eval_term loop,
+and the lattice laws of Con A and of the commutator."""
 
 import random
 from itertools import product
@@ -9,10 +10,12 @@ from itertools import product
 from hypothesis import given, settings, strategies as st
 
 from affext.algebras import (AlgebraError, FiniteAlgebra, Signature,
-                             congruence_violation)
+                             congruence_violation, satisfies)
 from affext.commutator import is_abelian, tc_commutator
 from affext.congruences import (Congruence, UnionFind, all_congruences, cg,
                                 kernel_of_map, pair_algebra)
+
+from oracles import cg_is_abelian, eval_satisfies
 
 
 def oracle_cg(alg, pairs):
@@ -175,9 +178,10 @@ def test_congruence_violation_matches_the_apply_loop(case):
 
 @st.composite
 def ternary_algebras(draw):
-    """<A, m> or <A, m, u> on at most 3 elements.  m starts from x - y + z
-    on Z_n or from a random table, may have a few cells changed, and may be
-    made Mal'cev on the blocks of a random partition."""
+    """<A, m> with an optional unary u and an optional binary b, on at most
+    3 elements.  m starts from x - y + z on Z_n or from a random table, may
+    have a few cells changed, and may be made Mal'cev on the blocks of a
+    random partition."""
     n = draw(st.integers(1, 3))
     elem = st.integers(0, n - 1)
     if draw(st.booleans()):
@@ -197,6 +201,9 @@ def ternary_algebras(draw):
     if draw(st.booleans()):
         symbols.append(("u", 1))
         tables["u"] = tuple(draw(st.lists(elem, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        symbols.append(("b", 2))
+        tables["b"] = tuple(draw(st.lists(elem, min_size=n * n, max_size=n * n)))
     return FiniteAlgebra(n, Signature(symbols), tables)
 
 
@@ -206,7 +213,45 @@ def test_is_abelian_matches_the_commutator(alg, data):
     # alpha = 0 is abelian on either route, so draw it only when it is alone
     cons = all_congruences(alg)
     alpha = data.draw(st.sampled_from([c for c in cons if not c.is_equality()] or cons))
-    assert is_abelian(alg, alpha) == tc_commutator(alg, alpha, alpha).is_equality()
+    value = is_abelian(alg, alpha)
+    assert value == cg_is_abelian(alg, alpha)
+    assert value == tc_commutator(alg, alpha, alpha).is_equality()
+
+
+@st.composite
+def terms(draw, symbols, depth=3):
+    """A term in x0, x1, x2 over (symbol, arity) pairs, at most depth
+    deep."""
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(["x0", "x1", "x2"]))
+    sym, ar = draw(st.sampled_from(symbols))
+    return (sym,) + tuple(draw(terms(symbols, depth - 1)) for _ in range(ar))
+
+
+def outcome(fn, alg, equations):
+    """fn's result, or the type of what it raised."""
+    try:
+        return fn(alg, equations)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_satisfies_matches_the_eval_term_loop(data):
+    """The first failing equation and assignment, or the same exception:
+    a symbol outside the signature may be drawn, and some equations are
+    t = t, which hold."""
+    arities = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    alg = data.draw(algebras(3, arities))
+    symbols = list(alg.signature.symbols)
+    if data.draw(st.booleans()):
+        symbols.append(("nosuch", 1))
+    equations = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        lhs = data.draw(terms(symbols))
+        equations.append((lhs, lhs if data.draw(st.booleans()) else data.draw(terms(symbols))))
+    assert outcome(satisfies, alg, equations) == outcome(eval_satisfies, alg, equations)
 
 
 @settings(max_examples=100, deadline=None)
