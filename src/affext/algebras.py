@@ -6,7 +6,7 @@ The same encoding fixes tuple indexing in power algebras.
 """
 
 from itertools import chain, product
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 DEFAULT_CAP = 1 << 24
 
@@ -117,6 +117,7 @@ class FiniteAlgebra:
                                    % (bad, sym))
             self.tables[sym] = flat
         self._associative = None  # associative_ops()'s memo
+        self._latin = {}  # is_group_op()'s memo
         self._profile_memo = None  # (_profiles(), _invariant())
 
     def associative_ops(self):
@@ -128,16 +129,28 @@ class FiniteAlgebra:
                 if ar == 2 and _is_associative(self.tables[sym], self.size))
         return self._associative
 
+    def is_group_op(self, sym):
+        """Whether sym is a group operation: associative, and each row and
+        column tab[x::n] of its table holds n distinct values (a Latin
+        square); tested once per algebra and symbol."""
+        if sym not in self._latin:
+            tab, n = self.tables[sym], self.size
+            self._latin[sym] = sym in self.associative_ops() and all(
+                len(set(tab[x * n:x * n + n])) == n == len(set(tab[x::n])) for x in range(n))
+        return self._latin[sym]
+
     @classmethod
     def subpower(cls, base, elements, name=None):
         """The subalgebra of base**k whose universe is the list elements of
         k-tuples, element i standing for elements[i], as a cls: the power
         and pair algebras.  It satisfies every identity of base, so
         associative_ops() is read off base instead of tested on the new
-        tables."""
+        tables.  So is each group operation of base: a finite subset of
+        G**k closed under * is a subgroup."""
         sub = cls(len(elements), base.signature, subpower_tables(base, elements),
                   name=name)
         sub._associative = base.associative_ops()
+        sub._latin = {sym: True for sym in sub._associative if base.is_group_op(sym)}
         return sub
 
     def op(self, sym, *args):
@@ -196,7 +209,8 @@ def _is_associative(tab, n):
 def _images(ops, n, old, frontier, elems, found):
     """Add to found the values of ops on the argument tuples over elems that
     hold an element of frontier; old is elems without frontier."""
-    frontier_rows, elem_rows = _row_getters(frontier), _row_getters(elems)
+    frontier_rows = _row_getters(frontier)
+    elem_rows = _row_getters(elems) if any(ar > 1 for _, ar in ops) else None
     for tab, ar in ops:
         # argument tuples whose first frontier element sits at position i
         for i in range(ar):
@@ -219,10 +233,12 @@ def closure(alg, k, generators):
     the closure is the semigroup path (_semigroup_closure): it multiplies
     on the right by kept generators only, which suffices because
     x*(g0*...*gm) = ((x*g0)*...)*gm, and runs the other operations
-    semi-naively.  Otherwise round r evaluates every operation on the
-    argument tuples holding an element found in round r-1, each round's new
-    elements come sorted, and the closure stops when a round finds nothing
-    new; before each round the elements seen are held to DEFAULT_CAP.
+    semi-naively.  When * is a group operation (alg.is_group_op), each
+    generator after the first adds whole right cosets of the span.
+    Otherwise round r evaluates every operation on the argument tuples
+    holding an element found in round r-1, each round's new elements come
+    sorted, and the closure stops when a round finds nothing new; before
+    each round the elements seen are held to DEFAULT_CAP.
     """
     n = alg.size
     ops = [(alg.tables[sym], ar) for sym, ar in alg.signature.symbols]
@@ -258,10 +274,20 @@ def _semigroup_closure(alg, seeds, mul):
     read at the whole batch through itemgetter.  The span is then closed
     under * by associativity.  The other operations run semi-naively over
     the span, and their new values arrive as further generators.  In a
-    finite group each kept generator at least doubles the span, so the
-    span H costs about |H|*(log2|H| + 1) products, not |H|**2.
+    finite group each kept generator at least doubles the span.
+
+    When mul is a group operation and the span H is not empty, H is a
+    subgroup, and a kept generator g adds right cosets (Dimino's method):
+    H*r for r = g, then for each r*h by a kept h outside the span so far,
+    each coset one column read per coordinate as above.  That is exact: a
+    union S of right cosets of H is closed under right multiplication by
+    h iff every r*h lies in S, as H*r*h = H*(r*h); S holds the kept
+    generators, so S is the subsemigroup they span, in a finite group the
+    subgroup <H, g>.  It costs |S| - |H| products read through columns
+    and #cosets * #kept single products, not (|S| - |H|) * #kept.
     """
     n, tab = alg.size, alg.tables[mul]
+    group = alg.is_group_op(mul)
     others = [(alg.tables[sym], ar) for sym, ar in alg.signature.symbols
               if sym != mul and ar > 0]
     span, seen = [], set()
@@ -274,6 +300,17 @@ def _semigroup_closure(alg, seeds, mul):
                 continue
             cols = [tab[x::n] for x in g]
             kept.append(cols)
+            if group and span:
+                getters, reps = _row_getters(span), [g]
+                while reps:
+                    r = reps.pop()
+                    if r in seen:
+                        continue
+                    coset = list(zip(*[get(tab[x::n]) for get, x in zip(getters, r)]))
+                    span += coset
+                    seen.update(coset)
+                    reps += [tuple(map(getitem, h, r)) for h in kept]
+                continue
             products = chain([g], _right_products(span, [cols]))
             while True:
                 batch = list(dict.fromkeys(t for t in products if t not in seen))

@@ -299,7 +299,7 @@ def _dispatch(args):
             T = cocycle_from_json(d, _read_json(args.cocycle))
         if T is None:
             raise InputError("no cocycle given (use --cocycle or extract one)")
-        eqs = ws.load_equations(args.sigma)
+        eqs = ws.load_equations(args.sigma, d.signature)
         from .cocycles import check_cocycle
         rep = check_cocycle(d, T, eqs)
         payload = {"holds": rep["holds"], "witness": rep["witness"]}
@@ -312,7 +312,7 @@ def _dispatch(args):
     if cmd == "h2":
         _require(args, "sigma")
         d, _ = _datum(ws, args)
-        eqs = ws.load_equations(args.sigma)
+        eqs = ws.load_equations(args.sigma, d.signature)
         from .cohomology import h2 as h2_fn
         res = h2_fn(d, eqs, cap=args.cap, seed=args.seed)
         payload = res.to_json()

@@ -203,23 +203,18 @@ def kernel_of_map(mapping, n):
 
 
 def all_congruences(alg, limit=12):
-    """Every congruence of alg (helper for n <= limit)."""
+    """Every congruence of alg (helper for n <= limit), sorted by rep: the
+    equality closed under joins with the principal congruences Cg(a,b).
+    That is all of Con A, as each theta is the join of the Cg(a,b) with
+    a theta b, and joins in Con A are joins of equivalence relations."""
     if alg.size > limit:
         raise AlgebraError("congruence enumeration capped at %d elements" % limit)
-    found = {cg(alg, [])}
-    frontier = list(found)
+    n = alg.size
+    principals = {cg(alg, [(a, b)]) for a in range(n) for b in range(a + 1, n)}
+    found = frontier = {Congruence.equality(n)}
     while frontier:
-        new = []
-        for c in frontier:
-            for a in range(alg.size):
-                for b in range(a + 1, alg.size):
-                    if c.related(a, b):
-                        continue
-                    d = cg(alg, [(a, b)] + [(x, c.rep[x]) for x in range(alg.size)])
-                    if d not in found:
-                        found.add(d)
-                        new.append(d)
-        frontier = new
+        frontier = {c.join(p) for c in frontier for p in principals} - found
+        found |= frontier
     return sorted(found, key=lambda c: c.rep)
 
 
@@ -249,8 +244,9 @@ def pair_algebra(alg, alpha, cap=DEFAULT_CAP):
     witness = congruence_violation(alg, alpha)
     if witness is not None:
         raise AlgebraError("alpha is not a congruence: %s" % (witness,))
+    rep = alpha.rep
     pairs = [(a, b) for a in range(alg.size) for b in range(alg.size)
-             if alpha.related(a, b)]
+             if rep[a] == rep[b]]
     P = len(pairs)
     max_ar = max((ar for _, ar in alg.signature.symbols), default=0)
     if P ** max(max_ar, 1) > cap:
@@ -283,11 +279,11 @@ def m_matrices(alg, alpha, beta, cap=DEFAULT_CAP, pairalg=None):
     if P * P > cap:
         raise CapExceeded("m_matrices", P * P, cap,
                           "M(alpha,beta) universe {size} exceeds cap {cap}")
-    index = pairalg.pair_index
+    index, rep = pairalg.pair_index, beta.rep
     # a matrix is the pair (index(col1), index(col2)) in A(alpha)^2
     gens = [(i, i) for i in range(P)]  # [x x // y y]
     gens += [(index[(u, u)], index[(v, v)])  # [u v // u v]
-             for u in range(alg.size) for v in range(alg.size) if beta.related(u, v)]
+             for u in range(alg.size) for v in range(alg.size) if rep[u] == rep[v]]
     pairs = pairalg.pairs
     return {(pairs[i][0], pairs[j][0], pairs[i][1], pairs[j][1])
             for i, j in closure(pairalg, 2, gens)}
@@ -319,9 +315,9 @@ def delta(alg, alpha, beta, cap=DEFAULT_CAP, pairalg=None, matrices=None):
 def delta_by_cg(pairalg, beta):
     """The Cg half of delta(): the congruence of A(alpha) generated by
     {((u,u),(v,v)) : u beta v}."""
-    index, n = pairalg.pair_index, pairalg.base.size
+    index, n, rep = pairalg.pair_index, pairalg.base.size, beta.rep
     return cg(pairalg, [(index[(u, u)], index[(v, v)])
-                        for u in range(n) for v in range(n) if beta.related(u, v)])
+                        for u in range(n) for v in range(n) if rep[u] == rep[v]])
 
 
 def delta_with_pair_algebra(alg, alpha, beta, cap=DEFAULT_CAP):

@@ -8,11 +8,11 @@ Equation files: a JSON array of two-element arrays of term strings.
 
 import json
 import os
-from itertools import product
+from itertools import chain, product
 
 from .algebras import AlgebraError, FiniteAlgebra, Signature, _unflatten
 from .congruences import Congruence
-from .terms import parse_term, term_table, term_to_str
+from .terms import TermError, check_term, parse_term, term_table, term_to_str
 
 
 class InputError(ValueError):
@@ -255,10 +255,16 @@ class Workspace:
     def load_congruence(self, path, alg):
         return congruence_from_json(self._read(path), alg)
 
-    def load_equations(self, ref):
-        if ref.startswith("builtin:"):
-            return builtin_equations(ref.split(":", 1)[1])
-        return equations_from_json(self._read(ref))
+    def load_equations(self, ref, signature):
+        """The equations at ref, each side checked against signature."""
+        eqs = (builtin_equations(ref.split(":", 1)[1]) if ref.startswith("builtin:")
+               else equations_from_json(self._read(ref)))
+        try:
+            for side in chain.from_iterable(eqs):
+                check_term(side, signature)
+        except TermError as exc:
+            raise InputError("bad equations: %s" % exc)
+        return eqs
 
     def _read(self, path):
         if not os.path.exists(path):

@@ -15,6 +15,8 @@ with, now compared with what replaced them.
   eval_term per assignment and side.
 - intersected_principal_stabilizers: PStab as the fixed-point twins of
   the identity intersected with the listed Stab(A_0).
+- enumerated_congruences: Con A by one Cg per congruence found and pair
+  it does not relate.
 """
 
 from functools import partial
@@ -276,3 +278,25 @@ def intersected_principal_stabilizers(d):
                     if h == ident and any(g[x] == x for x in range(a0.alg.size))})
     stabs = set(stabilizers(a0))
     return a0, [g for g in twins if g in stabs], exact
+
+
+def enumerated_congruences(alg):
+    """Every congruence of alg, sorted by rep: from Cg of no pairs, the
+    Cg of each congruence found together with each pair it does not
+    relate, until no new congruence appears."""
+    n = alg.size
+    found = {cg(alg, [])}
+    frontier = list(found)
+    while frontier:
+        new = []
+        for c in frontier:
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if c.related(a, b):
+                        continue
+                    d = cg(alg, [(a, b)] + [(x, c.rep[x]) for x in range(n)])
+                    if d not in found:
+                        found.add(d)
+                        new.append(d)
+        frontier = new
+    return sorted(found, key=lambda c: c.rep)

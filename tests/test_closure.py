@@ -1,6 +1,7 @@
 """The subpower-closure kernel against a naive round-by-round fixpoint,
 and the twin pairs and PDer against the tables they used to be built on."""
 
+import copy
 import hashlib
 import random
 from itertools import islice, product
@@ -8,13 +9,14 @@ from itertools import islice, product
 import pytest
 
 import affext.algebras as algebras
-from affext.algebras import (CapExceeded, FiniteAlgebra, Signature, closure,
-                             power_algebra, subalgebra_generate)
+from affext.algebras import (GROUP_SIGNATURE, CapExceeded, FiniteAlgebra,
+                             Signature, closure, power_algebra,
+                             subalgebra_generate)
 from affext.cocycles import reconstruct
 from affext.cohomology import principal_derivations, twin_pairs_of_identity
-from affext.congruences import Congruence, pair_algebra
+from affext.congruences import Congruence, all_congruences, pair_algebra
 from affext.datum import extract_datum, group_extension
-from affext.groups import catalog, cyclic
+from affext.groups import catalog, cyclic, is_group
 
 
 def naive_rounds(alg, k, gens):
@@ -140,6 +142,91 @@ def test_semigroup_path_on_catalog_groups(k, semigroup_calls):
                     for _ in range(rng.randint(0, 3))]
             check_against_naive(g, k, gens)
     assert len(semigroup_calls) == 6 * len(groups)
+
+
+def test_is_group_op_picks_the_groups_among_associative_tables(cat):
+    """1, 2 and 3 of the 1, 8 and 113 associative tables on 1-3 elements
+    are groups: those that is_group accepts with some identity and
+    inverse; and every catalog group's mul."""
+    picked = []
+    for n, tables in ASSOCIATIVE.items():
+        for tab in tables:
+            alg = FiniteAlgebra(n, Signature([("mul", 2)]), {"mul": tab})
+            grouplike = any(
+                is_group(FiniteAlgebra(n, GROUP_SIGNATURE,
+                                       {"mul": tab, "inv": inv, "e": (e,)}))
+                for e in range(n) for inv in product(range(n), repeat=n))
+            assert alg.is_group_op("mul") == grouplike
+            picked.append((n, grouplike))
+    assert [picked.count((n, True)) for n in (1, 2, 3)] == [1, 2, 3]
+    for g in cat.values():
+        assert g.is_group_op("mul") == is_group(g)
+        assert not g.is_group_op("inv")
+
+
+def batch_loop(alg):
+    """A copy of alg that closure takes for a plain semigroup: the batch
+    loop, with no coset step, is the oracle for the coset step."""
+    batch = copy.copy(alg)
+    batch._latin = dict(alg._latin, mul=False)
+    return batch
+
+
+def check_coset_step(alg, k, gens, naive=True):
+    """The closure in a group against the batch loop and, where naive,
+    against naive_closure, as sets, with the seeds first."""
+    assert alg.is_group_op("mul")
+    elems = closure(alg, k, gens)
+    assert len(elems) == len(set(elems))
+    seeds = seeds_of(alg, k, gens)
+    assert elems[:len(seeds)] == seeds
+    assert set(elems) == set(closure(batch_loop(alg), k, gens))
+    if naive:
+        assert set(elems) == set(naive_closure(alg, k, gens))
+    return elems
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_coset_step_on_catalog_groups(k, cat, semigroup_calls):
+    """Random generators and 0-2 random extra operations of arity 0-2;
+    naive_closure where the group's k-th power has at most 64 elements."""
+    rng = random.Random(400 + k)
+    runs = 0
+    for g in cat.values():
+        n = g.size
+        for _ in range(4):
+            extra = [("f%d" % i, rng.randint(0, 2)) for i in range(rng.randint(0, 2))]
+            tables = dict(g.tables, **{sym: tuple(rng.randrange(n) for _ in range(n ** ar))
+                                       for sym, ar in extra})
+            alg = FiniteAlgebra(n, Signature(list(g.signature.symbols) + extra), tables)
+            gens = [tuple(rng.randrange(n) for _ in range(k))
+                    for _ in range(rng.randint(0, 3))]
+            check_coset_step(alg, k, gens, naive=n ** k <= 64)
+            runs += 2
+    assert len(semigroup_calls) == runs
+
+
+def test_coset_step_on_pair_algebras(cat):
+    """A(alpha) of every catalog group and alpha, in its square; it reads
+    its group operation off its base."""
+    rng = random.Random(5)
+    for g in cat.values():
+        for alpha in all_congruences(g):
+            pa = pair_algebra(g, alpha)
+            gens = [tuple(rng.randrange(pa.size) for _ in range(2))
+                    for _ in range(rng.randint(1, 3))]
+            check_coset_step(pa, 2, gens, naive=pa.size <= 8)
+
+
+@pytest.mark.parametrize("group", ["Z8", "D4", "Q8"])
+def test_coset_step_on_twin_pairs(group, cat):
+    """The twin-pair closures of the order-4 kernels, 2n-tuples in A_0."""
+    alg, theta = semidirect(cat[group], [0, 2, 4, 6])
+    n = alg.size
+    seeds = [tuple(range(n)) * 2] + [(c,) * n + (e,) * n for block in theta.blocks()
+                                     for c in block for e in block]
+    pairs = check_coset_step(alg, 2 * n, seeds, naive=False)
+    assert {(t[:n], t[n:]) for t in pairs} == twin_pairs_of_identity(alg, theta)[0]
 
 
 def test_pair_algebra_reads_associativity_off_its_base(monkeypatch, semigroup_calls):

@@ -8,6 +8,9 @@ from affext.congruences import (Congruence, all_congruences, cg, delta,
                                 m_matrices, pair_algebra)
 from affext.terms import eval_term, GROUP_DIFFERENCE_TERM
 
+from oracles import enumerated_congruences
+from test_random_algebras import malcev_reduct
+
 
 def set_partitions(universe):
     """All partitions of a list (brute-force oracle)."""
@@ -63,6 +66,14 @@ def test_cg_z4_01_is_all(cat):
 def test_all_congruences_z4(cat):
     cons = all_congruences(cat["Z4"])
     assert len(cons) == 3  # equality, mod-2, all
+
+
+def test_all_congruences_match_the_enumeration(cat):
+    """Joins of principal congruences against one Cg per congruence and
+    pair, on every catalog group and on its Mal'cev reduct."""
+    for g in cat.values():
+        for alg in (g, malcev_reduct(g)):
+            assert all_congruences(alg) == enumerated_congruences(alg), g.name
 
 
 def test_pair_algebra_sizes(cat):

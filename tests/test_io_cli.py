@@ -145,6 +145,21 @@ def test_cli_usage_errors(files):
     assert "line" in r.stderr
 
 
+@pytest.mark.parametrize("command", [["h2"], ["cocycle", "check"]])
+@pytest.mark.parametrize("equation", [["(mul x0 (foo x1))", "x0"], ["(mul x0)", "x0"]])
+def test_cli_rejects_equations_outside_the_signature(files, monkeypatch, capsys,
+                                                    command, equation):
+    """An unknown symbol or a wrong argument count is an input error."""
+    dump_json([equation], files / "eqs.json")
+    monkeypatch.chdir(files)
+    code = cli.main(command + ["--alg", "z4.json", "--con", "alpha.json",
+                               "--sigma", "eqs.json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error: bad equations:" in err
+    assert "Traceback" not in err
+
+
 def test_cli_block_outside_universe(files):
     dump_json({"algebra": "Z4", "blocks": [[0, 9]]}, files / "wide.json")
     r = run_cli(["abelian", "--alg", "z4.json", "--con", "wide.json"], files)

@@ -15,7 +15,7 @@ from affext.commutator import is_abelian, tc_commutator
 from affext.congruences import (Congruence, UnionFind, all_congruences, cg,
                                 kernel_of_map, pair_algebra)
 
-from oracles import cg_is_abelian, eval_satisfies
+from oracles import cg_is_abelian, enumerated_congruences, eval_satisfies
 
 
 def oracle_cg(alg, pairs):
@@ -269,6 +269,14 @@ def test_lattice_laws(data):
     for (a, b), (a2, b2) in product(comm, repeat=2):
         if a.le(a2) and b.le(b2):
             assert comm[a, b].le(comm[a2, b2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_all_congruences_match_the_enumeration(data):
+    arities = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    alg = data.draw(algebras(5, arities))
+    assert all_congruences(alg) == enumerated_congruences(alg)
 
 
 def malcev_reduct(g):
