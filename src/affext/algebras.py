@@ -118,6 +118,7 @@ class FiniteAlgebra:
             self.tables[sym] = flat
         self._associative = None  # associative_ops()'s memo
         self._latin = {}  # is_group_op()'s memo
+        self._inverses = {}  # group_inverses()'s memo
         self._profile_memo = None  # (_profiles(), _invariant())
 
     def associative_ops(self):
@@ -139,26 +140,34 @@ class FiniteAlgebra:
                 len(set(tab[x * n:x * n + n])) == n == len(set(tab[x::n])) for x in range(n))
         return self._latin[sym]
 
+    def group_inverses(self, mul):
+        """The unary symbols whose table is the inverse of the group
+        operation mul: x * inv(x) is e, mul's one idempotent, for every x;
+        tested once per algebra and mul."""
+        if mul not in self._inverses:
+            tab, n = self.tables[mul], self.size
+            e = next(x for x in range(n) if tab[x * n + x] == x)
+            self._inverses[mul] = {sym for sym, ar in self.signature.symbols if ar == 1 and all(
+                tab[x * n + y] == e for x, y in enumerate(self.tables[sym]))}
+        return self._inverses[mul]
+
     @classmethod
     def subpower(cls, base, elements, name=None):
         """The subalgebra of base**k whose universe is the list elements of
         k-tuples, element i standing for elements[i], as a cls: the power
         and pair algebras.  It satisfies every identity of base, so
         associative_ops() is read off base instead of tested on the new
-        tables.  So is each group operation of base: a finite subset of
-        G**k closed under * is a subgroup."""
+        tables.  So is each group operation of base, a finite subset of
+        G**k closed under * being a subgroup, and its inverses."""
         sub = cls(len(elements), base.signature, subpower_tables(base, elements),
                   name=name)
         sub._associative = base.associative_ops()
         sub._latin = {sym: True for sym in sub._associative if base.is_group_op(sym)}
+        sub._inverses = {sym: base.group_inverses(sym) for sym in sub._latin}
         return sub
 
     def op(self, sym, *args):
-        tab = self.tables[sym]
-        idx = 0
-        for a in args:
-            idx = idx * self.size + a
-        return tab[idx]
+        return self.apply(sym, args)
 
     def apply(self, sym, args):
         tab = self.tables[sym]
@@ -234,7 +243,8 @@ def closure(alg, k, generators):
     on the right by kept generators only, which suffices because
     x*(g0*...*gm) = ((x*g0)*...)*gm, and runs the other operations
     semi-naively.  When * is a group operation (alg.is_group_op), each
-    generator after the first adds whole right cosets of the span.
+    generator after the first adds whole right cosets of the span, and the
+    group's inverse is skipped.
     Otherwise round r evaluates every operation on the argument tuples
     holding an element found in round r-1, each round's new elements come
     sorted, and the closure stops when a round finds nothing new; before
@@ -284,12 +294,15 @@ def _semigroup_closure(alg, seeds, mul):
     h iff every r*h lies in S, as H*r*h = H*(r*h); S holds the kept
     generators, so S is the subsemigroup they span, in a finite group the
     subgroup <H, g>.  It costs |S| - |H| products read through columns
-    and #cosets * #kept single products, not (|S| - |H|) * #kept.
+    and #cosets * #kept single products, not (|S| - |H|) * #kept.  The
+    inverses of mul (alg.group_inverses) are not run: a subgroup is
+    closed under them.
     """
     n, tab = alg.size, alg.tables[mul]
     group = alg.is_group_op(mul)
+    inverses = alg.group_inverses(mul) if group else ()
     others = [(alg.tables[sym], ar) for sym, ar in alg.signature.symbols
-              if sym != mul and ar > 0]
+              if sym != mul and ar > 0 and sym not in inverses]
     span, seen = [], set()
     kept = []  # per kept generator h, the column tab[h_j::n] of each coordinate
     done = 0   # span[:done] has been through every other operation
@@ -403,15 +416,8 @@ def quotient_algebra(alg, cong):
     for i, b in enumerate(blocks):
         for x in b:
             blockmap[x] = i
-    tables = {}
-    for sym, ar in alg.signature.symbols:
-        if ar == 0:
-            tables[sym] = (blockmap[alg.tables[sym][0]],)
-            continue
-        flat = []
-        for args in product(reps, repeat=ar):
-            flat.append(blockmap[alg.apply(sym, args)])
-        tables[sym] = tuple(flat)
+    tables = {sym: tuple(blockmap[alg.apply(sym, args)] for args in product(reps, repeat=ar))
+              for sym, ar in alg.signature.symbols}
     name = "%s/%s" % (alg.name, "theta") if alg.name else None
     return FiniteAlgebra(len(blocks), alg.signature, tables, name=name), blockmap
 

@@ -202,17 +202,20 @@ def kernel_of_map(mapping, n):
     return Congruence(n, rep)
 
 
-def all_congruences(alg, limit=12):
-    """Every congruence of alg (helper for n <= limit), sorted by rep: the
-    equality closed under joins with the principal congruences Cg(a,b).
-    That is all of Con A, as each theta is the join of the Cg(a,b) with
-    a theta b, and joins in Con A are joins of equivalence relations."""
-    if alg.size > limit:
-        raise AlgebraError("congruence enumeration capped at %d elements" % limit)
+def all_congruences(alg, cap=DEFAULT_CAP):
+    """Every congruence of alg, sorted by rep: the equality closed under
+    joins with the principal congruences Cg(a,b).  That is all of Con A,
+    as each theta is the join of the Cg(a,b) with a theta b, and joins in
+    Con A are joins of equivalence relations.  The joins of each round,
+    |frontier| * |principals|, are held to cap before the round runs."""
     n = alg.size
     principals = {cg(alg, [(a, b)]) for a in range(n) for b in range(a + 1, n)}
     found = frontier = {Congruence.equality(n)}
     while frontier:
+        joins = len(frontier) * len(principals)
+        if joins > cap:
+            raise CapExceeded("all_congruences", joins, cap,
+                              "{stage}: {size} joins exceed cap {cap}")
         frontier = {c.join(p) for c in frontier for p in principals} - found
         found |= frontier
     return sorted(found, key=lambda c: c.rep)
@@ -241,17 +244,7 @@ class PairAlgebra(FiniteAlgebra):
 
 
 def pair_algebra(alg, alpha, cap=DEFAULT_CAP):
-    witness = congruence_violation(alg, alpha)
-    if witness is not None:
-        raise AlgebraError("alpha is not a congruence: %s" % (witness,))
-    rep = alpha.rep
-    pairs = [(a, b) for a in range(alg.size) for b in range(alg.size)
-             if rep[a] == rep[b]]
-    P = len(pairs)
-    max_ar = max((ar for _, ar in alg.signature.symbols), default=0)
-    if P ** max(max_ar, 1) > cap:
-        raise CapExceeded("pair_algebra", P, cap,
-                          "pair algebra of size {size} exceeds cap {cap}")
+    pairs = _checked_pairs(alg, alpha, cap)
     name = "%s(alpha)" % alg.name if alg.name else None
     pa = PairAlgebra.subpower(alg, pairs, name=name)
     pa.base, pa.alpha, pa.pairs = alg, alpha, pairs
@@ -259,10 +252,23 @@ def pair_algebra(alg, alpha, cap=DEFAULT_CAP):
     return pa
 
 
+def _checked_pairs(alg, alpha, cap):
+    """The alpha-pairs, once alpha is a congruence and A(alpha) fits cap."""
+    witness = congruence_violation(alg, alpha)
+    if witness is not None:
+        raise AlgebraError("alpha is not a congruence: %s" % (witness,))
+    pairs = alpha.pairs()
+    P = len(pairs)
+    max_ar = max((ar for _, ar in alg.signature.symbols), default=0)
+    if P ** max(max_ar, 1) > cap:
+        raise CapExceeded("pair_algebra", P, cap,
+                          "pair algebra of size {size} exceeds cap {cap}")
+    return pairs
+
+
 def hat_alpha(pairalg):
     """[x//y] related to [u//v] iff all four coordinates share an alpha block."""
-    rep = pairalg.alpha.rep
-    return kernel_of_map([rep[p[0]] for p in pairalg.pairs], pairalg.size)
+    return pairalg.preimage(pairalg.alpha, 0)
 
 
 def m_matrices(alg, alpha, beta, cap=DEFAULT_CAP, pairalg=None):
@@ -271,22 +277,19 @@ def m_matrices(alg, alpha, beta, cap=DEFAULT_CAP, pairalg=None):
 
     A matrix [[q1,q2],[q3,q4]] is encoded as the quadruple (q1,q2,q3,q4);
     its rows (q1,q2),(q3,q4) are beta-pairs and its columns (q1,q3),(q2,q4)
-    are alpha-pairs.  Returns the set of quadruples.
+    are alpha-pairs.  The generators (x,x,y,y), x alpha y, and (u,v,u,v),
+    u beta v, are closed in alg**4; returns the set of quadruples.  A given
+    pairalg = A(alpha) vouches for alpha, else alpha and the pair_algebra
+    cap are checked here; then the P * P quadruples are held to cap.
     """
-    if pairalg is None:
-        pairalg = pair_algebra(alg, alpha, cap=cap)
-    P = pairalg.size
+    pairs = pairalg.pairs if pairalg is not None else _checked_pairs(alg, alpha, cap)
+    P = len(pairs)
     if P * P > cap:
         raise CapExceeded("m_matrices", P * P, cap,
                           "M(alpha,beta) universe {size} exceeds cap {cap}")
-    index, rep = pairalg.pair_index, beta.rep
-    # a matrix is the pair (index(col1), index(col2)) in A(alpha)^2
-    gens = [(i, i) for i in range(P)]  # [x x // y y]
-    gens += [(index[(u, u)], index[(v, v)])  # [u v // u v]
-             for u in range(alg.size) for v in range(alg.size) if rep[u] == rep[v]]
-    pairs = pairalg.pairs
-    return {(pairs[i][0], pairs[j][0], pairs[i][1], pairs[j][1])
-            for i, j in closure(pairalg, 2, gens)}
+    gens = [(x, x, y, y) for x, y in pairs]
+    gens += [(u, v, u, v) for u, v in beta.pairs()]
+    return set(closure(alg, 4, gens))
 
 
 def delta(alg, alpha, beta, cap=DEFAULT_CAP, pairalg=None, matrices=None):

@@ -112,13 +112,12 @@ def datum_to_json(d):
             lambda key: tab[(key[:-1], key[-1:])], (),
             [d.qsize()] * (ar - 1) + [d.dc.size])
     rho = [d.dc.rho_class[d.dc.class_of[p]] for p in range(len(d.dc.pairs))]
-    from .algebras import _unflatten as unflat
     return {
         "name": d.name or "datum",
         "q_algebra": algebra_to_json(d.q_alg),
-        "mq": unflat(d.mq_flat, 3, d.qsize()),
+        "mq": _unflatten(d.mq_flat, 3, d.qsize()),
         "carrier_size": d.asize,
-        "m": unflat(d.m_flat, 3, d.asize),
+        "m": _unflatten(d.m_flat, 3, d.asize),
         "alpha_blocks": d.alpha.blocks(),
         "rho": rho,
         "lifting": list(d.lifting),
@@ -198,19 +197,8 @@ def _leaves(node, depth, key=()):
 
 
 def cocycle_to_json(d, T, datum_name=None):
-    tables = {}
-    for sym, ar in d.signature.symbols:
-        if ar == 0:
-            tables[sym] = T.tables[sym][()]
-            continue
-        nq = d.qsize()
-
-        def nest(key, depth, sym=sym):
-            if depth == ar:
-                return T.tables[sym][tuple(key)]
-            return [nest(key + [i], depth + 1) for i in range(nq)]
-
-        tables[sym] = nest([], 0)
+    tables = {sym: _nested(T.tables[sym].__getitem__, (), [d.qsize()] * ar)
+              for sym, ar in d.signature.symbols}
     return {"datum": datum_name or d.name or "datum", "tables": tables}
 
 

@@ -107,7 +107,7 @@ def eval_term(alg, t, env):
     if name not in alg.signature.arities:
         raise TermError("symbol %r not in signature" % name)
     args = [eval_term(alg, s, env) for s in t[1:]]
-    return alg.op(name, *args)
+    return alg.apply(name, args)
 
 
 def term_table(alg, t, variables):

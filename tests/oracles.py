@@ -17,13 +17,15 @@ with, now compared with what replaced them.
   the identity intersected with the listed Stab(A_0).
 - enumerated_congruences: Con A by one Cg per congruence found and pair
   it does not relate.
+- pair_algebra_m_matrices: M(alpha,beta) closed in A(alpha)**2 and read
+  back as quadruples.
 """
 
 from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import product
 
-from affext.algebras import CapExceeded
+from affext.algebras import CapExceeded, closure
 from affext.cocycles import (TwoCocycle, _serialized_sub, coboundary_of,
                              fiber_respecting_maps, reconstruct)
 from affext.cohomology import (_check_subgroup, _cochain_group,
@@ -300,3 +302,16 @@ def enumerated_congruences(alg):
                         new.append(d)
         frontier = new
     return sorted(found, key=lambda c: c.rep)
+
+
+def pair_algebra_m_matrices(alg, alpha, beta):
+    """M(alpha,beta) as m_matrices once built it: a matrix is the pair
+    (index of column 1, index of column 2) in A(alpha)**2, closed there
+    from [x x // y y], x alpha y, and [u v // u v], u beta v, and each
+    (i, j) read back as the quadruple (q1, q2, q3, q4)."""
+    pairalg = pair_algebra(alg, alpha)
+    index, pairs = pairalg.pair_index, pairalg.pairs
+    gens = [(i, i) for i in range(pairalg.size)]
+    gens += [(index[(u, u)], index[(v, v)]) for u, v in beta.pairs()]
+    return {(pairs[i][0], pairs[j][0], pairs[i][1], pairs[j][1])
+            for i, j in closure(pairalg, 2, gens)}

@@ -218,6 +218,84 @@ def test_coset_step_on_pair_algebras(cat):
             check_coset_step(pa, 2, gens, naive=pa.size <= 8)
 
 
+@pytest.fixture
+def images_calls(monkeypatch):
+    """The operation tables each semi-naive step of closure ran, per call."""
+    calls = []
+    real = algebras._images
+
+    def spy(ops, *args):
+        calls.append([tab for tab, _ in ops])
+        return real(ops, *args)
+
+    monkeypatch.setattr(algebras, "_images", spy)
+    return calls
+
+
+def checked_images(alg, k, gens, images_calls, naive):
+    """The tables closure(alg, k, gens) ran semi-naively, once
+    check_coset_step has compared that closure with its oracles (whose
+    batch loop runs every operation)."""
+    del images_calls[:]
+    closure(alg, k, gens)
+    ran = list(images_calls)
+    check_coset_step(alg, k, gens, naive=naive)
+    return ran
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_group_inverse_is_skipped(k, cat, images_calls):
+    """In a catalog group {mul, inv, e} the span closed under mul is a
+    subgroup, so inv is never run, and the closure is still naive_closure's."""
+    rng = random.Random(600 + k)
+    for g in cat.values():
+        assert g.group_inverses("mul") == {"inv"}
+        for _ in range(3):
+            gens = [tuple(rng.randrange(g.size) for _ in range(k))
+                    for _ in range(rng.randint(0, 3))]
+            assert checked_images(g, k, gens, images_calls, g.size ** k <= 64) == []
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_other_permutations_are_still_applied(k, cat, images_calls):
+    """A unary permutation that is not the inverse (the inverse followed
+    by a right shift, or a random permutation unless it happens to be the
+    inverse) is not skipped: it runs alone, with inv skipped."""
+    rng = random.Random(700 + k)
+    for g in cat.values():
+        n = g.size
+        if n == 1:
+            continue
+        shifted = tuple(g.tables["mul"][x * n + 1] for x in g.tables["inv"])
+        for extra in (shifted, tuple(rng.sample(range(n), n))):
+            sig = Signature(list(g.signature.symbols) + [("p", 1)])
+            alg = FiniteAlgebra(n, sig, dict(g.tables, p=extra))
+            inverse = extra == g.tables["inv"]
+            assert alg.group_inverses("mul") == ({"inv", "p"} if inverse else {"inv"})
+            gens = [tuple(rng.randrange(n) for _ in range(k))]
+            ran = checked_images(alg, k, gens, images_calls, n ** k <= 64)
+            assert ran == [] if inverse else ran and all(t == [extra] for t in ran)
+    # x -> x + 1 takes the identity to 1, so {e} alone is not closed
+    z4 = cat["Z4"]
+    plus1 = FiniteAlgebra(4, Signature(list(z4.signature.symbols) + [("p", 1)]),
+                          dict(z4.tables, p=(1, 2, 3, 0)))
+    assert sorted(closure(plus1, 1, [])) == [(0,), (1,), (2,), (3,)]
+
+
+def test_pair_algebras_inherit_the_group_inverses(cat, images_calls):
+    """A(alpha) copies its base's inverses when it is built, testing no
+    table of its own, and skips them; its closures match naive_closure."""
+    rng = random.Random(8)
+    for g in cat.values():
+        for alpha in all_congruences(g):
+            pa = pair_algebra(g, alpha)
+            assert pa._inverses == {"mul": {"inv"}}
+            gens = [tuple(rng.randrange(pa.size) for _ in range(2))
+                    for _ in range(rng.randint(1, 2))]
+            assert checked_images(pa, 2, gens, images_calls, pa.size <= 8) == []
+            assert checked_images(pa, 1, [t[:1] for t in gens], images_calls, True) == []
+
+
 @pytest.mark.parametrize("group", ["Z8", "D4", "Q8"])
 def test_coset_step_on_twin_pairs(group, cat):
     """The twin-pair closures of the order-4 kernels, 2n-tuples in A_0."""

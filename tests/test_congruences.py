@@ -2,10 +2,12 @@ from itertools import product
 
 import pytest
 
-from affext.algebras import AlgebraError
+from affext.algebras import AlgebraError, CapExceeded
 from affext.congruences import (Congruence, all_congruences, cg, delta,
                                 delta_with_pair_algebra, hat_alpha,
                                 m_matrices, pair_algebra)
+from affext.groups import (direct_product, identity_of, inv_of, is_normal,
+                           mul_of, subgroup_generated)
 from affext.terms import eval_term, GROUP_DIFFERENCE_TERM
 
 from oracles import enumerated_congruences
@@ -74,6 +76,47 @@ def test_all_congruences_match_the_enumeration(cat):
     for g in cat.values():
         for alg in (g, malcev_reduct(g)):
             assert all_congruences(alg) == enumerated_congruences(alg), g.name
+
+
+def normal_subgroup_congruences(g):
+    """Con G as the coset partitions of the normal subgroups of G, found
+    as the joins (subgroups generated by unions) of normal closures of
+    single elements, each checked by is_normal."""
+    n = g.size
+    conj = lambda h, x: mul_of(g, mul_of(g, h, x), inv_of(g, h))
+    closures = {frozenset(subgroup_generated(g, [conj(h, x) for h in range(n)]))
+                for x in range(n)}
+    found = frontier = {frozenset([identity_of(g)])}
+    while frontier:
+        frontier = {frozenset(subgroup_generated(g, a | b))
+                    for a in frontier for b in closures} - found
+        found |= frontier
+    assert all(is_normal(g, sorted(sub)) for sub in found)
+    return sorted((Congruence.from_blocks(n, {frozenset(mul_of(g, k, x) for k in sub)
+                                              for x in range(n)}) for sub in found),
+                  key=lambda c: c.rep)
+
+
+@pytest.mark.parametrize("factors, count", [
+    (("Z2xZ2", "Z2xZ2"), 67), (("D4", "Z2"), 19), (("Q8", "Z2"), 19)])
+def test_all_congruences_past_twelve_elements(cat, factors, count):
+    """Order-16 groups, above the 12 elements all_congruences once
+    stopped at: the normal subgroups' cosets and the enumeration agree."""
+    g = direct_product(*[cat[name] for name in factors])
+    cons = all_congruences(g)
+    assert len(cons) == count
+    assert cons == normal_subgroup_congruences(g) == enumerated_congruences(g)
+
+
+def test_all_congruences_hold_each_round_to_the_cap(cat):
+    """Z2**4 has 15 principal congruences and rounds of 1, 15, 35, 15 and
+    1 congruences: the third round's 35 * 15 joins need a cap of 525."""
+    g = direct_product(cat["Z2xZ2"], cat["Z2xZ2"])
+    with pytest.raises(CapExceeded) as info:
+        all_congruences(g, cap=524)
+    assert (info.value.stage, info.value.size, info.value.cap) == ("all_congruences", 525, 524)
+    assert str(info.value) == "all_congruences: 525 joins exceed cap 524"
+    assert len(all_congruences(g, cap=525)) == 67
 
 
 def test_pair_algebra_sizes(cat):
