@@ -1,8 +1,10 @@
 """2-cocycles, derived term operations, reconstruction and realization."""
 
 from itertools import product
+from math import prod
 
-from .algebras import AlgebraError, FiniteAlgebra, is_homomorphism, DEFAULT_CAP
+from .algebras import (AlgebraError, CapExceeded, FiniteAlgebra, is_homomorphism,
+                       DEFAULT_CAP)
 from .congruences import kernel_of_map, pair_algebra, delta as delta_congruence
 from .datum import DatumError, ExtensionRecord
 from .terms import is_var, term_vars, term_to_str
@@ -144,40 +146,39 @@ def reconstruct(d, T, name=None, verify=True):
     """The algebra on the Delta-class universe built from datum and cocycle.
 
     Operations are the f-delta term, then the action terms for positions
-    2..n, then T_f, summed left-associated at base l(f^Q(q)).  The canonical
-    projection onto Q is verified to be a homomorphism rather than assumed.
+    2..n, then T_f, summed left-associated at base l(f^Q(q)).  The first
+    part does not depend on T and is the datum's sum table (SumTable),
+    built once per datum; each entry adds T's value at the cell over
+    rho(cs) at the table's memo offset.  A sum that raised while the table
+    was built raises here at the same entry.  (C1) is checked against the
+    datum's cell_fibers().  The canonical projection onto Q is verified to
+    be a homomorphism rather than assumed.
     """
-    U = d.dc.size
-    nq = d.qsize()
+    U, nq, rho = d.dc.size, d.qsize(), d.dc.rho_class
     if verify:
-        for sym, ar in d.signature.symbols:
-            for qs in product(range(nq), repeat=ar):
-                if d.dc.rho_class[T.value(sym, qs)] != d.cell_fiber(sym, qs):
-                    raise DatumError("cocycle violates (C1) at %s%r" % (sym, qs))
+        for (sym, qs), fib in zip(d.cells(), d.cell_fibers()):
+            if rho[T.value(sym, qs)] != fib:
+                raise DatumError("cocycle violates (C1) at %s%r" % (sym, qs))
+    sums, serial = d.sum_table(), T.serialize(d)
+    memo, m = d.dc._m_memo(), d.dc.m_class
     tables = {}
     for sym, ar in d.signature.symbols:
+        ts = map(serial.__getitem__, sums.cells[sym])
         if ar == 0:
-            tables[sym] = (T.value(sym, ()),)
-            continue
-        flat = []
-        for cs in product(range(U), repeat=ar):
-            qs = tuple(d.dc.rho_class[c] for c in cs)
-            base = d.q_alg.apply(sym, qs)
-            val = d.fdelta_apply(sym, cs[0], qs[1:])
-            for i in range(2, ar + 1):
-                val = d.plus_at(base, val,
-                                d.action_apply(sym, i, qs[:i - 1] + qs[i:], cs[i - 1]))
-            val = d.plus_at(base, val, T.value(sym, qs))
-            flat.append(val)
-        tables[sym] = tuple(flat)
+            tables[sym] = (next(ts),)
+        else:
+            tables[sym] = tuple([v if (v := memo[o + t]) is not None
+                                 else m(o // U // U, o // U % U, t)
+                                 for o, t in zip(sums.offsets[sym], ts)])
+        if sums.failure and sums.failure[0] == sym:
+            raise sums.failure[1]
     alg = FiniteAlgebra(U, d.signature, tables, name=name or "A_T")
-    memo = d.dc._m_memo()  # m's table is the memo itself once it is full
+    # m's table is the memo itself once it is full
     m_flat = tuple(memo) if None not in memo else tuple(
-        d.dc.m_class(x, y, z) for x in range(U) for y in range(U) for z in range(U))
+        m(x, y, z) for x in range(U) for y in range(U) for z in range(U))
     lifting = tuple(d.delta_l(q) for q in range(nq))
-    ext = ExtensionRecord(alg, d.dc.rho_class, d.q_alg, m_flat,
-                          lifting=lifting, name=alg.name, datum=d)
-    return ext
+    return ExtensionRecord(alg, rho, d.q_alg, m_flat,
+                           lifting=lifting, name=alg.name, datum=d)
 
 
 # --- realization -----------------------------------------------------------
@@ -270,10 +271,15 @@ def is_semidirect(ext):
     """A retraction r with r.r = r, ker r = beta, r a homomorphism, or None.
 
     Retractions constant on kernel blocks are exactly the choices of one
-    representative per block, so the search is over those.
+    representative per block, so the search is over those, Pi |block| of
+    them, held to DEFAULT_CAP before the first is tried.
     """
     alg, beta = ext.alg, ext.beta
     blocks = beta.blocks()
+    space = prod(map(len, blocks))
+    if space > DEFAULT_CAP:
+        raise CapExceeded("is_semidirect", space, DEFAULT_CAP,
+                          "{stage}: {size} candidate retractions exceed cap {cap}")
     for reps in product(*blocks):
         r = [0] * alg.size
         for block, rep in zip(blocks, reps):
@@ -349,9 +355,13 @@ def coboundary_of(d, h):
 
 
 def fiber_respecting_maps(d):
-    """All h: Q -> Delta-classes with h(q) in the fiber over q."""
-    nq = d.qsize()
-    pools = [d.fiber(q) for q in range(nq)]
+    """All h: Q -> Delta-classes with h(q) in the fiber over q, Pi |fiber|
+    of them, held to DEFAULT_CAP before the list is built."""
+    pools = [d.fiber(q) for q in range(d.qsize())]
+    space = prod(map(len, pools))
+    if space > DEFAULT_CAP:
+        raise CapExceeded("fiber_respecting_maps", space, DEFAULT_CAP,
+                          "{stage}: {size} fiber-respecting maps exceed cap {cap}")
     return [tuple(h) for h in product(*pools)]
 
 

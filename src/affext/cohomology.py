@@ -229,12 +229,17 @@ def cocycle_group(d, equations, cap=1 << 24, brute=False):
     on its members; cap bounds the entries listed, order times cells,
     before the first is built.  brute=True is the oracle mode: the product
     of the fibers filtered through check_cocycle, cap bounding it.
+
+    A kernel listed with every constraint linear is a subgroup of the
+    fibers over cell_fibers(), zero included; when those are the cells'
+    bases f^Q(qs) it is one of the 2-cochains, and nothing is re-checked.
+    Members filtered one by one are checked to be a subgroup.
     """
     gate = check_action_compatible(d, equations, mode="weak")
     if not gate["holds"]:
         return Z2Result(d, equations, [], gate)
     cells = d.cells()
-    bases = [d.cell_fiber(*cell) for cell in cells]
+    bases = d.cell_fibers()
     domains = {cell: d.fiber(q) for cell, q in zip(cells, bases)}
     if brute:
         space = prod(len(domains[cell]) for cell in cells)
@@ -243,6 +248,7 @@ def cocycle_group(d, equations, cap=1 << 24, brute=False):
                               "{stage}: brute-force space {size} exceeds cap {cap}")
         solutions = [v for v in product(*(domains[c] for c in cells)) if check_cocycle(
             d, TwoCocycle.from_serialized(d, v), equations)["holds"]]
+        filtered = True
     else:
         constraints = _constraints_for(ClassMaps(d), equations, domains)
         solved = kernel(d, bases, constraints)
@@ -250,8 +256,9 @@ def cocycle_group(d, equations, cap=1 << 24, brute=False):
         for lhs, rhs in map(constraints.__getitem__, solved[2]):
             solutions = [v for v in solutions
                          if _side_value(d, lhs, v) == _side_value(d, rhs, v)]
+        filtered = bool(solved[2])
     solutions.sort()
-    if solutions:
+    if solutions and (filtered or bases != _cell_bases(d)):
         zero, add = _two_cochains(d)
         if zero not in set(solutions):
             raise DatumError("trivial cocycle is not compatible; gate failed")

@@ -4,7 +4,7 @@ extraction from an extension with abelian kernel, and axiom validation."""
 from itertools import product
 
 from .algebras import (AlgebraError, FiniteAlgebra, Signature,
-                       is_homomorphism, satisfies, DEFAULT_CAP)
+                       is_homomorphism, satisfies, tuple_decode, DEFAULT_CAP)
 from .commutator import is_abelian, verify_ternary_abelian_group_on_blocks
 from .congruences import (Congruence, delta_by_cg, kernel_of_map, pair_algebra,
                           delta as delta_congruence)
@@ -126,6 +126,8 @@ class AffineDatum:
         self._delta_kernel = None  # cohomology._delta_kernel's memo
         self._cells = None  # cells()'s memo
         self._bases = None  # cocycles._cell_bases's memo
+        self._cell_fibers = None  # cell_fibers()'s memo
+        self._sums = None  # sum_table()'s memo
 
     # --- basic maps -----------------------------------------------------
     def qsize(self):
@@ -244,6 +246,18 @@ class AffineDatum:
             base = self.fdelta_apply(sym, c1, qs[1:])
         return self.dc.rho_class[base]
 
+    def cell_fibers(self):
+        """cell_fiber of every cell, in cells() order, listed once per datum."""
+        if self._cell_fibers is None:
+            self._cell_fibers = tuple(self.cell_fiber(*cell) for cell in self.cells())
+        return self._cell_fibers
+
+    def sum_table(self):
+        """The datum's SumTable, built on first use."""
+        if self._sums is None:
+            self._sums = SumTable(self)
+        return self._sums
+
     def eval_q(self, term, qenv):
         return eval_term(self.q_alg, term, qenv)
 
@@ -272,6 +286,60 @@ class ClassMaps:
                 img = [d.action_apply(sym, k, rest, c) for c in range(self.size)]
             self._maps[key] = img
         return img
+
+
+class SumTable:
+    """The transfer-free sums of a datum, the reconstructed operations
+    without the cocycle: per symbol, one flat table over tuples cs of
+    Delta-classes in the term-table layout.  The value at cs is f-delta of
+    c1, then the action at each position 2..k, added left-associated
+    through m_class at zero delta(l(f^Q(rho(cs)))); a nullary c has
+    delta(l(c^Q)).  offsets[sym][i] is the memo slot of m_class(value,
+    zero, 0) and cells[sym][i] the index in cells() of the cell over
+    rho(cs), so a cocycle value t there is added by reading slot
+    offsets[sym][i] + t.  When a sum raises, failure is (sym, exc) and the
+    tables stop at that entry, as an entry-by-entry loop would.
+
+    The datum is fibered when no sum raised and every value is a class
+    over f^Q(rho(cs)); algebra is then the tables as a FiniteAlgebra on the
+    classes, and None otherwise.  On a fibered datum a term's table in
+    algebra is its transfer-free sum with Q tracked: by induction on the
+    term, each subterm's value lies over the subterm's value in Q, so rho
+    of the arguments is what tracking Q would give.  (D4) makes every
+    datum that extract_datum builds fibered.
+    """
+
+    def __init__(self, d):
+        dc, size = d.dc, d.dc.size
+        rho, m, q_alg = dc.rho_class, dc.m_class, d.q_alg
+        index = {cell: i for i, cell in enumerate(d.cells())}
+        tables, self.offsets, self.cells = {}, {}, {}
+        self.failure, self.algebra, fibered = None, None, True
+        for sym, ar in d.signature.symbols:
+            vals, offs, cix = [], [], []
+            tables[sym], self.offsets[sym], self.cells[sym] = vals, offs, cix
+            try:
+                for cs in product(range(size), repeat=ar):
+                    qs = tuple([rho[c] for c in cs])
+                    cix.append(index[sym, qs])
+                    fq = q_alg.apply(sym, qs)
+                    zero = d.delta_l(fq)
+                    v = d.fdelta_apply(sym, cs[0], qs[1:]) if ar else zero
+                    for k in range(2, ar + 1):
+                        v = m(v, zero, d.action_apply(sym, k, qs[:k - 1] + qs[k:],
+                                                      cs[k - 1]))
+                    fibered = fibered and rho[v] == fq
+                    vals.append(v)
+                    offs.append((v * size + zero) * size)
+            except (KeyError, IndexError, TypeError) as exc:
+                self.failure = sym, exc  # reconstruct raises it at this entry
+                return
+        if fibered:
+            try:
+                self.algebra = FiniteAlgebra(size, d.signature, {
+                    sym: tuple(vals) for sym, vals in tables.items()}, name="sums")
+            except AlgebraError:  # a value that is no class, from a datum file
+                pass
 
 
 class ExtensionRecord:
@@ -689,7 +757,9 @@ def _weak_columns(cm, term, qenv, cols, n):
     All n assignments lie over the Q assignment qenv; cols maps a variable
     to its column of classes.  Each node looks its f-delta and action maps
     up once and adds through m_class's memo: position 1 goes through
-    f-delta and positions >= 2 through the action, left to right.
+    f-delta and positions >= 2 through the action, left to right.  Q is
+    tracked by the subterms' values in Q, not read off the classes, which
+    is the only exact route on a datum that is not fibered (SumTable).
     """
     if is_var(term):
         return qenv[term], cols[term]
@@ -730,13 +800,30 @@ def _weak_failures(cm, lhs, rhs, varnames):
              "lhs": lv, "rhs": rv} for env, lv, rv in found]
 
 
+def _table_failures(alg, lhs, rhs, varnames):
+    """Where the term tables of lhs and rhs in alg differ, in index order,
+    which is the order of the class assignments in product(range(size))."""
+    left, right = term_table(alg, lhs, varnames), term_table(alg, rhs, varnames)
+    if left == right:
+        return []
+    n, k = alg.size, len(varnames)
+    return [{"equation": (lhs, rhs), "env": dict(zip(varnames, tuple_decode(i, n, k))),
+             "lhs": lv, "rhs": rv}
+            for i, (lv, rv) in enumerate(zip(left, right)) if lv != rv]
+
+
 def check_action_compatible(d, equations, mode="weak"):
     """Compatibility of the datum's action with a set of equations.
 
-    weak mode compares the transfer-free sums on every class assignment,
-    evaluated a whole product of fibers at a time; full mode
-    enumerates compatible sequences and appropriate pairs per the pairing
-    rules.  Returns a report dict with failure witnesses.
+    weak mode compares the transfer-free sums of the two sides on every
+    class assignment.  On a fibered datum (SumTable) these are the term
+    tables of the sides over the datum's sum table, and the failures are
+    the positions where they part, in index order.  On any other datum the
+    classes alone would misplace Q, so the sums are evaluated with Q
+    tracked through the subterms, a whole product of fibers per Q
+    assignment, and sorted into the same order.  full mode enumerates
+    compatible sequences and appropriate pairs per the pairing rules.
+    Returns a report dict with failure witnesses.
     """
     if mode not in ("weak", "full"):
         raise DatumError("mode must be 'weak' or 'full'")
@@ -748,10 +835,12 @@ def check_action_compatible(d, equations, mode="weak"):
                 "witness": {"reason": "Q does not satisfy the equations",
                             "equation": q_fail[:2], "env": q_fail[2]}}
     cm = ClassMaps(d)
+    sums = d.sum_table().algebra if mode == "weak" else None
     for lhs, rhs in equations:
         varnames = term_vars(lhs, rhs)
         if mode == "weak":
-            failures += _weak_failures(cm, lhs, rhs, varnames)
+            failures += (_weak_failures(cm, lhs, rhs, varnames) if sums is None
+                         else _table_failures(sums, lhs, rhs, varnames))
         else:
             domain = [(Q_KIND, q) for q in range(d.qsize())]
             domain += [(U_KIND, c) for c in range(d.dc.size)]

@@ -121,17 +121,17 @@ def term_table(alg, t, variables):
     with the wrong number of arguments raises TermError too.
     """
     n, k = alg.size, len(variables)
-    place = {v: n ** (k - 1 - j) for j, v in enumerate(variables)}
-    return _node_table(alg, t, place, n, n ** k)
+    columns = {v: tuple([x for x in range(n) for _ in range(n ** (k - 1 - j))]) * n ** j
+               for j, v in enumerate(variables)}
+    return _node_table(alg, t, columns, n, n ** k)
 
 
-def _node_table(alg, t, place, n, size):
-    """term_table of t, with place mapping each variable to its stride."""
+def _node_table(alg, t, columns, n, size):
+    """term_table of t, with columns mapping each variable to its table."""
     if is_var(t):
-        if t not in place:
+        if t not in columns:
             raise TermError("unbound variable %r" % t)
-        stride = place[t]
-        return tuple(i // stride % n for i in range(size))
+        return columns[t]
     name = t[0]
     ar = alg.signature.arity(name)
     if ar is None:
@@ -141,9 +141,9 @@ def _node_table(alg, t, place, n, size):
     tab = alg.tables[name]
     if ar == 0:
         return (tab[0],) * size
-    codes = _node_table(alg, t[1], place, n, size)
+    codes = _node_table(alg, t[1], columns, n, size)
     for s in t[2:]:
-        codes = [c * n + x for c, x in zip(codes, _node_table(alg, s, place, n, size))]
+        codes = [c * n + x for c, x in zip(codes, _node_table(alg, s, columns, n, size))]
     return tuple(map(tab.__getitem__, codes))
 
 

@@ -19,13 +19,15 @@ with, now compared with what replaced them.
   it does not relate.
 - pair_algebra_m_matrices: M(alpha,beta) closed in A(alpha)**2 and read
   back as quadruples.
+- entrywise_reconstruct: the extension of a datum and cocycle with every
+  entry summed on its own, the cocycle included.
 """
 
 from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import product
 
-from affext.algebras import CapExceeded, closure
+from affext.algebras import CapExceeded, FiniteAlgebra, closure
 from affext.cocycles import (TwoCocycle, _serialized_sub, coboundary_of,
                              fiber_respecting_maps, reconstruct)
 from affext.cohomology import (_check_subgroup, _cochain_group,
@@ -33,7 +35,8 @@ from affext.cohomology import (_check_subgroup, _cochain_group,
                                twin_pairs_of_identity)
 from affext.commutator import is_malcev_on_blocks, tc_commutator
 from affext.congruences import cg, pair_algebra
-from affext.datum import ClassMaps, DatumError, check_action_compatible
+from affext.datum import (ClassMaps, DatumError, ExtensionRecord,
+                          check_action_compatible)
 from affext.terms import eval_term, is_var, term_vars
 
 
@@ -315,3 +318,38 @@ def pair_algebra_m_matrices(alg, alpha, beta):
     gens += [(index[(u, u)], index[(v, v)]) for u, v in beta.pairs()]
     return {(pairs[i][0], pairs[j][0], pairs[i][1], pairs[j][1])
             for i, j in closure(pairalg, 2, gens)}
+
+
+def entrywise_reconstruct(d, T, name=None, verify=True):
+    """reconstruct with each entry summed on its own: the f-delta term, the
+    action terms for positions 2..n and T_f, left-associated at base
+    l(f^Q(q)), after (C1) is checked cell by cell."""
+    U = d.dc.size
+    nq = d.qsize()
+    if verify:
+        for sym, ar in d.signature.symbols:
+            for qs in product(range(nq), repeat=ar):
+                if d.dc.rho_class[T.value(sym, qs)] != d.cell_fiber(sym, qs):
+                    raise DatumError("cocycle violates (C1) at %s%r" % (sym, qs))
+    tables = {}
+    for sym, ar in d.signature.symbols:
+        if ar == 0:
+            tables[sym] = (T.value(sym, ()),)
+            continue
+        flat = []
+        for cs in product(range(U), repeat=ar):
+            qs = tuple(d.dc.rho_class[c] for c in cs)
+            base = d.q_alg.apply(sym, qs)
+            val = d.fdelta_apply(sym, cs[0], qs[1:])
+            for i in range(2, ar + 1):
+                val = d.plus_at(base, val,
+                                d.action_apply(sym, i, qs[:i - 1] + qs[i:], cs[i - 1]))
+            val = d.plus_at(base, val, T.value(sym, qs))
+            flat.append(val)
+        tables[sym] = tuple(flat)
+    alg = FiniteAlgebra(U, d.signature, tables, name=name or "A_T")
+    m_flat = tuple(d.dc.m_class(x, y, z)
+                   for x in range(U) for y in range(U) for z in range(U))
+    lifting = tuple(d.delta_l(q) for q in range(nq))
+    return ExtensionRecord(alg, d.dc.rho_class, d.q_alg, m_flat,
+                           lifting=lifting, name=alg.name, datum=d)
