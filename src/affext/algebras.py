@@ -5,8 +5,9 @@ by base-n positional encoding with the leftmost argument most significant.
 The same encoding fixes tuple indexing in power algebras.
 """
 
-from itertools import chain, product
-from operator import getitem, itemgetter
+from functools import partial, reduce
+from itertools import chain, product, repeat
+from operator import add, getitem, itemgetter, mul
 
 DEFAULT_CAP = 1 << 24
 
@@ -155,15 +156,21 @@ class FiniteAlgebra:
     def subpower(cls, base, elements, name=None):
         """The subalgebra of base**k whose universe is the list elements of
         k-tuples, element i standing for elements[i], as a cls: the power
-        and pair algebras.  It satisfies every identity of base, so
+        and pair algebras.  Its tables skip the constructor's scan: each
+        entry is an index into elements by construction (a list that is
+        not closed raises KeyError).  It satisfies every identity of base, so
         associative_ops() is read off base instead of tested on the new
         tables.  So is each group operation of base, a finite subset of
         G**k closed under * being a subgroup, and its inverses."""
-        sub = cls(len(elements), base.signature, subpower_tables(base, elements),
-                  name=name)
+        if not elements:
+            raise AlgebraError("algebra size must be positive")
+        sub = cls.__new__(cls)
+        sub.size, sub.signature, sub.name = len(elements), base.signature, name
+        sub.tables = subpower_tables(base, elements)
         sub._associative = base.associative_ops()
         sub._latin = {sym: True for sym in sub._associative if base.is_group_op(sym)}
         sub._inverses = {sym: base.group_inverses(sym) for sym in sub._latin}
+        sub._profile_memo = None
         return sub
 
     def op(self, sym, *args):
@@ -352,19 +359,39 @@ def _right_products(pool, kept):
 
 def subpower_tables(alg, elements):
     """Flat tables of the subalgebra of alg**k whose universe is the list
-    elements of k-tuples, element i standing for elements[i]."""
-    n = alg.size
-    index = {t: i for i, t in enumerate(elements)}
-    rows = _row_getters(elements)
+    elements of k-tuples, element i standing for elements[i].
+
+    A k-tuple is keyed by its base-n code, sum x_j * n**(k-1-j), so no
+    tuple is built or hashed per entry: each row of the table scaled by
+    n**(k-1-j) is read once, per base prefix, at the pool's j-th
+    coordinates; the entries after a prefix p of pool elements are the
+    rows at p's coordinates summed by map(add), looked up by code.  A
+    list that is not closed raises KeyError.
+    """
+    n, k = alg.size, len(elements[0])
+    codes = [0] * len(elements)
+    for col in zip(*elements):
+        codes = [c * n + x for c, x in zip(codes, col)]
+    index = dict(zip(codes, range(len(codes)))).__getitem__
+    getters = _row_getters(elements)
     tables = {}
     for sym, ar in alg.signature.symbols:
         tab = alg.tables[sym]
         if ar == 0:
-            tables[sym] = (index[(tab[0],) * len(rows)],)
+            tables[sym] = (index(sum(tab[0] * n ** j for j in range(k))),)
             continue
-        tables[sym] = tuple(map(index.__getitem__, chain.from_iterable(
-            _apply_rows(tab, n, prefix, rows)
-            for prefix in product(elements, repeat=ar - 1))))
+        rows = []
+        for j, get in enumerate(getters):
+            scaled = [v * n ** (k - 1 - j) for v in tab]
+            rows.append([get(scaled[r:r + n]) for r in range(0, len(tab), n)])
+        # per prefix of pool elements, the base prefix code of each coordinate
+        prefixes = [(0,) * k]
+        for _ in range(ar - 1):
+            prefixes = [tuple(map(add, map(mul, p, repeat(n)), t))
+                        for p in prefixes for t in elements]
+        tables[sym] = tuple(chain.from_iterable(
+            map(index, reduce(partial(map, add), map(getitem, rows, p)))
+            for p in prefixes))
     return tables
 
 

@@ -66,21 +66,18 @@ def _require(args, *fields):
 
 def _load_alpha(ws, args, alg):
     _require(args, "con")
-    from .congruences import Congruence
-    if args.con == "all":
-        return Congruence.all(alg.size)
-    if args.con == "eq":
-        return Congruence.equality(alg.size)
-    return ws.load_congruence(args.con, alg)
+    return _load_congruence(ws, args.con, alg)
 
 
 def _load_beta(ws, args, alg):
+    return _load_congruence(ws, "all" if args.con2 is None else args.con2, alg)
+
+
+def _load_congruence(ws, value, alg):
     from .congruences import Congruence
-    if args.con2 in (None, "all"):
-        return Congruence.all(alg.size)
-    if args.con2 == "eq":
-        return Congruence.equality(alg.size)
-    return ws.load_congruence(args.con2, alg)
+    if value in ("all", "eq"):
+        return (Congruence.all if value == "all" else Congruence.equality)(alg.size)
+    return ws.load_congruence(value, alg)
 
 
 def _parse_lift(args, alg, q_size):
@@ -161,9 +158,9 @@ def _dispatch(args):
             raise InputError("unknown con action %r (expected 'gen')" % args.action)
         _require(args, "alg", "pairs")
         alg = ws.load_algebra(args.alg)
-        try:
-            pairs = [tuple(int(x) for x in chunk.split(","))
-                     for chunk in args.pairs.split(";") if chunk]
+        try:  # a chunk that is not two integers fails to unpack
+            pairs = [(a, b) for a, b in (map(int, chunk.split(","))
+                                         for chunk in args.pairs.split(";") if chunk)]
         except ValueError:
             raise InputError("bad --pairs syntax, expected 'a,b;c,d'")
         from .congruences import cg

@@ -1,6 +1,7 @@
 """Congruences, the pair algebra A(alpha), M(alpha,beta) and Delta_{alpha beta}."""
 
 from functools import lru_cache
+from itertools import chain
 
 from .algebras import (AlgebraError, CapExceeded, FiniteAlgebra, closure,
                        congruence_violation, DEFAULT_CAP)
@@ -71,19 +72,11 @@ class Congruence:
         return len(set(self.rep))
 
     def meet(self, other):
-        key = {}
-        rep = []
-        for x in range(self.n):
-            k = (self.rep[x], other.rep[x])
-            rep.append(key.setdefault(k, x))
-        return Congruence(self.n, rep)
+        return kernel_of_map(list(zip(self.rep, other.rep)), self.n)
 
     def join(self, other):
-        uf = UnionFind(self.n)
-        for x in range(self.n):
-            uf.union(x, self.rep[x])
-            uf.union(x, other.rep[x])
-        return Congruence(self.n, uf.rep_array())
+        return equivalence_from_pairs(self.n, chain(enumerate(self.rep),
+                                                    enumerate(other.rep)))
 
     def le(self, other):
         return self.meet(other) == self
@@ -98,34 +91,12 @@ class Congruence:
         return "Congruence(%r)" % (self.blocks(),)
 
 
-class UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            x, p[x] = p[x], p[p[x]]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if ra > rb:
-            ra, rb = rb, ra
-        self.parent[rb] = ra  # keep least element as root
-        return True
-
-    def rep_array(self):
-        return [self.find(x) for x in range(len(self.parent))]
-
-
 def equivalence_from_pairs(n, pairs):
-    uf = UnionFind(n)
-    for a, b in pairs:
-        uf.union(a, b)
-    return Congruence(n, uf.rep_array())
+    """The least equivalence relation on {0..n-1} holding pairs, joined
+    by cg's quick-find merge."""
+    label, members = list(range(n)), [[x] for x in range(n)]
+    _merge(label, members, [], pairs)
+    return _labelled_congruence(label, members)
 
 
 def cg(alg, pairs):
@@ -158,12 +129,18 @@ def cg(alg, pairs):
             for xs, ys in _translation_slices(tab, ar, n, a, b):
                 if list(map(get, xs)) != list(map(get, ys)):
                     _merge(label, members, queue, zip(xs, ys))
+    return _labelled_congruence(label, members)
+
+
+def _labelled_congruence(label, members):
+    """The congruence of quick-find labels and member lists, each class
+    relabelled by its least member."""
     for block in members:
         if block:  # None where the class was merged into another
             least = min(block)
             for x in block:
                 label[x] = least
-    return Congruence(n, label)
+    return Congruence(len(label), label)
 
 
 def _merge(label, members, queue, pairs):
@@ -196,10 +173,7 @@ def _translation_slices(tab, ar, n, a, b):
 def kernel_of_map(mapping, n):
     """ker of mapping given as list of length n (not checked for compatibility)."""
     key = {}
-    rep = []
-    for x in range(n):
-        rep.append(key.setdefault(mapping[x], x))
-    return Congruence(n, rep)
+    return Congruence(n, [key.setdefault(mapping[x], x) for x in range(n)])
 
 
 def all_congruences(alg, cap=DEFAULT_CAP):
@@ -228,12 +202,6 @@ class PairAlgebra(FiniteAlgebra):
     Pairs are ordered lexicographically, which fixes all downstream class
     indexings.
     """
-
-    def p0(self, i):
-        return self.pairs[i][0]
-
-    def p1(self, i):
-        return self.pairs[i][1]
 
     def projection_kernel(self, coord):
         return kernel_of_map([p[coord] for p in self.pairs], self.size)
@@ -295,9 +263,13 @@ def m_matrices(alg, alpha, beta, cap=DEFAULT_CAP, pairalg=None):
 def delta(alg, alpha, beta, cap=DEFAULT_CAP, pairalg=None, matrices=None):
     """Delta_{alpha beta} on A(alpha), computed two independent ways.
 
-    (1) the congruence of A(alpha) generated by {((u,u),(v,v)) : u beta v};
+    (1) the congruence of A(alpha) generated by {((u,u),(v,v)) : u beta v}
+        (delta_by_cg);
     (2) the transitive closure of M(alpha,beta) read as a relation joining
-        the two columns of each matrix.
+        the two columns of each matrix.  The columns (q1,q3) and (q2,q4)
+        are read as pair codes a*n + b through one list of length n**2
+        that holds each alpha-pair's index in A(alpha), and joined by
+        cg's quick-find merge.
     Both must agree; the common congruence is returned.
     """
     if pairalg is None:
@@ -305,22 +277,24 @@ def delta(alg, alpha, beta, cap=DEFAULT_CAP, pairalg=None, matrices=None):
     via_cg = delta_by_cg(pairalg, beta)
     if matrices is None:
         matrices = m_matrices(alg, alpha, beta, cap=cap, pairalg=pairalg)
-    index = pairalg.pair_index
-    uf = UnionFind(pairalg.size)
-    for (q1, q2, q3, q4) in matrices:
-        uf.union(index[(q1, q3)], index[(q2, q4)])
-    via_tr = Congruence(pairalg.size, uf.rep_array())
-    if via_cg != via_tr:
+    n = alg.size
+    where = [None] * (n * n)
+    for i, (a, b) in enumerate(pairalg.pairs):
+        where[a * n + b] = i
+    columns = ((where[a * n + c], where[b * n + d]) for a, b, c, d in matrices)
+    if via_cg != equivalence_from_pairs(pairalg.size, columns):
         raise AlgebraError("Delta computed by Cg and by Tr M disagree")
-    return via_tr
+    return via_cg
 
 
 def delta_by_cg(pairalg, beta):
     """The Cg half of delta(): the congruence of A(alpha) generated by
-    {((u,u),(v,v)) : u beta v}."""
-    index, n, rep = pairalg.pair_index, pairalg.base.size, beta.rep
-    return cg(pairalg, [(index[(u, u)], index[(v, v)])
-                        for u in range(n) for v in range(n) if rep[u] == rep[v]])
+    {((u,u),(v,v)) : u beta v}, from one generator ((r,r),(v,v)) per v
+    with r = beta.rep[v], the least member of v's block, r != v: by
+    transitivity the same congruence, from at most n - 1 generators."""
+    index = pairalg.pair_index
+    return cg(pairalg, [(index[(r, r)], index[(v, v)])
+                        for v, r in enumerate(beta.rep) if r != v])
 
 
 def delta_with_pair_algebra(alg, alpha, beta, cap=DEFAULT_CAP):

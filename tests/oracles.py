@@ -21,20 +21,25 @@ with, now compared with what replaced them.
   back as quadruples.
 - entrywise_reconstruct: the extension of a datum and cocycle with every
   entry summed on its own, the cocycle included.
+- tuple_subpower_tables: subpower tables with every entry built as a
+  k-tuple and looked up by hashing it.
+- UnionFind, union_find_tr_m: path-halving union-find, and the Tr M half
+  of Delta by one union per matrix with tuple-keyed pair lookups.
 """
 
 from functools import partial
 from heapq import heapify, heappop, heappush
-from itertools import product
+from itertools import chain, product
 
-from affext.algebras import CapExceeded, FiniteAlgebra, closure
+from affext.algebras import (CapExceeded, FiniteAlgebra, _apply_rows,
+                             _row_getters, closure)
 from affext.cocycles import (TwoCocycle, _serialized_sub, coboundary_of,
                              fiber_respecting_maps, reconstruct)
 from affext.cohomology import (_check_subgroup, _cochain_group,
                                _constraints_for, _two_cochains, stabilizers,
                                twin_pairs_of_identity)
 from affext.commutator import is_malcev_on_blocks, tc_commutator
-from affext.congruences import cg, pair_algebra
+from affext.congruences import Congruence, cg, pair_algebra
 from affext.datum import (ClassMaps, DatumError, ExtensionRecord,
                           check_action_compatible)
 from affext.terms import eval_term, is_var, term_vars
@@ -353,3 +358,55 @@ def entrywise_reconstruct(d, T, name=None, verify=True):
     lifting = tuple(d.delta_l(q) for q in range(nq))
     return ExtensionRecord(alg, d.dc.rho_class, d.q_alg, m_flat,
                            lifting=lifting, name=alg.name, datum=d)
+
+
+def tuple_subpower_tables(alg, elements):
+    """Flat tables of the subalgebra of alg**k on the list elements, each
+    entry's value built as a k-tuple a row of the pool at a time and
+    looked up in a tuple-keyed index."""
+    n = alg.size
+    index = {t: i for i, t in enumerate(elements)}
+    rows = _row_getters(elements)
+    tables = {}
+    for sym, ar in alg.signature.symbols:
+        tab = alg.tables[sym]
+        if ar == 0:
+            tables[sym] = (index[(tab[0],) * len(rows)],)
+            continue
+        tables[sym] = tuple(map(index.__getitem__, chain.from_iterable(
+            _apply_rows(tab, n, prefix, rows)
+            for prefix in product(elements, repeat=ar - 1))))
+    return tables
+
+
+class UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            x, p[x] = p[x], p[p[x]]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if ra > rb:
+            ra, rb = rb, ra
+        self.parent[rb] = ra  # keep least element as root
+        return True
+
+    def rep_array(self):
+        return [self.find(x) for x in range(len(self.parent))]
+
+
+def union_find_tr_m(pairalg, matrices):
+    """The transitive closure of M(alpha,beta) on A(alpha): one union per
+    matrix of its columns (q1,q3) and (q2,q4), looked up as tuples."""
+    index = pairalg.pair_index
+    uf = UnionFind(pairalg.size)
+    for (q1, q2, q3, q4) in matrices:
+        uf.union(index[(q1, q3)], index[(q2, q4)])
+    return Congruence(pairalg.size, uf.rep_array())

@@ -104,6 +104,17 @@ def test_cli_con_gen(files):
     assert "[[0, 2], [1, 3]]" in r.stdout
 
 
+@pytest.mark.parametrize("pairs", ["1", "0,1,2", "0,2;1", "0,x"])
+def test_cli_con_gen_rejects_malformed_pairs(files, monkeypatch, capsys, pairs):
+    """A chunk that is not exactly two integers is an input error."""
+    monkeypatch.chdir(files)
+    code = cli.main(["con", "gen", "--alg", "z4.json", "--pairs", pairs])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "input error: bad --pairs syntax, expected 'a,b;c,d'\n"
+    assert "Traceback" not in err
+
+
 def test_cli_h2_text_and_json(files):
     r = run_cli(["h2", "--alg", "z4.json", "--con", "alpha.json",
                  "--sigma", "builtin:groups"], files)

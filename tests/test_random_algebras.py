@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 from affext.algebras import (AlgebraError, FiniteAlgebra, Signature,
                              congruence_violation, satisfies)
 from affext.commutator import is_abelian, tc_commutator
-from affext.congruences import (Congruence, UnionFind, all_congruences, cg,
+from affext.congruences import (Congruence, all_congruences, cg,
                                 kernel_of_map, pair_algebra)
 
-from oracles import cg_is_abelian, enumerated_congruences, eval_satisfies
+from oracles import UnionFind, cg_is_abelian, enumerated_congruences, eval_satisfies
 
 
 def oracle_cg(alg, pairs):
