@@ -1,10 +1,10 @@
 """Linear systems over the fibers of an affine datum: by (D1)/(D4) every
 f-delta and action map is a homomorphism of fibers, so a (C2) instance, or
-delta at a cell, is linear in fiber coordinates (fiber_basis), per prime p
-rows over Z/p^K whose kernel, in Howell form (Howell, "Spans in the module
-(Z_m)^s", 1986), has its order read off the pivots before anything is
-listed.  A map that is not a homomorphism leaves its constraint to the
-caller."""
+delta at a cell, is linear in fiber coordinates (fiber_basis).  A System
+takes each instance as maps to coefficients, per prime p rows over Z/p^K
+whose kernel, in Howell form (Howell, "Spans in the module (Z_m)^s", 1986),
+has its order read off the pivots before anything is listed.  A map that
+is not a homomorphism leaves its instance to the caller."""
 
 from .datum import DatumError
 
@@ -62,76 +62,79 @@ def fiber_basis(d, q):
     return gens, coords, members
 
 
-def _linear_map(d, img, src, dst, basis, seen):
-    """Per generator of the fiber over src, the nonzero coefficients (t, c)
-    of its image, when img is a homomorphism into the fiber over dst on the
-    fiber tables, else None; kept in seen."""
-    key = id(img), src, dst
-    if key not in seen:
-        size, tables = d.dc.size, d.fiber_tables()
-        a, b, fib = tables[src], tables[dst], d.fiber(src)
-        coords = basis[dst][1]
-        seen[key] = [[(t, c) for t, c in enumerate(coords[img[g]]) if c]
-                     for g, _, _ in basis[src][0]] if all(
-            img[a[x * size + y]] == b[img[x] * size + img[y]]
-            for x in fib for y in fib) else None
-    return seen[key]
+def fiber_bases(d):
+    """fiber_basis of each q in turn, listed once per datum."""
+    if d._fiber_bases is None:
+        d._fiber_bases = [fiber_basis(d, q) for q in range(d.qsize())]
+    return d._fiber_bases
 
 
-def kernel(d, bases, constraints):
-    """(order, generators, nonlinear) of constraints (lhs, rhs) on tuples v
-    whose value i lies in the fiber over bases[i]; a side (base, [(i, img)])
-    is the sum of the img[v[i]] at base.  The constraints whose maps are
-    homomorphisms cut out the subgroup of that order spanned by the
-    generators (value tuples); nonlinear lists the others' indices.
-    """
-    basis = {q: fiber_basis(d, q)
-             for q in set(bases) | {lhs[0] for lhs, _ in constraints}}
-    columns, start = [], []  # (i, j, p, k) per generator j of value i; i's first
-    for i, q in enumerate(bases):
-        start.append(len(columns))
-        columns += [(i, j, p, k) for j, (_, p, k) in enumerate(basis[q][0])]
-    top = {}  # per prime, the largest exponent of a factor
-    for p, k in sorted({g[1:] for gens, _, _ in basis.values() for g in gens}):
-        top[p] = k
-    # Z/p^a sits in Z/p^K as the multiples of p^(K-a), the x with p^a x = 0
-    rows = {p: [{c: p ** k} for c, (_, _, r, k) in enumerate(columns)
-                if r == p and k < top[p]] for p in top}
-    nonlinear, seen = [], {}
-    for n, (lhs, rhs) in enumerate(constraints):
-        factors = basis[lhs[0]][0]
-        maps = [(i, _linear_map(d, img, bases[i], lhs[0], basis, seen), sign)
-                for sign, side in ((1, lhs), (-1, rhs)) for i, img in side[1]]
-        if any(m is None for _, m, _ in maps):
-            nonlinear.append(n)
-            continue
-        acc = {}  # (factor of the base, column) -> coefficient
-        for i, m, sign in maps:
-            for col, coeffs in enumerate(m, start[i]):
-                for t, c in coeffs:
-                    acc[t, col] = acc.get((t, col), 0) + sign * c
-        new = {}
-        for (t, col), c in acc.items():
-            _, p, b = factors[t]
-            a, c = columns[col][3], c % p ** b
-            r = (c * p ** (a - b) if a >= b else c // p ** (b - a)) % p ** top[p]
-            if r:
-                new.setdefault(t, {})[col] = r
-        for t, row in new.items():
-            rows[factors[t][1]].append(row)
-    order, solutions = 1, []
-    for p, k in top.items():
-        cols = [c for c, col in enumerate(columns) if col[2] == p]
-        o, gens = howell_kernel(howell(rows[p], p, k), cols, p, k)
-        order *= o
-        for x in gens:
-            values = [[0] * len(basis[q][0]) for q in bases]
-            for c, v in x.items():
-                i, j, _, a = columns[c]
-                values[i][j] = v // p ** (k - a)
-            solutions.append(tuple(basis[q][2][tuple(v)]
-                                   for q, v in zip(bases, values)))
-    return order, solutions, nonlinear
+class System:
+    """Linear constraints on tuples v with v[i] in the fiber over bases[i]:
+    a column per generator j of each value i (fiber_bases), and per prime p
+    rows over Z/p^K, K the largest exponent of p in a fiber.  Z/p^a sits in
+    Z/p^K as the multiples of p^(K-a), the x with p^a x = 0, so an entry at
+    a column of order p^a is read modulo p^a."""
+
+    def __init__(self, d, bases):
+        self.d, self.bases, self.basis = d, bases, fiber_bases(d)
+        self.start, self.columns = [], []  # i's first column; (i, j, p, a)
+        for i, q in enumerate(bases):
+            self.start.append(len(self.columns))
+            self.columns += [(i, j, p, a)
+                             for j, (_, p, a) in enumerate(self.basis[q][0])]
+        self.mods = [p ** a for _, _, p, a in self.columns]
+        self.top = dict(sorted({g[1:] for gens, _, _ in self.basis for g in gens}))
+        self.rows = {p: [{c: m} for c, (m, (_, _, r, a)) in
+                         enumerate(zip(self.mods, self.columns))
+                         if r == p and a < k] for p, k in self.top.items()}
+
+    def coefficients(self, img, src, dst, sign):
+        """sign times img, from the fiber over src to that over dst, as (t,
+        j, e): e is the coefficient at factor t of dst of generator j of src
+        in Z/p^a, p^a the order of j (an image of order p^a in Z/p^b, a < b,
+        is a multiple of p^(b-a)); None if img is no fiber homomorphism."""
+        size, tables, fib = self.d.dc.size, self.d.fiber_tables(), self.d.fiber(src)
+        a, b = tables[src], tables[dst]
+        if any(img[a[x * size + y]] != b[img[x] * size + img[y]]
+               for x in fib for y in fib):
+            return None
+        factors, coords, _ = self.basis[dst]
+        return [(t, j, sign * (c * p ** (e - f) if e >= f else c // p ** (f - e)))
+                for j, (g, _, e) in enumerate(self.basis[src][0])
+                for t, c in enumerate(coords[img[g]]) if c for _, p, f in [factors[t]]]
+
+    def add(self, dst, terms):
+        """The rows saying that the sum of the terms (i, coefficients of a
+        map from value i) is zero in the fiber over dst, one per factor."""
+        factors, start, mods = self.basis[dst][0], self.start, self.mods
+        acc = [{} for _ in factors]
+        for i, coeffs in terms:
+            first = start[i]
+            for t, j, e in coeffs:
+                row = acc[t]
+                row[first + j] = row.get(first + j, 0) + e
+        for (_, p, _), row in zip(factors, acc):
+            row = {c: r for c, e in row.items() if (r := e % mods[c])}
+            if row:
+                self.rows[p].append(row)
+
+    def kernel(self):
+        """(order, generators as value tuples) of the tuples every row sends
+        to zero, the order read off each prime's Howell form."""
+        order, solutions = 1, []
+        for p, k in self.top.items():
+            cols = [c for c, col in enumerate(self.columns) if col[2] == p]
+            o, gens = howell_kernel(howell(self.rows[p], p, k), cols, p, k)
+            order *= o
+            for x in gens:
+                values = [[0] * len(self.basis[q][0]) for q in self.bases]
+                for c, v in x.items():
+                    i, j, _, a = self.columns[c]
+                    values[i][j] = v // p ** (k - a)
+                solutions.append(tuple(self.basis[q][2][tuple(v)]
+                                       for q, v in zip(self.bases, values)))
+        return order, solutions
 
 
 def howell(rows, p, k):

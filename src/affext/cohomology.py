@@ -9,7 +9,7 @@ from .algebras import (DEFAULT_CAP, AlgebraError, CapExceeded, closure,
                        find_isomorphism, is_homomorphism)
 from .cocycles import (TwoCocycle, _cell_bases, check_cocycle, coboundary_of,
                        e_paths, fiber_respecting_maps, reconstruct)
-from ._linear import factor, fiber_basis, kernel
+from ._linear import System, factor, fiber_bases
 from .datum import ClassMaps, DatumError, check_action_compatible
 from .terms import term_table, term_vars
 
@@ -158,39 +158,56 @@ def _solutions(d, bases, solved, cap, stage):
 
 # --- Z^2 ----------------------------------------------------------------------
 
-def _constraints_for(cm, equations, domains):
-    """(C2) instances with a cell, as sides (base, [(i, img)]) of t^{d,T}
-    at a Q assignment, one entry per member of E_t: i indexes its cell in
-    cells() and img carries each value of the cell's domain through the
-    path's f-delta/action chain; the side is their sum at base.  Q values
-    come from one term table per subterm, and one img per chain and domain.
-    """
-    d, cons, images = cm.d, [], {}
-    index = {cell: i for i, cell in enumerate(d.cells())}
+def _compile(d, equations):
+    """The (C2) instances of the equations at every Q assignment as rows of
+    a System on the cells, but those where a path's map is no homomorphism
+    as sides (base, [(i, img)]), for the member filter.
+
+    Per equation and member of E_t (e_paths), term tables give two columns
+    over the assignments: the cell index i (its symbol's first cell plus
+    the base-|Q| code of the node's arguments) and a key of the fiber over
+    i, the base and each frame's argument codes.  Each key's img, the fiber
+    carried through the frames' maps, and its coefficients are made once."""
+    nq, cm, fibers = d.qsize(), ClassMaps(d), d.cell_fibers()
+    system, nonlinear = System(d, fibers), []
     for lhs, rhs in equations:
-        varnames = term_vars(lhs, rhs)
-        paths = [e_paths(t) for t in (lhs, rhs)]
-        tables = {s: term_table(d.q_alg, s, varnames) for t, ps in zip((lhs, rhs), paths)
-                  for s in [t] + [s for _, node in ps for s in node[1:]]}
-        for n in range(d.qsize() ** len(varnames)):
-            sides = []
-            for t, ps in zip((lhs, rhs), paths):
-                side = []
-                for frames, node in ps:
-                    cell = (node[0], tuple(tables[s][n] for s in node[1:]))
-                    key = id(domains[cell]), tuple(
-                        (p[0], k, tuple(tables[s][n] for s in p[1:]))
-                        for p, k in reversed(frames))
-                    if key not in images:
-                        steps = [cm.wrap(*step) for step in key[1]]
-                        images[key] = img = [None] * cm.size
-                        for v in domains[cell]:
-                            img[v] = reduce(lambda w, step: step[w], steps, v)
-                    side.append((index[cell], images[key]))
-                sides.append((tables[t][n], side))
-            if sides[0][1] or sides[1][1]:
-                cons.append(tuple(sides))
-    return cons
+        varnames, left = term_vars(lhs, rhs), len(e_paths(lhs))
+        paths = [(sign, p) for sign, t in ((1, lhs), (-1, rhs)) for p in e_paths(t)]
+        tables = {s: term_table(d.q_alg, s, varnames)
+                  for s in [lhs, rhs] + [s for _, (_, node) in paths for s in node[1:]]}
+        base, columns = tables[lhs], []
+
+        def codes(node):
+            out = [0] * len(base)
+            for s in node[1:]:
+                out = [c * nq + x for c, x in zip(out, tables[s])]
+            return out
+
+        for sign, (frames, node) in paths:
+            first = d.cells().index((node[0], (0,) * (len(node) - 1)))
+            cells = [first + c for c in codes(node)]
+            keys = [fibers[c] * nq + b for c, b in zip(cells, base)]
+            for parent, _ in frames:
+                keys = [key * nq ** (len(parent) - 1) + c
+                        for key, c in zip(keys, codes(parent))]
+            made = {}  # key -> (img, coefficients)
+            for n, key in enumerate(keys):
+                if key not in made:
+                    src, steps = fibers[cells[n]], [
+                        cm.wrap(p[0], k, tuple(tables[s][n] for s in p[1:]))
+                        for p, k in reversed(frames)]
+                    img = {v: reduce(lambda w, f: f[w], steps, v) for v in d.fiber(src)}
+                    made[key] = img, system.coefficients(img, src, base[n], sign)
+            columns.append((cells, [made[key][1] for key in keys], keys, made))
+        for n, (cs, cos) in enumerate(zip(zip(*(c[0] for c in columns)),
+                                          zip(*(c[1] for c in columns)))):
+            if None not in cos:
+                system.add(base[n], zip(cs, cos))
+            else:
+                sides = [(i, ms[ks[n]][0]) for i, (_, _, ks, ms) in zip(cs, columns)]
+                nonlinear.append(((base[n], sides[:left]),
+                                  (tables[rhs][n], sides[left:])))
+    return system, nonlinear
 
 
 class Z2Result:
@@ -224,11 +241,11 @@ def _side_value(d, side, vals):
 def cocycle_group(d, equations, cap=1 << 24, brute=False):
     """All 2-cocycles compatible with the equations, as an abelian group.
 
-    (C1) fixes each cell's fiber.  Z2 is the kernel of the linear (C2)
-    instances (_constraints_for, _linear.kernel), each other one checked
-    on its members; cap bounds the entries listed, order times cells,
-    before the first is built.  brute=True is the oracle mode: the product
-    of the fibers filtered through check_cocycle, cap bounding it.
+    (C1) fixes each cell's fiber.  Z2 is the kernel of the (C2) rows that
+    _compile reads column by column, each other instance checked on its
+    members; cap bounds the entries listed, order times cells, before the
+    first is built.  brute=True is the oracle mode: the product of the
+    fibers filtered through check_cocycle, cap bounding it.
 
     A kernel listed with every constraint linear is a subgroup of the
     fibers over cell_fibers(), zero included; when those are the cells'
@@ -238,25 +255,23 @@ def cocycle_group(d, equations, cap=1 << 24, brute=False):
     gate = check_action_compatible(d, equations, mode="weak")
     if not gate["holds"]:
         return Z2Result(d, equations, [], gate)
-    cells = d.cells()
     bases = d.cell_fibers()
-    domains = {cell: d.fiber(q) for cell, q in zip(cells, bases)}
     if brute:
-        space = prod(len(domains[cell]) for cell in cells)
+        domains = [d.fiber(q) for q in bases]
+        space = prod(map(len, domains))
         if space > cap:
             raise CapExceeded("cocycle_group", space, cap,
                               "{stage}: brute-force space {size} exceeds cap {cap}")
-        solutions = [v for v in product(*(domains[c] for c in cells)) if check_cocycle(
+        solutions = [v for v in product(*domains) if check_cocycle(
             d, TwoCocycle.from_serialized(d, v), equations)["holds"]]
         filtered = True
     else:
-        constraints = _constraints_for(ClassMaps(d), equations, domains)
-        solved = kernel(d, bases, constraints)
-        solutions = _solutions(d, bases, solved, cap, "cocycle_group")
-        for lhs, rhs in map(constraints.__getitem__, solved[2]):
+        system, nonlinear = _compile(d, equations)
+        solutions = _solutions(d, bases, system.kernel(), cap, "cocycle_group")
+        for lhs, rhs in nonlinear:
             solutions = [v for v in solutions
                          if _side_value(d, lhs, v) == _side_value(d, rhs, v)]
-        filtered = bool(solved[2])
+        filtered = bool(nonlinear)
     solutions.sort()
     if solutions and (filtered or bases != _cell_bases(d)):
         zero, add = _two_cochains(d)
@@ -269,23 +284,26 @@ def cocycle_group(d, equations, cap=1 << 24, brute=False):
 # --- B^2 and Z^1 ---------------------------------------------------------------
 
 def _delta_kernel(d):
-    """The _linear.kernel, kept on the datum, of delta(h) = 0 at each cell
-    in cells() order, with coboundary_of's terms in its order: the f-delta
+    """(order, generators, nonlinear) of delta(h) = 0, kept on the datum:
+    per cell in cells() order, with coboundary_of's terms, the f-delta
     image of h(q1), -h(f(qs)) and the action images of h(q2), ..., summed
-    at f(qs)."""
+    at f(qs), one System row per factor there; nonlinear lists the cells
+    where a term's map is no homomorphism of fibers."""
     if d._delta_kernel is None:
-        cm, negs, cons = ClassMaps(d), {}, []
-        for (sym, qs), base in zip(d.cells(), _cell_bases(d)):
+        cm, system = ClassMaps(d), System(d, range(d.qsize()))
+        negs, nonlinear = {}, []
+        for n, ((sym, qs), base) in enumerate(zip(d.cells(), _cell_bases(d))):
             if base not in negs:
-                z, negs[base] = d.delta_l(base), [None] * cm.size
-                for x in d.fiber(base):
-                    negs[base][x] = d.dc.m_class(z, x, z)
-            terms = [(base, negs[base])]
-            if qs:
-                terms = [(qs[0], cm.wrap(sym, 1, qs))] + terms + [
-                    (qs[k - 1], cm.wrap(sym, k, qs)) for k in range(2, len(qs) + 1)]
-            cons.append(((base, terms), (base, [])))
-        d._delta_kernel = kernel(d, range(d.qsize()), cons)
+                negs[base] = system.coefficients(
+                    {x: d.neg_at(base, x) for x in d.fiber(base)}, base, base, 1)
+            terms = [(base, negs[base])] + [
+                (q, system.coefficients(cm.wrap(sym, k, qs), q, base, 1))
+                for k, q in enumerate(qs, 1)]
+            if None in [co for _, co in terms]:
+                nonlinear.append(n)
+            else:
+                system.add(base, terms)
+        d._delta_kernel = system.kernel() + (nonlinear,)
     return d._delta_kernel
 
 
@@ -335,7 +353,7 @@ def coboundary_group(d):
         sym, qs = d.cells()[nonlinear[0]]
         raise DatumError("delta is not a homomorphism of fibers at %s%r" % (sym, qs))
     gens = [coboundary_of(d, zero_map[:q] + (g,) + zero_map[q + 1:]).serialize(d)
-            for q in range(nq) for g, _, _ in fiber_basis(d, q)[0]]
+            for q, (basis, _, _) in enumerate(fiber_bases(d)) for g, _, _ in basis]
     order = prod(len(d.fiber(q)) for q in range(nq)) // z1_order
     return B2Result(d, sorted(_solutions(d, _cell_bases(d), (order, gens),
                                          DEFAULT_CAP, "coboundary_group")))
@@ -381,8 +399,7 @@ def h2(d, equations, cap=1 << 24, brute=False, namer=None, seed=0):
     zero_key = least[zero]
     if namer is None:
         namer = _default_namer(d, seed=seed)
-    classes = []
-    reconstructions = []
+    classes, reconstructions = [], []
     for rep in reps:
         ext = reconstruct(d, TwoCocycle.from_serialized(d, rep))
         reconstructions.append(ext)
@@ -397,10 +414,12 @@ def _default_namer(d, seed=0):
     """Names a reconstruction by its catalog group when it has the group
     signature and one matches; otherwise "iso-class-i" for the least i
     whose earlier reconstruction is isomorphic to it (its own index when
-    none is).  Only earlier algebras with the same invariant (the sorted
-    profile colors, memoized per algebra) go to find_isomorphism: on any
-    other it returns None."""
+    none is).  That i is the first of its label, as an earlier isomorphic
+    one would have named it, so only the first reconstruction of each
+    label with the same invariant (the sorted profile colors, memoized per
+    algebra) goes to find_isomorphism: on any other it returns None."""
     from .algebras import GROUP_SIGNATURE, _invariant
+    firsts = []  # (i, algebra) of each "iso-class-i" given its own index
 
     def namer(alg, previous):
         if alg.signature == GROUP_SIGNATURE:
@@ -409,10 +428,11 @@ def _default_namer(d, seed=0):
             if t is not None:
                 return t
         key = _invariant(alg)
-        for i, ext in enumerate(previous[:-1]):
-            if _invariant(ext.alg) == key and \
-                    find_isomorphism(alg, ext.alg, seed=seed) is not None:
+        for i, first in firsts:
+            if _invariant(first) == key and \
+                    find_isomorphism(alg, first, seed=seed) is not None:
                 return "iso-class-%d" % i
+        firsts.append((len(previous) - 1, alg))
         return "iso-class-%d" % (len(previous) - 1)
 
     return namer

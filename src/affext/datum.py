@@ -124,6 +124,7 @@ class AffineDatum:
         self._coboundaries = None  # cohomology._coboundary_table's memo
         self._fiber_tables = None  # fiber_tables()'s memo
         self._delta_kernel = None  # cohomology._delta_kernel's memo
+        self._fiber_bases = None  # _linear.fiber_bases's memo
         self._cells = None  # cells()'s memo
         self._bases = None  # cocycles._cell_bases's memo
         self._cell_fibers = None  # cell_fibers()'s memo

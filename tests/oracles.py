@@ -6,8 +6,17 @@ with, now compared with what replaced them.
 - partial_derivative_recursive: t^{d,T} node by node.
 - cocycle_add, cocycle_sub: 2-cochain sums on TwoCocycle tables.
 - tuple_encode: base-n codes of tuples.
+- image_list_constraints, image_list_kernel, image_list_z2,
+  image_list_delta_kernel: the (C2) instances compiled as sides of
+  (cell, image list) pairs per Q assignment, and the kernel that turned
+  each side into Howell rows, for Z2 and for delta.
 - search_z2: the propagated backtracking search for Z2, one frame per cell
-  in a constraint-driven cell order.
+  in a constraint-driven cell order, over image_list_constraints.
+- first_index_namer: H2's class names with each class compared to every
+  earlier reconstruction.
+- bar_complex_orders: |Z1|, |H1| and |H2| of a group acting on an
+  elementary abelian group, from GF(p) ranks of the bar complex, with no
+  datum, cocycle or linear-algebra code of the library.
 - table_b2, table_z1: B2 and Z1 read off delta on every fiber-respecting
   map.
 - cg_is_abelian: [alpha,alpha] = 0 by one Cg on the pair algebra A(alpha).
@@ -27,22 +36,26 @@ with, now compared with what replaced them.
   of Delta by one union per matrix with tuple-keyed pair lookups.
 """
 
-from functools import partial
+from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, product
 
-from affext.algebras import (CapExceeded, FiniteAlgebra, _apply_rows,
-                             _row_getters, closure)
-from affext.cocycles import (TwoCocycle, _serialized_sub, coboundary_of,
-                             fiber_respecting_maps, reconstruct)
-from affext.cohomology import (_check_subgroup, _cochain_group,
-                               _constraints_for, _two_cochains, stabilizers,
+from affext._linear import fiber_basis, howell, howell_kernel
+from affext.algebras import (GROUP_SIGNATURE, CapExceeded, FiniteAlgebra,
+                             _apply_rows, _invariant, _row_getters, closure,
+                             find_isomorphism)
+from affext.cocycles import (TwoCocycle, _cell_bases, _serialized_sub,
+                             coboundary_of, e_paths, fiber_respecting_maps,
+                             reconstruct)
+from affext.cohomology import (_check_subgroup, _cochain_group, _side_value,
+                               _solutions, _two_cochains, stabilizers,
                                twin_pairs_of_identity)
 from affext.commutator import is_malcev_on_blocks, tc_commutator
 from affext.congruences import Congruence, cg, pair_algebra
 from affext.datum import (ClassMaps, DatumError, ExtensionRecord,
                           check_action_compatible)
-from affext.terms import eval_term, is_var, term_vars
+from affext.groups import iso_type
+from affext.terms import eval_term, is_var, term_table, term_vars
 
 
 def weak_sum(d, term, env):
@@ -156,7 +169,7 @@ def search_z2(d, equations, cap=1 << 24):
     domains = {cell: list(d.fiber(d.cell_fiber(*cell))) for cell in cells}
     cm = ClassMaps(d)
     constraints = [(lhs, rhs, {cells[i] for i, _ in lhs[1] + rhs[1]})
-                   for lhs, rhs in _constraints_for(cm, equations, domains)]
+                   for lhs, rhs in image_list_constraints(cm, equations, domains)]
     order, pos = _cell_order(constraints, cells)
     size, memo, m = cm.size, d.dc._m_memo(), d.dc.m_class
     square = size * size
@@ -212,6 +225,254 @@ def search_z2(d, equations, cap=1 << 24):
             raise DatumError("trivial cocycle is not compatible; gate failed")
         _check_subgroup(solutions, zero, add, "Z2")
     return solutions
+
+
+def _image_list_map(d, img, src, dst, basis, seen):
+    """Per generator of the fiber over src, the nonzero coefficients (t, c)
+    of its image, when img is a homomorphism into the fiber over dst on the
+    fiber tables, else None; kept in seen."""
+    key = id(img), src, dst
+    if key not in seen:
+        size, tables = d.dc.size, d.fiber_tables()
+        a, b, fib = tables[src], tables[dst], d.fiber(src)
+        coords = basis[dst][1]
+        seen[key] = [[(t, c) for t, c in enumerate(coords[img[g]]) if c]
+                     for g, _, _ in basis[src][0]] if all(
+            img[a[x * size + y]] == b[img[x] * size + img[y]]
+            for x in fib for y in fib) else None
+    return seen[key]
+
+
+def image_list_kernel(d, bases, constraints):
+    """(order, generators, nonlinear) of constraints (lhs, rhs) on tuples v
+    whose value i lies in the fiber over bases[i]; a side (base, [(i, img)])
+    is the sum of the img[v[i]] at base.  The constraints whose maps are
+    homomorphisms cut out the subgroup of that order spanned by the
+    generators (value tuples); nonlinear lists the others' indices, and
+    rows holds the Howell input per prime.  A value's fiber is split once
+    per call, and each side's images become a row through a dict keyed by
+    (factor of the base, column), once per constraint.
+    """
+    basis = {q: fiber_basis(d, q)
+             for q in set(bases) | {lhs[0] for lhs, _ in constraints}}
+    columns, start = [], []  # (i, j, p, k) per generator j of value i; i's first
+    for i, q in enumerate(bases):
+        start.append(len(columns))
+        columns += [(i, j, p, k) for j, (_, p, k) in enumerate(basis[q][0])]
+    top = {}  # per prime, the largest exponent of a factor
+    for p, k in sorted({g[1:] for gens, _, _ in basis.values() for g in gens}):
+        top[p] = k
+    # Z/p^a sits in Z/p^K as the multiples of p^(K-a), the x with p^a x = 0
+    rows = {p: [{c: p ** k} for c, (_, _, r, k) in enumerate(columns)
+                if r == p and k < top[p]] for p in top}
+    nonlinear, seen = [], {}
+    for n, (lhs, rhs) in enumerate(constraints):
+        factors = basis[lhs[0]][0]
+        maps = [(i, _image_list_map(d, img, bases[i], lhs[0], basis, seen), sign)
+                for sign, side in ((1, lhs), (-1, rhs)) for i, img in side[1]]
+        if any(m is None for _, m, _ in maps):
+            nonlinear.append(n)
+            continue
+        acc = {}  # (factor of the base, column) -> coefficient
+        for i, m, sign in maps:
+            for col, coeffs in enumerate(m, start[i]):
+                for t, c in coeffs:
+                    acc[t, col] = acc.get((t, col), 0) + sign * c
+        new = {}
+        for (t, col), c in acc.items():
+            _, p, b = factors[t]
+            a, c = columns[col][3], c % p ** b
+            r = (c * p ** (a - b) if a >= b else c // p ** (b - a)) % p ** top[p]
+            if r:
+                new.setdefault(t, {})[col] = r
+        for t, row in new.items():
+            rows[factors[t][1]].append(row)
+    order, solutions = 1, []
+    for p, k in top.items():
+        cols = [c for c, col in enumerate(columns) if col[2] == p]
+        o, gens = howell_kernel(howell(rows[p], p, k), cols, p, k)
+        order *= o
+        for x in gens:
+            values = [[0] * len(basis[q][0]) for q in bases]
+            for c, v in x.items():
+                i, j, _, a = columns[c]
+                values[i][j] = v // p ** (k - a)
+            solutions.append(tuple(basis[q][2][tuple(v)]
+                                   for q, v in zip(bases, values)))
+    return order, solutions, nonlinear, rows
+
+
+def image_list_constraints(cm, equations, domains):
+    """(C2) instances with a cell, as sides (base, [(i, img)]) of t^{d,T}
+    at a Q assignment, one entry per member of E_t: i indexes its cell in
+    cells() and img carries each value of the cell's domain through the
+    path's f-delta/action chain; the side is their sum at base.  Q values
+    come from one term table per subterm, and one img per chain and domain.
+    """
+    d, cons, images = cm.d, [], {}
+    index = {cell: i for i, cell in enumerate(d.cells())}
+    for lhs, rhs in equations:
+        varnames = term_vars(lhs, rhs)
+        paths = [e_paths(t) for t in (lhs, rhs)]
+        tables = {s: term_table(d.q_alg, s, varnames)
+                  for t, ps in zip((lhs, rhs), paths)
+                  for s in [t] + [s for _, node in ps for s in node[1:]]}
+        for n in range(d.qsize() ** len(varnames)):
+            sides = []
+            for t, ps in zip((lhs, rhs), paths):
+                side = []
+                for frames, node in ps:
+                    cell = (node[0], tuple(tables[s][n] for s in node[1:]))
+                    key = id(domains[cell]), tuple(
+                        (p[0], k, tuple(tables[s][n] for s in p[1:]))
+                        for p, k in reversed(frames))
+                    if key not in images:
+                        steps = [cm.wrap(*step) for step in key[1]]
+                        images[key] = img = [None] * cm.size
+                        for v in domains[cell]:
+                            img[v] = reduce(lambda w, step: step[w], steps, v)
+                    side.append((index[cell], images[key]))
+                sides.append((tables[t][n], side))
+            if sides[0][1] or sides[1][1]:
+                cons.append(tuple(sides))
+    return cons
+
+
+def first_index_namer(d, seed=0):
+    """_default_namer as it once was: names a reconstruction by its catalog
+    group when it has the group signature and one matches; otherwise
+    "iso-class-i" for the least i whose earlier reconstruction is
+    isomorphic to it (its own index when none is).  Every earlier algebra
+    with the same invariant (the sorted profile colors, memoized per
+    algebra) goes to find_isomorphism: on any other it returns None."""
+
+    def namer(alg, previous):
+        if alg.signature == GROUP_SIGNATURE:
+            t = iso_type(alg, seed=seed)
+            if t is not None:
+                return t
+        key = _invariant(alg)
+        for i, ext in enumerate(previous[:-1]):
+            if _invariant(ext.alg) == key and \
+                    find_isomorphism(alg, ext.alg, seed=seed) is not None:
+                return "iso-class-%d" % i
+        return "iso-class-%d" % (len(previous) - 1)
+
+    return namer
+
+def image_list_z2(d, equations):
+    """(serialized Z2, nonlinear constraints, Howell rows per prime) by the
+    image-list compile and kernel that cocycle_group once ran, with its
+    gate, its member filter and its subgroup checks."""
+    if not check_action_compatible(d, equations, mode="weak")["holds"]:
+        return [], [], {}
+    bases = d.cell_fibers()
+    domains = {cell: d.fiber(q) for cell, q in zip(d.cells(), bases)}
+    constraints = image_list_constraints(ClassMaps(d), equations, domains)
+    order, gens, nonlinear, rows = image_list_kernel(d, bases, constraints)
+    solutions = _solutions(d, bases, (order, gens), 1 << 24, "cocycle_group")
+    nonlinear = [constraints[n] for n in nonlinear]
+    for lhs, rhs in nonlinear:
+        solutions = [v for v in solutions
+                     if _side_value(d, lhs, v) == _side_value(d, rhs, v)]
+    solutions.sort()
+    if solutions and (nonlinear or bases != _cell_bases(d)):
+        zero, add = _two_cochains(d)
+        if zero not in set(solutions):
+            raise DatumError("trivial cocycle is not compatible; gate failed")
+        _check_subgroup(solutions, zero, add, "Z2")
+    return solutions, nonlinear, rows
+
+
+def image_list_delta_kernel(d):
+    """_delta_kernel as it once was, per cell a constraint whose side lists
+    coboundary_of's terms as images, solved by image_list_kernel."""
+    cm, negs, cons = ClassMaps(d), {}, []
+    for (sym, qs), base in zip(d.cells(), _cell_bases(d)):
+        if base not in negs:
+            z, negs[base] = d.delta_l(base), [None] * cm.size
+            for x in d.fiber(base):
+                negs[base][x] = d.dc.m_class(z, x, z)
+        terms = [(base, negs[base])]
+        if qs:
+            terms = [(qs[0], cm.wrap(sym, 1, qs))] + terms + [
+                (qs[k - 1], cm.wrap(sym, k, qs)) for k in range(2, len(qs) + 1)]
+        cons.append(((base, terms), (base, [])))
+    return image_list_kernel(d, range(d.qsize()), cons)
+
+
+def _rank_mod_p(rows, p):
+    """The rank over GF(p) of rows given as dicts column -> entry."""
+    pivots = {}
+    for row in rows:
+        row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            c = min(row)
+            if c not in pivots:
+                pivots[c] = {k: v * pow(row[c], -1, p) % p for k, v in row.items()}
+                break
+            f = row[c]
+            for k, v in pivots[c].items():
+                if (w := (row.get(k, 0) - f * v) % p):
+                    row[k] = w
+                else:
+                    del row[k]
+    return len(pivots)
+
+
+def bar_complex_orders(q_alg, k_alg, phi):
+    """(|Z^1|, |H^1|, |H^2|) of the group q_alg acting by phi (per element
+    of Q, the permutation of K's elements it induces) on an elementary
+    abelian K = F_p^r, k_alg, from GF(p) ranks of the unnormalized bar
+    complex (Brown, Cohomology of Groups, Ch. III.1): C^n is the maps
+    Q^n -> K, and
+
+        (delta f)(x_1..x_{n+1}) = x_1 f(x_2..x_{n+1})
+            + sum_{i=1..n} (-1)^i f(.., x_i x_{i+1}, ..) + (-1)^(n+1) f(x_1..x_n),
+
+    so |Z^n| = p^(r|Q|^n - rank delta^n) and |B^n| = p^(rank delta^(n-1)).
+    Only the two groups' tables are read; K's coordinates come from a basis
+    grown one element at a time and are checked to add as K does."""
+    nq, mulq = q_alg.size, q_alg.tables["mul"]
+    nk, mulk = k_alg.size, k_alg.tables["mul"]
+    p = next(m for m in range(2, nk + 1) if nk % m == 0)
+    coords, basis = {k_alg.tables["e"][0]: ()}, []
+    for x in range(nk):
+        if x not in coords:
+            grown = {}
+            for y, c in coords.items():
+                for j in range(p):
+                    grown[y] = c + (j,)
+                    y = mulk[y * nk + x]
+            coords = grown
+            basis.append(x)
+    if any(coords[mulk[a * nk + b]] != tuple((u + v) % p for u, v in
+                                             zip(coords[a], coords[b]))
+           for a in range(nk) for b in range(nk)):
+        raise ValueError("%s is not elementary abelian" % k_alg.name)
+    r = len(basis)
+    act = [[coords[phi[q][b]] for b in basis] for q in range(nq)]  # column per basis
+
+    def delta(n):
+        rows = []
+        for x in product(range(nq), repeat=n + 1):
+            for c in range(r):
+                row = {}
+                for b in range(r):
+                    at = tuple_encode(x[1:], nq) * r + b
+                    row[at] = row.get(at, 0) + act[x[0]][b][c]
+                for i in range(1, n + 1):
+                    y = x[:i - 1] + (mulq[x[i - 1] * nq + x[i]],) + x[i + 1:]
+                    at = tuple_encode(y, nq) * r + c
+                    row[at] = row.get(at, 0) + (-1) ** i
+                at = tuple_encode(x[:n], nq) * r + c
+                row[at] = row.get(at, 0) + (-1) ** (n + 1)
+                rows.append(row)
+        return _rank_mod_p(rows, p)
+
+    ranks = [delta(n) for n in range(3)]
+    return (p ** (r * nq - ranks[1]), p ** (r * nq - ranks[1] - ranks[0]),
+            p ** (r * nq * nq - ranks[2] - ranks[1]))
 
 
 def table_b2(d, maps=None):
