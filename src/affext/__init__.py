@@ -24,9 +24,8 @@ from .commutator import (is_abelian, is_left_central, is_right_central,
                          verify_ternary_abelian_group_on_blocks)
 from .datum import (AffineDatum, ExtensionRecord, check_action_compatible,
                     extract_datum, group_extension, validate_datum)
-from .cocycles import (TwoCocycle, check_cocycle, check_realization,
-                       is_semidirect, partial_derivative, reconstruct,
-                       tensor_product)
+from .cocycles import (check_cocycle, check_realization, is_semidirect,
+                       partial_derivative, reconstruct, tensor_product)
 from .cohomology import (are_equivalent, coboundary_group, cocycle_group,
                          derivations, h1, h2, stabilizers,
                          trivial_action_check)
@@ -34,7 +33,7 @@ from .terms import eval_term, linearize_term, parse_term, term_to_str
 
 __all__ = [
     "AffineDatum", "Congruence", "ExtensionRecord", "FiniteAlgebra",
-    "Signature", "TwoCocycle",
+    "Signature",
     "are_equivalent", "cg", "check_action_compatible", "check_cocycle",
     "check_realization", "coboundary_group", "cocycle_group", "delta",
     "derivations", "eval_term", "extract_datum", "find_isomorphism",

@@ -10,40 +10,12 @@ from .datum import DatumError, ExtensionRecord
 from .terms import is_var, term_vars, term_to_str
 
 
-class TwoCocycle:
-    """Per symbol, a table Q^{ar f} -> Delta-class index."""
-
-    def __init__(self, tables):
-        self.tables = {sym: dict(tab) for sym, tab in tables.items()}
-
-    def value(self, sym, qs):
-        return self.tables[sym][tuple(qs)]
-
-    def serialize(self, datum):
-        return tuple(self.tables[sym][qs] for sym, qs in datum.cells())
-
-    @classmethod
-    def from_serialized(cls, datum, values):
-        cells = datum.cells()
-        if len(values) != len(cells):
-            raise DatumError("serialized cocycle has wrong length")
-        tables = {sym: {} for sym, _ in datum.signature.symbols}
-        for (sym, qs), v in zip(cells, values):
-            tables[sym][qs] = v
-        return cls(tables)
-
-    def __eq__(self, other):
-        return isinstance(other, TwoCocycle) and self.tables == other.tables
-
-    def __repr__(self):
-        return "TwoCocycle(%r)" % (self.tables,)
-
-
-def _cell_bases(d):
-    """f^Q(qs) for each cell (f, qs), in cells() order, kept on the datum."""
-    if d._bases is None:
-        d._bases = tuple(d.q_alg.apply(sym, qs) for sym, qs in d.cells())
-    return d._bases
+def _check_length(d, *cochains):
+    """Raise DatumError unless each 2-cochain has one value per cell."""
+    for T in cochains:
+        if len(T) != len(d.cells()):
+            raise DatumError("2-cochain has %d values for %d cells"
+                             % (len(T), len(d.cells())))
 
 
 def _serialized_sub(d, a, b):
@@ -56,7 +28,7 @@ def _serialized_sub(d, a, b):
     size, memo, m = d.dc.size, d.dc._m_memo(), d.dc.m_class
     zeros = [d.delta_l(q) for q in range(d.qsize())]
     out = []
-    for q, x, y in zip(_cell_bases(d), a, b):
+    for q, x, y in zip(d.cell_bases(), a, b):
         z = zeros[q]
         neg = memo[(z * size + y) * size + z]
         if neg is None:
@@ -91,7 +63,7 @@ def e_paths(term):
 def eval_path(d, T, frames, node, qenv):
     """Evaluate one member of E_t at a Q assignment."""
     args = tuple(d.eval_q(s, qenv) for s in node[1:])
-    val = T.value(node[0], args)
+    val = T[d.cell_index(node[0], args)]
     for parent, k in reversed(frames):
         qs = tuple(d.eval_q(s, qenv) for s in parent[1:])
         if k == 1:
@@ -118,14 +90,13 @@ def check_cocycle(d, T, equations):
 
     Returns a report dict; C2 failures carry (equation, assignment, sides).
     """
+    _check_length(d, T)
     failures = []
-    for sym, ar in d.signature.symbols:
-        for qs in product(range(d.qsize()), repeat=ar):
-            expected = d.cell_fiber(sym, qs)
-            got = d.dc.rho_class[T.value(sym, qs)]
-            if got != expected:
-                failures.append({"condition": "C1", "symbol": sym, "args": qs,
-                                 "fiber": got, "expected": expected})
+    for (sym, qs), expected, v in zip(d.cells(), d.cell_fibers(), T):
+        got = d.dc.rho_class[v]
+        if got != expected:
+            failures.append({"condition": "C1", "symbol": sym, "args": qs,
+                             "fiber": got, "expected": expected})
     for lhs, rhs in equations:
         varnames = term_vars(lhs, rhs)
         for vals in product(range(d.qsize()), repeat=len(varnames)):
@@ -155,15 +126,16 @@ def reconstruct(d, T, name=None, verify=True):
     be a homomorphism rather than assumed.
     """
     U, nq, rho = d.dc.size, d.qsize(), d.dc.rho_class
+    _check_length(d, T)
     if verify:
-        for (sym, qs), fib in zip(d.cells(), d.cell_fibers()):
-            if rho[T.value(sym, qs)] != fib:
+        for (sym, qs), fib, v in zip(d.cells(), d.cell_fibers(), T):
+            if rho[v] != fib:
                 raise DatumError("cocycle violates (C1) at %s%r" % (sym, qs))
-    sums, serial = d.sum_table(), T.serialize(d)
+    sums = d.sum_table()
     memo, m = d.dc._m_memo(), d.dc.m_class
     tables = {}
     for sym, ar in d.signature.symbols:
-        ts = map(serial.__getitem__, sums.cells[sym])
+        ts = map(T.__getitem__, sums.cells[sym])
         if ar == 0:
             tables[sym] = (next(ts),)
         else:
@@ -335,23 +307,16 @@ def coboundary_of(d, h):
     G_f(x) = f-delta(h(x1), l(x2..)) -_u h(f(x)) +_u sum of action terms,
     left-associated at u = l(f(x)).
     """
-    tables = {}
-    nq = d.qsize()
-    for sym, ar in d.signature.symbols:
-        tab = {}
-        for qs in product(range(nq), repeat=ar):
-            base = d.q_alg.apply(sym, qs)
-            if ar == 0:
-                tab[()] = d.neg_at(base, h[base])
-                continue
-            val = d.fdelta_apply(sym, h[qs[0]], qs[1:])
-            val = d.plus_at(base, val, d.neg_at(base, h[base]))
-            for i in range(2, ar + 1):
+    out = []
+    for (sym, qs), base in zip(d.cells(), d.cell_bases()):
+        val = d.neg_at(base, h[base])
+        if qs:
+            val = d.plus_at(base, d.fdelta_apply(sym, h[qs[0]], qs[1:]), val)
+            for i in range(2, len(qs) + 1):
                 val = d.plus_at(base, val,
                                 d.action_apply(sym, i, qs[:i - 1] + qs[i:], h[qs[i - 1]]))
-            tab[qs] = val
-        tables[sym] = tab
-    return TwoCocycle(tables)
+        out.append(val)
+    return tuple(out)
 
 
 def fiber_respecting_maps(d):
@@ -369,8 +334,8 @@ def cocycle_difference_coboundary(d, T, Tp):
     """The first h in fiber_respecting_maps order with coboundary(h) =
     T' - T, or None: a lookup in the datum's coboundary table."""
     from .cohomology import _coboundary_table
-    witnesses = _coboundary_table(d).get(
-        _serialized_sub(d, Tp.serialize(d), T.serialize(d)))
+    _check_length(d, T, Tp)
+    witnesses = _coboundary_table(d).get(_serialized_sub(d, Tp, T))
     return witnesses[0] if witnesses else None
 
 

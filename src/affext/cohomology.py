@@ -7,8 +7,8 @@ from math import prod
 
 from .algebras import (DEFAULT_CAP, AlgebraError, CapExceeded, closure,
                        find_isomorphism, is_homomorphism)
-from .cocycles import (TwoCocycle, _cell_bases, check_cocycle, coboundary_of,
-                       e_paths, fiber_respecting_maps, reconstruct)
+from .cocycles import (check_cocycle, coboundary_of, e_paths,
+                       fiber_respecting_maps, reconstruct)
 from ._linear import System, factor, fiber_bases
 from .datum import ClassMaps, DatumError, check_action_compatible
 from .terms import term_table, term_vars
@@ -61,8 +61,9 @@ def _cochain_group(d, bases):
 
 
 def _two_cochains(d):
-    """(zero, add) of serialized 2-cochains: cell (f, qs) lies over f^Q(qs)."""
-    return _cochain_group(d, _cell_bases(d))
+    """(zero, add) of 2-cochains: cell (f, qs) lies over f^Q(qs), and zero
+    is the trivial cocycle."""
+    return d.trivial_cocycle(), _cochain_group(d, d.cell_bases())[1]
 
 
 def _span(gens, zero, add, within, error):
@@ -137,7 +138,7 @@ def _quotient(elements, subgroup, zero, add):
 
 
 def _invariant_factors_of(d, serialized):
-    """Invariant factors of a subgroup of the serialized 2-cochains."""
+    """Invariant factors of a subgroup of the 2-cochains."""
     if not serialized:
         return []
     zero, add = _two_cochains(d)
@@ -184,7 +185,7 @@ def _compile(d, equations):
             return out
 
         for sign, (frames, node) in paths:
-            first = d.cells().index((node[0], (0,) * (len(node) - 1)))
+            first = d.cell_index(node[0], (0,) * (len(node) - 1))
             cells = [first + c for c in codes(node)]
             keys = [fibers[c] * nq + b for c, b in zip(cells, base)]
             for parent, _ in frames:
@@ -225,9 +226,6 @@ class Z2Result:
         """Z2's invariant factors; [] when no cocycle is compatible."""
         return _invariant_factors_of(self.datum, self.serialized)
 
-    def cocycles(self):
-        return [TwoCocycle.from_serialized(self.datum, s) for s in self.serialized]
-
 
 def _side_value(d, side, vals):
     """The left-associated sum at base of img[vals[i]] over a side's terms."""
@@ -262,8 +260,8 @@ def cocycle_group(d, equations, cap=1 << 24, brute=False):
         if space > cap:
             raise CapExceeded("cocycle_group", space, cap,
                               "{stage}: brute-force space {size} exceeds cap {cap}")
-        solutions = [v for v in product(*domains) if check_cocycle(
-            d, TwoCocycle.from_serialized(d, v), equations)["holds"]]
+        solutions = [v for v in product(*domains)
+                     if check_cocycle(d, v, equations)["holds"]]
         filtered = True
     else:
         system, nonlinear = _compile(d, equations)
@@ -273,7 +271,7 @@ def cocycle_group(d, equations, cap=1 << 24, brute=False):
                          if _side_value(d, lhs, v) == _side_value(d, rhs, v)]
         filtered = bool(nonlinear)
     solutions.sort()
-    if solutions and (filtered or bases != _cell_bases(d)):
+    if solutions and (filtered or bases != d.cell_bases()):
         zero, add = _two_cochains(d)
         if zero not in set(solutions):
             raise DatumError("trivial cocycle is not compatible; gate failed")
@@ -292,7 +290,7 @@ def _delta_kernel(d):
     if d._delta_kernel is None:
         cm, system = ClassMaps(d), System(d, range(d.qsize()))
         negs, nonlinear = {}, []
-        for n, ((sym, qs), base) in enumerate(zip(d.cells(), _cell_bases(d))):
+        for n, ((sym, qs), base) in enumerate(zip(d.cells(), d.cell_bases())):
             if base not in negs:
                 negs[base] = system.coefficients(
                     {x: d.neg_at(base, x) for x in d.fiber(base)}, base, base, 1)
@@ -326,13 +324,13 @@ class B2Result:
 
 
 def _coboundary_table(d):
-    """{serialized delta(h): [h, ...]} over every fiber-respecting h, in
+    """{delta(h): [h, ...]} over every fiber-respecting h, in
     fiber_respecting_maps order: delta enumerated once and kept on the
     datum, for the B^2 witnesses and cocycle equivalence."""
     if d._coboundaries is None:
         table = {}
         for h in fiber_respecting_maps(d):
-            table.setdefault(coboundary_of(d, h).serialize(d), []).append(h)
+            table.setdefault(coboundary_of(d, h), []).append(h)
         d._coboundaries = table
     return d._coboundaries
 
@@ -346,16 +344,16 @@ def coboundary_group(d):
     """
     nq = d.qsize()
     zero_map = tuple(d.delta_l(q) for q in range(nq))
-    if coboundary_of(d, zero_map).serialize(d) != _two_cochains(d)[0]:
+    if coboundary_of(d, zero_map) != d.trivial_cocycle():
         raise DatumError("B2 does not contain zero")
     z1_order, _, nonlinear = _delta_kernel(d)
     if nonlinear:
         sym, qs = d.cells()[nonlinear[0]]
         raise DatumError("delta is not a homomorphism of fibers at %s%r" % (sym, qs))
-    gens = [coboundary_of(d, zero_map[:q] + (g,) + zero_map[q + 1:]).serialize(d)
+    gens = [coboundary_of(d, zero_map[:q] + (g,) + zero_map[q + 1:])
             for q, (basis, _, _) in enumerate(fiber_bases(d)) for g, _, _ in basis]
     order = prod(len(d.fiber(q)) for q in range(nq)) // z1_order
-    return B2Result(d, sorted(_solutions(d, _cell_bases(d), (order, gens),
+    return B2Result(d, sorted(_solutions(d, d.cell_bases(), (order, gens),
                                          DEFAULT_CAP, "coboundary_group")))
 
 
@@ -401,7 +399,7 @@ def h2(d, equations, cap=1 << 24, brute=False, namer=None, seed=0):
         namer = _default_namer(d, seed=seed)
     classes, reconstructions = [], []
     for rep in reps:
-        ext = reconstruct(d, TwoCocycle.from_serialized(d, rep))
+        ext = reconstruct(d, rep)
         reconstructions.append(ext)
         classes.append({"representative": rep,
                         "extension_iso_type": namer(ext.alg, reconstructions),
@@ -603,8 +601,8 @@ def derivations(d):
     solved = _delta_kernel(d)
     out = _solutions(d, bases, solved, DEFAULT_CAP, "derivations")
     if solved[2]:
-        zero = d.trivial_cocycle().serialize(d)
-        out = [h for h in out if coboundary_of(d, h).serialize(d) == zero]
+        zero = d.trivial_cocycle()
+        out = [h for h in out if coboundary_of(d, h) == zero]
     out.sort()
     if out:
         zero, add = _cochain_group(d, bases)

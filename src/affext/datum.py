@@ -126,7 +126,8 @@ class AffineDatum:
         self._delta_kernel = None  # cohomology._delta_kernel's memo
         self._fiber_bases = None  # _linear.fiber_bases's memo
         self._cells = None  # cells()'s memo
-        self._bases = None  # cocycles._cell_bases's memo
+        self._index = None  # cell_index()'s memo
+        self._bases = None  # cell_bases()'s memo
         self._cell_fibers = None  # cell_fibers()'s memo
         self._sums = None  # sum_table()'s memo
 
@@ -219,22 +220,23 @@ class AffineDatum:
         return self.actions[(sym, tuple(spos))][(tuple(qrest), tuple(cs))]
 
     def trivial_cocycle(self):
-        from .cocycles import TwoCocycle
-        tables = {}
-        for sym, ar in self.signature.symbols:
-            tab = {}
-            for qs in product(range(self.qsize()), repeat=ar):
-                tab[qs] = self.delta_l(self.q_alg.apply(sym, qs))
-            tables[sym] = tab
-        return TwoCocycle(tables)
+        """The zero 2-cochain: delta(l(f^Q(qs))) at each cell."""
+        return tuple(map(self.delta_l, self.cell_bases()))
 
     def cells(self):
         """All 2-cocycle cells in the documented deterministic order, as a
-        tuple listed once per datum."""
+        tuple listed once per datum.  A 2-cochain is a tuple with one
+        Delta-class per cell, in this order."""
         if self._cells is None:
             self._cells = tuple((sym, qs) for sym, ar in self.signature.symbols
                                 for qs in product(range(self.qsize()), repeat=ar))
         return self._cells
+
+    def cell_index(self, sym, qs):
+        """The index of the cell (sym, qs) in cells()."""
+        if self._index is None:
+            self._index = {cell: i for i, cell in enumerate(self.cells())}
+        return self._index[sym, qs]
 
     def cell_fiber(self, sym, qs):
         """The hat-alpha/Delta block (fiber) a cocycle value at this cell must
@@ -252,6 +254,13 @@ class AffineDatum:
         if self._cell_fibers is None:
             self._cell_fibers = tuple(self.cell_fiber(*cell) for cell in self.cells())
         return self._cell_fibers
+
+    def cell_bases(self):
+        """f^Q(qs) for each cell (f, qs), in cells() order, listed once per
+        datum."""
+        if self._bases is None:
+            self._bases = tuple(self.q_alg.apply(sym, qs) for sym, qs in self.cells())
+        return self._bases
 
     def sum_table(self):
         """The datum's SumTable, built on first use."""
@@ -313,7 +322,6 @@ class SumTable:
     def __init__(self, d):
         dc, size = d.dc, d.dc.size
         rho, m, q_alg = dc.rho_class, dc.m_class, d.q_alg
-        index = {cell: i for i, cell in enumerate(d.cells())}
         tables, self.offsets, self.cells = {}, {}, {}
         self.failure, self.algebra, fibered = None, None, True
         for sym, ar in d.signature.symbols:
@@ -322,7 +330,7 @@ class SumTable:
             try:
                 for cs in product(range(size), repeat=ar):
                     qs = tuple([rho[c] for c in cs])
-                    cix.append(index[sym, qs])
+                    cix.append(d.cell_index(sym, qs))
                     fq = q_alg.apply(sym, qs)
                     zero = d.delta_l(fq)
                     v = d.fdelta_apply(sym, cs[0], qs[1:]) if ar else zero
@@ -494,16 +502,8 @@ def extract_datum(ext, cap=DEFAULT_CAP, check_m_rule=True):
                         name="datum(%s)" % (ext.name or alg.name))
     ext.datum = datum
 
-    from .cocycles import TwoCocycle
-    tables = {}
-    for sym, ar in q_alg.signature.symbols:
-        tab = {}
-        for qs in product(range(nq), repeat=ar):
-            xs = tuple(lifting[q] for q in qs)
-            fx = alg.apply(sym, xs)
-            tab[qs] = dc.class_of_pair(ext.trace(fx), fx)
-        tables[sym] = tab
-    return datum, TwoCocycle(tables)
+    fxs = (alg.apply(sym, tuple(lifting[q] for q in qs)) for sym, qs in datum.cells())
+    return datum, tuple(dc.class_of_pair(ext.trace(fx), fx) for fx in fxs)
 
 
 # --- validation ----------------------------------------------------------

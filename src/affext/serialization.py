@@ -197,13 +197,15 @@ def _leaves(node, depth, key=()):
 
 
 def cocycle_to_json(d, T, datum_name=None):
-    tables = {sym: _nested(T.tables[sym].__getitem__, (), [d.qsize()] * ar)
+    """A 2-cochain, one class per cell in cells() order, as nested tables
+    per symbol."""
+    tables = {sym: _nested(lambda qs: T[d.cell_index(sym, qs)], (), [d.qsize()] * ar)
               for sym, ar in d.signature.symbols}
     return {"datum": datum_name or d.name or "datum", "tables": tables}
 
 
 def cocycle_from_json(d, data):
-    from .cocycles import TwoCocycle
+    """The 2-cochain of a cocycle file, each value checked to be a class."""
     try:
         tables = {sym: _leaves(data["tables"][sym], ar)
                   for sym, ar in d.signature.symbols}
@@ -211,9 +213,15 @@ def cocycle_from_json(d, data):
             if set(tables[sym]) != set(product(range(d.qsize()), repeat=ar)):
                 raise InputError("bad cocycle file: table of %r lacks a value for "
                                  "some Q arguments, or has extra ones" % sym)
-        return TwoCocycle(tables)
     except (KeyError, TypeError) as exc:
         raise InputError("bad cocycle file: %s" % exc)
+    T = tuple(tables[sym][qs] for sym, qs in d.cells())
+    for (sym, qs), v in zip(d.cells(), T):
+        # bool is an int subclass, so check the type exactly
+        if type(v) is not int or not 0 <= v < d.dc.size:
+            raise InputError("bad cocycle file: value %r of %s%r is not a class "
+                             "in 0..%d" % (v, sym, qs, d.dc.size - 1))
+    return T
 
 
 def dump_json(data, path=None):

@@ -4,7 +4,8 @@ with, now compared with what replaced them.
 - weak_sum: the transfer-free sum of a term by structural recursion, as
   the weak gate's columns compute it a whole product of fibers at a time.
 - partial_derivative_recursive: t^{d,T} node by node.
-- cocycle_add, cocycle_sub: 2-cochain sums on TwoCocycle tables.
+- tables_of, cochain_of: a 2-cochain as per-symbol dict tables and back.
+- cocycle_add: 2-cochain sums on dict tables.
 - tuple_encode: base-n codes of tuples.
 - image_list_constraints, image_list_kernel, image_list_z2,
   image_list_delta_kernel: the (C2) instances compiled as sides of
@@ -44,8 +45,7 @@ from affext._linear import fiber_basis, howell, howell_kernel
 from affext.algebras import (GROUP_SIGNATURE, CapExceeded, FiniteAlgebra,
                              _apply_rows, _invariant, _row_getters, closure,
                              find_isomorphism)
-from affext.cocycles import (TwoCocycle, _cell_bases, _serialized_sub,
-                             coboundary_of, e_paths, fiber_respecting_maps,
+from affext.cocycles import (coboundary_of, e_paths, fiber_respecting_maps,
                              reconstruct)
 from affext.cohomology import (_check_subgroup, _cochain_group, _side_value,
                                _solutions, _two_cochains, stabilizers,
@@ -83,9 +83,26 @@ def weak_sum(d, term, env):
     return val
 
 
+def tables_of(d, T):
+    """{symbol: {qs: class}} of a 2-cochain, one value per cell of cells()."""
+    tables = {sym: {} for sym, _ in d.signature.symbols}
+    for (sym, qs), v in zip(d.cells(), T):
+        tables[sym][qs] = v
+    return tables
+
+
+def cochain_of(d, tables):
+    """The 2-cochain of per-symbol dict tables, in cells() order."""
+    return tuple(tables[sym][qs] for sym, qs in d.cells())
+
+
 def partial_derivative_recursive(d, T, term, qenv):
     """Same value as partial_derivative, computed by distributing the
-    homomorphism property node by node."""
+    homomorphism property node by node on T's dict tables."""
+    return _derivative_on_tables(d, tables_of(d, T), term, qenv)
+
+
+def _derivative_on_tables(d, tables, term, qenv):
     if is_var(term):
         return d.delta_l(qenv[term])
     sym = term[0]
@@ -93,33 +110,27 @@ def partial_derivative_recursive(d, T, term, qenv):
     qs = tuple(d.eval_q(s, qenv) for s in subs)
     base = d.q_alg.apply(sym, qs)
     if not subs:
-        return T.value(sym, ())
-    val = d.fdelta_apply(sym, partial_derivative_recursive(d, T, subs[0], qenv),
+        return tables[sym][()]
+    val = d.fdelta_apply(sym, _derivative_on_tables(d, tables, subs[0], qenv),
                          qs[1:])
     for k in range(2, len(subs) + 1):
-        inner = partial_derivative_recursive(d, T, subs[k - 1], qenv)
+        inner = _derivative_on_tables(d, tables, subs[k - 1], qenv)
         val = d.plus_at(base, val,
                         d.action_apply(sym, k, qs[:k - 1] + qs[k:], inner))
-    return d.plus_at(base, val, T.value(sym, qs))
+    return d.plus_at(base, val, tables[sym][qs])
 
 
 def cocycle_add(d, T1, T2):
-    """(T + T')_f(x) = T_f(x) +_{l(f(x))} T'_f(x)."""
+    """(T + T')_f(x) = T_f(x) +_{l(f(x))} T'_f(x), on dict tables."""
+    t1, t2 = tables_of(d, T1), tables_of(d, T2)
     tables = {}
     for sym, ar in d.signature.symbols:
         tab = {}
         for qs in product(range(d.qsize()), repeat=ar):
             base = d.q_alg.apply(sym, qs)
-            tab[qs] = d.plus_at(base, T1.value(sym, qs), T2.value(sym, qs))
+            tab[qs] = d.plus_at(base, t1[sym][qs], t2[sym][qs])
         tables[sym] = tab
-    return TwoCocycle(tables)
-
-
-def cocycle_sub(d, T1, T2):
-    """T1 - T2: at each cell over u = l(f^Q(qs)), T1 +_u (-_u T2) with
-    -_u y = m(delta(u), y, delta(u)), computed by _serialized_sub."""
-    return TwoCocycle.from_serialized(
-        d, _serialized_sub(d, T1.serialize(d), T2.serialize(d)))
+    return cochain_of(d, tables)
 
 
 def tuple_encode(coords, n):
@@ -376,7 +387,7 @@ def image_list_z2(d, equations):
         solutions = [v for v in solutions
                      if _side_value(d, lhs, v) == _side_value(d, rhs, v)]
     solutions.sort()
-    if solutions and (nonlinear or bases != _cell_bases(d)):
+    if solutions and (nonlinear or bases != d.cell_bases()):
         zero, add = _two_cochains(d)
         if zero not in set(solutions):
             raise DatumError("trivial cocycle is not compatible; gate failed")
@@ -388,7 +399,7 @@ def image_list_delta_kernel(d):
     """_delta_kernel as it once was, per cell a constraint whose side lists
     coboundary_of's terms as images, solved by image_list_kernel."""
     cm, negs, cons = ClassMaps(d), {}, []
-    for (sym, qs), base in zip(d.cells(), _cell_bases(d)):
+    for (sym, qs), base in zip(d.cells(), d.cell_bases()):
         if base not in negs:
             z, negs[base] = d.delta_l(base), [None] * cm.size
             for x in d.fiber(base):
@@ -478,7 +489,7 @@ def bar_complex_orders(q_alg, k_alg, phi):
 def table_b2(d, maps=None):
     """Sorted B2 as the images of delta on every fiber-respecting map (or
     on maps), checked to be a subgroup."""
-    images = {coboundary_of(d, h).serialize(d)
+    images = {coboundary_of(d, h)
               for h in (fiber_respecting_maps(d) if maps is None else maps)}
     serialized = sorted(images)
     zero, add = _two_cochains(d)
@@ -489,9 +500,9 @@ def table_b2(d, maps=None):
 def table_z1(d):
     """Sorted Z1 as the fiber-respecting maps delta sends to zero, checked
     to be a subgroup."""
-    zero = d.trivial_cocycle().serialize(d)
+    zero = d.trivial_cocycle()
     out = sorted(h for h in fiber_respecting_maps(d)
-                 if coboundary_of(d, h).serialize(d) == zero)
+                 if coboundary_of(d, h) == zero)
     if out:
         zero, add = _cochain_group(d, range(d.qsize()))
         _check_subgroup(out, zero, add, "Z1")
@@ -592,15 +603,16 @@ def entrywise_reconstruct(d, T, name=None, verify=True):
     l(f^Q(q)), after (C1) is checked cell by cell."""
     U = d.dc.size
     nq = d.qsize()
+    T = tables_of(d, T)
     if verify:
         for sym, ar in d.signature.symbols:
             for qs in product(range(nq), repeat=ar):
-                if d.dc.rho_class[T.value(sym, qs)] != d.cell_fiber(sym, qs):
+                if d.dc.rho_class[T[sym][qs]] != d.cell_fiber(sym, qs):
                     raise DatumError("cocycle violates (C1) at %s%r" % (sym, qs))
     tables = {}
     for sym, ar in d.signature.symbols:
         if ar == 0:
-            tables[sym] = (T.value(sym, ()),)
+            tables[sym] = (T[sym][()],)
             continue
         flat = []
         for cs in product(range(U), repeat=ar):
@@ -610,7 +622,7 @@ def entrywise_reconstruct(d, T, name=None, verify=True):
             for i in range(2, ar + 1):
                 val = d.plus_at(base, val,
                                 d.action_apply(sym, i, qs[:i - 1] + qs[i:], cs[i - 1]))
-            val = d.plus_at(base, val, T.value(sym, qs))
+            val = d.plus_at(base, val, T[sym][qs])
             flat.append(val)
         tables[sym] = tuple(flat)
     alg = FiniteAlgebra(U, d.signature, tables, name=name or "A_T")

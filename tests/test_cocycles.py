@@ -5,7 +5,7 @@ import pytest
 from affext.algebras import find_isomorphism, satisfies
 from affext.congruences import Congruence
 from affext.datum import DatumError, extract_datum, group_extension
-from affext.cocycles import (TwoCocycle, central_tensor_decomposition,
+from affext.cocycles import (_serialized_sub, central_tensor_decomposition,
                              check_cocycle, check_realization,
                              cocycle_difference_coboundary,
                              delta_quotient, e_paths, is_semidirect,
@@ -14,7 +14,7 @@ from affext.cocycles import (TwoCocycle, central_tensor_decomposition,
                              coboundary_of)
 from affext.terms import parse_term, term_vars
 
-from oracles import cocycle_sub, partial_derivative_recursive, weak_sum
+from oracles import partial_derivative_recursive, tables_of, weak_sum
 
 
 def test_e_paths_counts_internal_nodes():
@@ -30,7 +30,7 @@ def test_partial_derivative_base_cases(z4_datum):
     t = parse_term("(mul x0 x1)")
     for q1, q2 in product(range(2), repeat=2):
         assert partial_derivative(d, T, t, {"x0": q1, "x1": q2}) == \
-            T.value("mul", (q1, q2))
+            tables_of(d, T)["mul"][q1, q2]
     # bare variable: the fiber identity
     for q in range(2):
         assert partial_derivative(d, T, "x0", {"x0": q}) == d.delta_l(q)
@@ -40,7 +40,7 @@ def test_partial_derivative_identified_variables(z4_datum):
     d, T = z4_datum
     t = parse_term("(mul x0 x0)")
     for q in range(2):
-        assert partial_derivative(d, T, t, {"x0": q}) == T.value("mul", (q, q))
+        assert partial_derivative(d, T, t, {"x0": q}) == tables_of(d, T)["mul"][q, q]
 
 
 def test_partial_derivative_associativity_and_recursion(z4_datum):
@@ -64,12 +64,12 @@ def test_check_cocycle_extracted_and_trivial(z4_datum, group_eqs):
 
 def test_check_cocycle_perturbation_fails(z4_datum, group_eqs):
     d, T = z4_datum
-    broken = TwoCocycle(T.tables)
-    cell = (1, 1)
-    fiber = d.fiber(d.dc.rho_class[broken.tables["mul"][cell]])
-    other = [c for c in fiber if c != broken.tables["mul"][cell]][0]
-    broken.tables["mul"][cell] = other
-    rep = check_cocycle(d, broken, group_eqs)
+    broken = list(T)
+    cell = d.cells().index(("mul", (1, 1)))
+    fiber = d.fiber(d.dc.rho_class[broken[cell]])
+    other = [c for c in fiber if c != broken[cell]][0]
+    broken[cell] = other
+    rep = check_cocycle(d, tuple(broken), group_eqs)
     assert not rep["holds"]
     assert any(w.get("condition") == "C2" for w in rep["witness"])
 
@@ -84,10 +84,27 @@ def test_reconstruct_round_trip(z4_extension, z4_datum, cat):
 
 def test_reconstruct_rejects_c1_violation(z4_datum):
     d, T = z4_datum
-    bad = TwoCocycle(T.tables)
-    bad.tables["mul"][(0, 1)] = d.fiber(0)[0]  # wrong fiber
+    bad = list(T)
+    bad[d.cells().index(("mul", (0, 1)))] = d.fiber(0)[0]  # wrong fiber
     with pytest.raises(DatumError):
+        reconstruct(d, tuple(bad))
+
+
+@pytest.mark.parametrize("cut", ["short", "long"])
+def test_wrong_length_cochains_raise(z4_datum, group_eqs, cut):
+    """A cochain one cell short or one cell long is refused, not cut to
+    the cells by zip."""
+    from affext.cohomology import are_equivalent
+    d, T = z4_datum
+    bad = T[:-1] if cut == "short" else T + (T[0],)
+    with pytest.raises(DatumError, match="2-cochain has"):
         reconstruct(d, bad)
+    with pytest.raises(DatumError, match="2-cochain has"):
+        check_cocycle(d, bad, group_eqs)
+    with pytest.raises(DatumError, match="2-cochain has"):
+        are_equivalent(d, bad, T)
+    with pytest.raises(DatumError, match="2-cochain has"):
+        are_equivalent(d, T, bad)
 
 
 def test_reconstruction_satisfies_compatible_equations(z4_datum, group_eqs,
@@ -98,11 +115,11 @@ def test_reconstruction_satisfies_compatible_equations(z4_datum, group_eqs,
     from affext.cohomology import cocycle_group
     z2r = cocycle_group(d, group_eqs)
     for s in z2r.serialized:
-        rec = reconstruct(d, TwoCocycle.from_serialized(d, s))
+        rec = reconstruct(d, s)
         assert satisfies(rec.alg, group_eqs) is None
     zab = cocycle_group(d, abelian_eqs)
     for s in zab.serialized:
-        rec = reconstruct(d, TwoCocycle.from_serialized(d, s))
+        rec = reconstruct(d, s)
         assert satisfies(rec.alg, abelian_eqs) is None
 
 
@@ -138,7 +155,7 @@ def test_group_cocycle_identity_specialization(z4_datum):
         # translation b - a in Z4 lands in the kernel {0,2}; report 0 or 1
         return ((b - a) % 4) // 2
 
-    f = {(x, y): to_k(T.value("mul", (x, y))) for x in range(2) for y in range(2)}
+    f = {(x, y): to_k(tables_of(d, T)["mul"][x, y]) for x in range(2) for y in range(2)}
     mulq = lambda x, y: d.q_alg.op("mul", x, y)
     for x, y, z in product(range(2), repeat=3):
         lhs = (f[(x, y)] + f[(mulq(x, y), z)]) % 2
@@ -241,13 +258,13 @@ def test_coboundary_difference_examples(z4_datum, cat):
     # two liftings of Z4 give cocycles differing by a coboundary
     ext2 = group_extension(cat["Z4"], [0, 2], lifting=[0, 3])
     d2, T2 = extract_datum(ext2)
-    h = cocycle_difference_coboundary(d, T, TwoCocycle(T2.tables))
+    h = cocycle_difference_coboundary(d, T, T2)
     assert h is not None
     # the predicted witness h(x) = [l(x) // l'(x)]/Delta works directly
     predicted = tuple(d.dc.class_of_pair(d.lifting[q], [0, 3][q])
                       for q in range(2))
-    diff = cocycle_sub(d, TwoCocycle(T2.tables), T).serialize(d)
-    assert coboundary_of(d, predicted).serialize(d) == diff
+    diff = _serialized_sub(d, T2, T)
+    assert coboundary_of(d, predicted) == diff
     # extracted vs trivial: no witness (Z4 is not the split class)
     assert cocycle_difference_coboundary(d, T, d.trivial_cocycle()) is None
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from affext.algebras import (DEFAULT_CAP, AlgebraError, CapExceeded,
                              is_homomorphism)
-from affext.cocycles import TwoCocycle, reconstruct
+from affext.cocycles import reconstruct
 from affext.cohomology import (_check_subgroup, _two_cochains,
                                coboundary_group, cocycle_group, derivations,
                                h1, h2, invariant_factors,
@@ -98,17 +98,16 @@ def datums(cat):
 
 def _old_h2(d, eqs):
     """Representatives and invariant factors of H2, Z2 and B2 through
-    TwoCocycle sums, min-over-B2 cosets and Cayley tables."""
+    dict-table sums, min-over-B2 cosets and Cayley tables."""
     z2, b2 = cocycle_group(d, eqs), coboundary_group(d)
 
     def plus(a, b):
-        return cocycle_add(d, TwoCocycle.from_serialized(d, a),
-                           TwoCocycle.from_serialized(d, b)).serialize(d)
+        return cocycle_add(d, a, b)
 
     def coset_of(s):
         return min(plus(s, g) for g in b2.serialized)
 
-    zero = d.trivial_cocycle().serialize(d)
+    zero = d.trivial_cocycle()
     reps = sorted({coset_of(s) for s in z2.serialized})
     quotient = AbelianGroupPresentation(reps, lambda a, b: coset_of(plus(a, b)),
                                         coset_of(zero))
@@ -240,8 +239,7 @@ def test_stabilizing_isomorphism_matches_bijection_search(cat, group_eqs):
     pairs = 0
     for k_name, q_name, _, act in oracle_cases(cat):
         d, _ = datum_for_oracle_case(cat, k_name, q_name, act)
-        exts = [reconstruct(d, TwoCocycle.from_serialized(d, s))
-                for s in cocycle_group(d, group_eqs).serialized]
+        exts = [reconstruct(d, s) for s in cocycle_group(d, group_eqs).serialized]
         for ext_a in exts:
             for ext_b in exts:
                 assert stabilizing_isomorphism(ext_a, ext_b) == \
@@ -299,8 +297,7 @@ def _oracle_case_extensions(cat, group_eqs):
     out = []
     for k_name, q_name, _, act in oracle_cases(cat):
         d, _ = datum_for_oracle_case(cat, k_name, q_name, act)
-        out.append([reconstruct(d, TwoCocycle.from_serialized(d, s))
-                    for s in cocycle_group(d, group_eqs).serialized])
+        out.append([reconstruct(d, s) for s in cocycle_group(d, group_eqs).serialized])
     return out
 
 
@@ -373,7 +370,7 @@ def test_non_closed_b2_raises():
     from oracles import table_b2
     d = extract_datum(group_extension(cyclic(12), [0, 6]))[0]
     zero, add = _two_cochains(d)
-    image = {h: coboundary_of(d, h).serialize(d) for h in fiber_respecting_maps(d)}
+    image = {h: coboundary_of(d, h) for h in fiber_respecting_maps(d)}
     g1, g2 = sorted(set(image.values()) - {zero})[:2]
     assert add(g1, g2) not in (zero, g1, g2)
     keep = [h for h, g in image.items() if g in (zero, g1, g2)]

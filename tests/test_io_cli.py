@@ -319,6 +319,64 @@ def test_cli_rejects_ragged_cocycle_table(files, z4_datum):
     assert "Traceback" not in r.stderr
 
 
+COCYCLE_COMMANDS = {
+    "cocycle check": ["cocycle", "check", "--cocycle", "bad.json",
+                      "--sigma", "builtin:groups"],
+    "rebuild": ["rebuild", "--cocycle", "bad.json"],
+    "equiv": ["equiv", "--cocycle", "bad.json", "--cocycle2", "t.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COCYCLE_COMMANDS))
+@pytest.mark.parametrize("value", [999, "x", 1.5, None, -1, True],
+                         ids=["999", "str", "float", "null", "-1", "true"])
+def test_cli_rejects_bad_cocycle_values(files, monkeypatch, capsys, command, value):
+    """A cocycle file from `datum extract` with one value of mul replaced by
+    something that is no class index: exit 2, no traceback."""
+    monkeypatch.chdir(files)
+    base = ["--alg", "z4.json", "--con", "alpha.json"]
+    assert cli.main(["datum", "extract", "--out", "bundle.json"] + base) == 0
+    data = json.loads((files / "bundle.json").read_text())["cocycle"]
+    dump_json(data, files / "t.json")
+    data["tables"]["mul"][0][1] = value
+    dump_json(data, files / "bad.json")
+    capsys.readouterr()
+    code = cli.main(COCYCLE_COMMANDS[command] + base)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error: bad cocycle file:")
+    assert "Traceback" not in err
+
+
+# sha256 of `affext datum extract --format json`: the datum and cocycle
+# files it writes are a byte-identical contract
+EXTRACT_DIGESTS = [
+    ("Z4", [0, 2], "3f0dfced51c36c0b2c41b04ca5d80e21efe186b233a5b9b080127791b4e39f30"),
+    ("D4", [0, 4], "e3b22494cf59da14fadc3a41784f31f06f2e4e02e7d7fd9d678a80694e69f435"),
+    ("S3", [0, 3, 4], "16c2ad3d964791dc17e6ba096189af22e8e6c63db23fd172af4e550c788e6347"),
+]
+
+
+@pytest.mark.parametrize("name, kernel, digest", EXTRACT_DIGESTS,
+                         ids=[name for name, _, _ in EXTRACT_DIGESTS])
+def test_datum_extract_json_pinned(cat, tmp_path, monkeypatch, name, kernel, digest):
+    """Z4/Z2, D4 over its centre and S3/Z3."""
+    from affext.groups import center, congruence_of_subgroup
+    if name == "D4":
+        assert sorted(center(cat["D4"])) == kernel
+    g = cat[name]
+    monkeypatch.chdir(tmp_path)
+    dump_json(algebra_to_json(g), tmp_path / "g.json")
+    dump_json(congruence_to_json(congruence_of_subgroup(g, kernel), g.name),
+              tmp_path / "c.json")
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(["datum", "extract", "--alg", "g.json", "--con", "c.json",
+                         "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
 def test_datum_file_with_m_as_term(z4_datum, cat):
     from affext.datum import validate_datum
     d, _ = z4_datum

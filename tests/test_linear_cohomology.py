@@ -5,7 +5,8 @@ the pieces of the solver on their own (the cyclic decomposition of a fiber
 and the Howell kernel over Z/p^k), the caps checked before listing, and a
 Z2 search that needs no Python frame per cell.  PStab by a membership
 test on each fixed-point twin, against the intersection with the listed
-Stab(A_0) it replaced, and H1 of Z64/Z2, where that list is over its cap."""
+Stab(A_0) it replaced, and H1 of Z64/Z2, where that list is over its cap.
+Every member of Z2 through a cocycle file and back."""
 
 import inspect
 import random
@@ -22,6 +23,7 @@ from affext.cohomology import (coboundary_group, cocycle_group, derivations,
 from affext.datum import DatumError, extract_datum, group_extension
 from affext.groups import (catalog, classical_h2, cyclic, direct_product,
                            trivial_action)
+from affext.serialization import cocycle_from_json, cocycle_to_json
 from affext.verify import catalog_extensions
 
 from oracles import (intersected_principal_stabilizers, search_z2, table_b2,
@@ -91,6 +93,16 @@ def test_z2_is_a_subgroup_without_a_recheck(group_eqs, abelian_eqs, kind, case,
     zero, add = cohomology._two_cochains(d)
     for serialized in filter(None, found):
         cohomology._check_subgroup(serialized, zero, add, "Z2")
+
+
+@pytest.mark.parametrize("kind, case", DATUMS, ids=DATUM_IDS)
+def test_cocycle_json_round_trip_over_z2(group_eqs, kind, case):
+    """Every member of Z2 comes back from its cocycle file unchanged."""
+    d = _datum(kind, case)
+    z2 = cocycle_group(d, group_eqs).serialized
+    assert z2
+    for T in z2:
+        assert cocycle_from_json(d, cocycle_to_json(d, T)) == T
 
 
 @pytest.mark.parametrize("kind, case", DATUMS, ids=DATUM_IDS)

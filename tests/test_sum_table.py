@@ -12,8 +12,7 @@ import affext.datum as datum_module
 import oracles
 from affext import cli
 from affext.algebras import DEFAULT_CAP, CapExceeded
-from affext.cocycles import (TwoCocycle, fiber_respecting_maps, is_semidirect,
-                             reconstruct)
+from affext.cocycles import fiber_respecting_maps, is_semidirect, reconstruct
 from affext.cohomology import cocycle_group
 from affext.congruences import Congruence
 from affext.datum import check_action_compatible, extract_datum, group_extension
@@ -46,8 +45,7 @@ def test_reconstruct_matches_entrywise_on_catalog_extensions(group_eqs, name):
     extension both ways."""
     d, T = extract_datum(dict(catalog_extensions())[name])
     assert summary(reconstruct(d, T)) == summary(entrywise_reconstruct(d, T))
-    for s in cocycle_group(d, group_eqs).serialized:
-        T = TwoCocycle.from_serialized(d, s)
+    for T in cocycle_group(d, group_eqs).serialized:
         assert (summary(reconstruct(d, T, name="x"))
                 == summary(entrywise_reconstruct(d, T, name="x")))
 
@@ -57,8 +55,7 @@ def test_reconstruct_matches_entrywise_over_all_of_z2(group_eqs, group, kernel):
     d = extract_datum(group_extension(group, list(kernel)))[0]
     z2 = cocycle_group(d, group_eqs).serialized
     assert z2
-    for s in z2:
-        T = TwoCocycle.from_serialized(d, s)
+    for T in z2:
         assert summary(reconstruct(d, T)) == summary(entrywise_reconstruct(d, T))
 
 
@@ -76,7 +73,7 @@ def perturbed_with_cochain(draw):
     anywhere = st.integers(0, d.dc.size - 1) if draw(st.booleans()) else st.nothing()
     values = [draw(st.sampled_from(d.fiber(d.cell_fiber(*cell))) | anywhere)
               for cell in d.cells()]
-    return d, TwoCocycle.from_serialized(d, values), draw(st.booleans())
+    return d, tuple(values), draw(st.booleans())
 
 
 def _record(alg, pi, q_alg, m_flat, lifting, name, datum):

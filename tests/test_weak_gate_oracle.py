@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from affext.algebras import satisfies
-from affext.cocycles import TwoCocycle, e_paths, partial_derivative
+from affext.cocycles import e_paths, partial_derivative
 from affext.cohomology import _check_subgroup, _two_cochains, cocycle_group
 from affext.datum import (AffineDatum, DatumError, check_action_compatible,
                           extract_datum, group_extension)
@@ -78,16 +78,16 @@ def reference_z2(d, equations):
                     for side in (lhs, rhs) for _, node in e_paths(side)]
             if used:
                 checks[max(used)].append((lhs, rhs, qenv))
-    T = TwoCocycle({sym: {} for sym, _ in d.signature.symbols})
+    T = [None] * len(cells)
     found = []
 
     def search(i):
         if i == len(cells):
-            found.append(T.serialize(d))
+            found.append(tuple(T))
             return
         sym, qs = cells[i]
         for v in d.fiber(d.cell_fiber(sym, qs)):
-            T.tables[sym][qs] = v
+            T[i] = v
             if all(partial_derivative(d, T, lhs, qenv)
                    == partial_derivative(d, T, rhs, qenv)
                    for lhs, rhs, qenv in checks[i]):
