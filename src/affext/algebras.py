@@ -83,14 +83,6 @@ def _flatten_into(flat, node, depth, size):
         _flatten_into(flat, child, depth - 1, size)
 
 
-def _unflatten(flat, arity, size, base=0):
-    """Nest flat[base:base + size**arity] into arity-deep lists."""
-    if arity == 0:
-        return flat[base]
-    stride = size ** (arity - 1)
-    return [_unflatten(flat, arity - 1, size, base + i * stride) for i in range(size)]
-
-
 class FiniteAlgebra:
     def __init__(self, size, signature, tables, name=None):
         """tables: dict symbol -> flat tuple (len size**arity) or nested lists."""

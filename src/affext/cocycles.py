@@ -10,30 +10,36 @@ from .datum import DatumError, ExtensionRecord
 from .terms import is_var, term_vars, term_to_str
 
 
-def _check_length(d, *cochains):
-    """Raise DatumError unless each 2-cochain has one value per cell."""
+def _check_cochain(d, *cochains):
+    """Raise DatumError unless each 2-cochain has one value per cell, each
+    a class: an int (bool is a subclass, so the type is checked exactly)."""
+    size = d.dc.size
     for T in cochains:
         if len(T) != len(d.cells()):
             raise DatumError("2-cochain has %d values for %d cells"
                              % (len(T), len(d.cells())))
+        if T and (set(map(type, T)) != {int} or min(T) < 0 or max(T) >= size):
+            v = next(v for v in T if type(v) is not int or not 0 <= v < size)
+            raise DatumError("2-cochain value %r is not a class in 0..%d"
+                             % (v, size - 1))
 
 
 def _serialized_sub(d, a, b):
     """a - b on serialized 2-cochains, in one pass over the cells.
 
     The value at a cell over q is plus_at(q, x, neg_at(q, y)), that is
-    m(x, z, m(z, y, z)) with z = delta(l(q)), read inline from m_class's
-    memo, so it is the same sum on the fibers and off them.
+    m(x, z, m(z, y, z)) with z = delta(l(q)), read inline from the m table,
+    so it is the same sum on the fibers and off them.
     """
-    size, memo, m = d.dc.size, d.dc._m_memo(), d.dc.m_class
+    size, table, m = d.dc.size, d.dc.m_table(), d.dc.m_class
     zeros = [d.delta_l(q) for q in range(d.qsize())]
     out = []
     for q, x, y in zip(d.cell_bases(), a, b):
         z = zeros[q]
-        neg = memo[(z * size + y) * size + z]
+        neg = table[(z * size + y) * size + z]
         if neg is None:
             neg = m(z, y, z)
-        v = memo[(x * size + z) * size + neg]
+        v = table[(x * size + z) * size + neg]
         out.append(v if v is not None else m(x, z, neg))
     return tuple(out)
 
@@ -90,7 +96,7 @@ def check_cocycle(d, T, equations):
 
     Returns a report dict; C2 failures carry (equation, assignment, sides).
     """
-    _check_length(d, T)
+    _check_cochain(d, T)
     failures = []
     for (sym, qs), expected, v in zip(d.cells(), d.cell_fibers(), T):
         got = d.dc.rho_class[v]
@@ -120,34 +126,35 @@ def reconstruct(d, T, name=None, verify=True):
     2..n, then T_f, summed left-associated at base l(f^Q(q)).  The first
     part does not depend on T and is the datum's sum table (SumTable),
     built once per datum; each entry adds T's value at the cell over
-    rho(cs) at the table's memo offset.  A sum that raised while the table
-    was built raises here at the same entry.  (C1) is checked against the
-    datum's cell_fibers().  The canonical projection onto Q is verified to
-    be a homomorphism rather than assumed.
+    rho(cs) at the table's offset into the m table.  A sum that failed in
+    the table raises here at the same entry.  Each value of T must be a
+    class; (C1) is checked against the datum's cell_fibers().  The
+    canonical projection onto Q is verified to be a homomorphism.
     """
     U, nq, rho = d.dc.size, d.qsize(), d.dc.rho_class
-    _check_length(d, T)
+    _check_cochain(d, T)
     if verify:
         for (sym, qs), fib, v in zip(d.cells(), d.cell_fibers(), T):
             if rho[v] != fib:
                 raise DatumError("cocycle violates (C1) at %s%r" % (sym, qs))
     sums = d.sum_table()
-    memo, m = d.dc._m_memo(), d.dc.m_class
+    table, m = d.dc.m_table(), d.dc.m_class
     tables = {}
     for sym, ar in d.signature.symbols:
         ts = map(T.__getitem__, sums.cells[sym])
         if ar == 0:
             tables[sym] = (next(ts),)
         else:
-            tables[sym] = tuple([v if (v := memo[o + t]) is not None
+            tables[sym] = tuple([v if (v := table[o + t]) is not None
                                  else m(o // U // U, o // U % U, t)
                                  for o, t in zip(sums.offsets[sym], ts)])
         if sums.failure and sums.failure[0] == sym:
             raise sums.failure[1]
     alg = FiniteAlgebra(U, d.signature, tables, name=name or "A_T")
-    # m's table is the memo itself once it is full
-    m_flat = tuple(memo) if None not in memo else tuple(
-        m(x, y, z) for x in range(U) for y in range(U) for z in range(U))
+    if None in table:  # raised at the first triple that is no class
+        i = table.index(None)
+        m(i // U // U, i // U % U, i % U)
+    m_flat = tuple(table)
     lifting = tuple(d.delta_l(q) for q in range(nq))
     return ExtensionRecord(alg, rho, d.q_alg, m_flat,
                            lifting=lifting, name=alg.name, datum=d)
@@ -218,7 +225,7 @@ def check_realization(ext, d, cap=32):
                         return False
             else:
                 cls = dcb.class_of_pair(alg.tables[sym][0], alg.tables[sym][0])
-                if d.fdelta[sym][()] != i_map[cls]:
+                if d.fdelta[sym][0] != i_map[cls]:
                     return False
         return True
 
@@ -305,17 +312,28 @@ def coboundary_of(d, h):
     """The 2-coboundary G_f produced by a fiber-respecting h: Q -> classes.
 
     G_f(x) = f-delta(h(x1), l(x2..)) -_u h(f(x)) +_u sum of action terms,
-    left-associated at u = l(f(x)).
+    left-associated at u = l(f(x)).  A symbol's cells go at once, each term
+    read by AffineDatum.terms and each sum off the m table.  KeyError when
+    an entry or a sum is missing.
     """
-    out = []
-    for (sym, qs), base in zip(d.cells(), d.cell_bases()):
-        val = d.neg_at(base, h[base])
-        if qs:
-            val = d.plus_at(base, d.fdelta_apply(sym, h[qs[0]], qs[1:]), val)
-            for i in range(2, len(qs) + 1):
-                val = d.plus_at(base, val,
-                                d.action_apply(sym, i, qs[:i - 1] + qs[i:], h[qs[i - 1]]))
-        out.append(val)
+    size, table, qs, out = d.dc.size, d.dc.m_table(), range(d.qsize()), []
+    zero_of = [d.delta_l(q) for q in qs]
+    try:
+        for sym, ar in d.signature.symbols:
+            bases = d.q_alg.tables[sym]
+            zeros = list(map(zero_of.__getitem__, bases))
+            vals = [table[(z * size + h[b]) * size + z] for b, z in zip(bases, zeros)]
+            if ar:
+                vals = [table[(t * size + z) * size + v]
+                        for t, z, v in zip(d.terms(sym, 1, h, qs), zeros, vals)]
+            for k in range(2, ar + 1):
+                vals = [table[(v * size + z) * size + t]
+                        for t, z, v in zip(d.terms(sym, k, h, qs), zeros, vals)]
+            out += vals
+    except TypeError:  # None, a missing entry or sum, met in the arithmetic
+        out = [None]
+    if None in out:
+        raise KeyError("coboundary_of: a missing entry or a sum that is no class")
     return tuple(out)
 
 
@@ -334,7 +352,7 @@ def cocycle_difference_coboundary(d, T, Tp):
     """The first h in fiber_respecting_maps order with coboundary(h) =
     T' - T, or None: a lookup in the datum's coboundary table."""
     from .cohomology import _coboundary_table
-    _check_length(d, T, Tp)
+    _check_cochain(d, T, Tp)
     witnesses = _coboundary_table(d).get(_serialized_sub(d, Tp, T))
     return witnesses[0] if witnesses else None
 

@@ -10,7 +10,7 @@ from .algebras import (DEFAULT_CAP, AlgebraError, CapExceeded, closure,
 from .cocycles import (check_cocycle, coboundary_of, e_paths,
                        fiber_respecting_maps, reconstruct)
 from ._linear import System, factor, fiber_bases
-from .datum import ClassMaps, DatumError, check_action_compatible
+from .datum import DatumError, check_action_compatible
 from .terms import term_table, term_vars
 
 
@@ -169,7 +169,7 @@ def _compile(d, equations):
     the base-|Q| code of the node's arguments) and a key of the fiber over
     i, the base and each frame's argument codes.  Each key's img, the fiber
     carried through the frames' maps, and its coefficients are made once."""
-    nq, cm, fibers = d.qsize(), ClassMaps(d), d.cell_fibers()
+    nq, fibers = d.qsize(), d.cell_fibers()
     system, nonlinear = System(d, fibers), []
     for lhs, rhs in equations:
         varnames, left = term_vars(lhs, rhs), len(e_paths(lhs))
@@ -195,7 +195,7 @@ def _compile(d, equations):
             for n, key in enumerate(keys):
                 if key not in made:
                     src, steps = fibers[cells[n]], [
-                        cm.wrap(p[0], k, tuple(tables[s][n] for s in p[1:]))
+                        d.wrap(p[0], k, tuple(tables[s][n] for s in p[1:]))
                         for p, k in reversed(frames)]
                     img = {v: reduce(lambda w, f: f[w], steps, v) for v in d.fiber(src)}
                     made[key] = img, system.coefficients(img, src, base[n], sign)
@@ -288,14 +288,14 @@ def _delta_kernel(d):
     at f(qs), one System row per factor there; nonlinear lists the cells
     where a term's map is no homomorphism of fibers."""
     if d._delta_kernel is None:
-        cm, system = ClassMaps(d), System(d, range(d.qsize()))
+        system = System(d, range(d.qsize()))
         negs, nonlinear = {}, []
         for n, ((sym, qs), base) in enumerate(zip(d.cells(), d.cell_bases())):
             if base not in negs:
                 negs[base] = system.coefficients(
                     {x: d.neg_at(base, x) for x in d.fiber(base)}, base, base, 1)
             terms = [(base, negs[base])] + [
-                (q, system.coefficients(cm.wrap(sym, k, qs), q, base, 1))
+                (q, system.coefficients(d.wrap(sym, k, qs), q, base, 1))
                 for k, q in enumerate(qs, 1)]
             if None in [co for _, co in terms]:
                 nonlinear.append(n)

@@ -12,9 +12,12 @@ class Congruence:
 
     __slots__ = ("n", "rep")
 
-    def __init__(self, n, rep):
+    def __init__(self, n, rep, least=False):
+        """rep[x] labels x's block, normalized to the block's least member so
+        equal partitions are equal; least=True says it already is."""
+        key = {}
         self.n = n
-        self.rep = tuple(rep)
+        self.rep = tuple(rep if least else [key.setdefault(r, x) for x, r in enumerate(rep)])
 
     @classmethod
     def from_blocks(cls, n, blocks):
@@ -35,7 +38,7 @@ class Congruence:
             least = min(block)
             for x in block:
                 rep[x] = least
-        return cls(n, rep)
+        return cls(n, rep, least=True)
 
     @classmethod
     @lru_cache(maxsize=None)
@@ -43,11 +46,11 @@ class Congruence:
         """The least congruence, one shared instance per n: nothing changes
         a Congruence after construction, and results such as trivial
         commutators then share it."""
-        return cls(n, range(n))
+        return cls(n, range(n), least=True)
 
     @classmethod
     def all(cls, n):
-        return cls(n, [0] * n)
+        return cls(n, [0] * n, least=True)
 
     def blocks(self):
         by_rep = {}
@@ -140,7 +143,7 @@ def _labelled_congruence(label, members):
             least = min(block)
             for x in block:
                 label[x] = least
-    return Congruence(len(label), label)
+    return Congruence(len(label), label, least=True)
 
 
 def _merge(label, members, queue, pairs):
@@ -173,7 +176,7 @@ def _translation_slices(tab, ar, n, a, b):
 def kernel_of_map(mapping, n):
     """ker of mapping given as list of length n (not checked for compatibility)."""
     key = {}
-    return Congruence(n, [key.setdefault(mapping[x], x) for x in range(n)])
+    return Congruence(n, [key.setdefault(mapping[x], x) for x in range(n)], least=True)
 
 
 def all_congruences(alg, cap=DEFAULT_CAP):

@@ -15,6 +15,22 @@ class DatumError(AlgebraError):
     pass
 
 
+def _code(digits, base):
+    """The code of digits in base base, the first (maybe >= base) leading."""
+    k = 0
+    for x in digits:
+        k = k * base + x
+    return k
+
+
+def _level_codes(levels):
+    """sum_p levels[p][x_p] for every tuple x, in product order."""
+    codes = [0]
+    for level in levels:
+        codes = [s + c for s in codes for c in level]
+    return codes
+
+
 def _flat_ternary(seq, n):
     """A ternary table, nested or flat, as a flat tuple of n**3 entries."""
     if len(seq) and isinstance(seq[0], (list, tuple)):
@@ -48,6 +64,9 @@ class DeltaClasses:
         for ci, block in enumerate(blocks):
             for p in block:
                 self.class_of[p] = ci
+        self.code_class = [None] * (asize * asize)  # at a*asize + b, None off alpha
+        for (a, b), ci in zip(self.pairs, self.class_of):
+            self.code_class[a * asize + b] = ci
         self.class_reps = [self.pairs[block[0]] for block in blocks]
         self.delta_of = [self.class_of[self.pair_index[(a, a)]] for a in range(asize)]
         self.rho_class = []
@@ -59,7 +78,7 @@ class DeltaClasses:
         self.fibers = {}
         for ci, q in enumerate(self.rho_class):
             self.fibers.setdefault(q, []).append(ci)
-        self._m = None  # _m_memo()
+        self._m = None  # m_table()'s memo
 
     def m_elem(self, a, b, c):
         n = self.asize
@@ -68,30 +87,29 @@ class DeltaClasses:
     def class_of_pair(self, a, b):
         return self.class_of[self.pair_index[(a, b)]]
 
-    def _m_memo(self):
-        """m_class's memo, allocated on first use."""
+    def m_table(self):
+        """m rowwise on the class representatives, a flat list with slot
+        (x*size + y)*size + z (None where the results are no alpha-pair),
+        built on first use a row of z at a time from two rows of m_flat."""
         if self._m is None:
-            self._m = [None] * self.size ** 3
+            n, code, m_flat = self.asize, self.code_class, self.m_flat
+            tops, bots = map(list, zip(*self.class_reps))
+            table = []
+            for a1, b1 in self.class_reps:
+                for a2, b2 in zip(tops, bots):
+                    t, u = (a1 * n + a2) * n, (b1 * n + b2) * n
+                    top, bot = m_flat[t:t + n], m_flat[u:u + n]
+                    table += [code[x * n + y] for x, y in
+                              zip(map(top.__getitem__, tops), map(bot.__getitem__, bots))]
+            self._m = table
         return self._m
 
     def m_class(self, x, y, z):
-        """The class of m applied rowwise to the representatives of x, y, z.
-
-        The one cache of fiber sums, x +_u y = m_class(x, delta(u), y): slot
-        (x*size + y)*size + z of _m_memo(), in the ternary-table layout,
-        holds the value once computed and None before.  Hot loops read the
-        memo inline and call m_class on a None.  A miss that is not an
-        alpha-pair raises KeyError and stores nothing, as without the memo.
-        """
-        memo = self._m or self._m_memo()
-        i = (x * self.size + y) * self.size + z
-        v = memo[i]
+        """Slot (x*size + y)*size + z of m_table(); KeyError where it is
+        None, as the two results are then no alpha-pair."""
+        v = (self._m or self.m_table())[(x * self.size + y) * self.size + z]
         if v is None:
-            a1, b1 = self.class_reps[x]
-            a2, b2 = self.class_reps[y]
-            a3, b3 = self.class_reps[z]
-            key = (self.m_elem(a1, a2, a3), self.m_elem(b1, b2, b3))
-            v = memo[i] = self.class_of[self.pair_index[key]]
+            raise KeyError((x, y, z))
         return v
 
     def is_diagonal(self, c):
@@ -102,10 +120,12 @@ class DeltaClasses:
 class AffineDatum:
     """(Q, partial structure on A, unary action) plus its lifting.
 
-    fdelta tables are keyed (class, q2, ..., qn): a diagonal argument
-    delta(x) only depends on x/alpha, so it is recorded by its Q index.
-    Action tables are keyed by (symbol, positions) with positions a tuple of
-    1-based coordinates; extraction only produces singletons.
+    The tables are the datum file's nested tables flattened.  fdelta[f]
+    holds f-delta(c1, q2, ..., qk) at c1*|Q|^(k-1) + code(q2..qk), code the
+    base-|Q| code (a diagonal delta(x) depends only on x/alpha); a nullary
+    f has fdelta[f][0].  actions[f, i] holds a(f,i) with Q values qrest at
+    the other positions at code(qrest)*|classes| + c.  Reading a None
+    entry, a missing one, raises KeyError.
     """
 
     def __init__(self, q_alg, mq_flat, asize, m_flat, alpha, dc, lifting,
@@ -210,14 +230,42 @@ class AffineDatum:
 
     # --- structure applications ------------------------------------------
     def fdelta_apply(self, sym, c, qrest):
-        return self.fdelta[sym][(c,) + tuple(qrest)]
+        v = self.fdelta[sym][_code((c, *qrest), self.q_alg.size)]
+        if v is None:
+            raise KeyError((sym, c, *qrest))
+        return v
 
     def action_apply(self, sym, i, qrest, c):
         """Unary action a(sym,i) with Q values qrest at the other positions."""
-        return self.actions[(sym, (i,))][(tuple(qrest), (c,))]
+        v = self.actions[sym, i][_code(qrest, self.q_alg.size) * self.dc.size + c]
+        if v is None:
+            raise KeyError((sym, i, *qrest, c))
+        return v
 
-    def action_apply_set(self, sym, spos, qrest, cs):
-        return self.actions[(sym, tuple(spos))][(tuple(qrest), tuple(cs))]
+    def terms(self, sym, k, at, qs):
+        """f-delta (k = 1) or a(sym,k) at every tuple x in product order, as
+        a list, position k holding the class at[x_k] and each other p the Q
+        value qs[x_p]: index codes built a position at a time."""
+        nq, size, ar = self.q_alg.size, self.dc.size, self.signature.arity(sym)
+        tab, scale, other = ((self.fdelta[sym], nq ** (ar - 1), 1) if k == 1
+                             else (self.actions[sym, k], 1, size))
+        return list(map(tab.__getitem__, _level_codes(
+            [[c * scale for c in at] if p == k else
+             [q * other * nq ** (ar - p - (p < k)) for q in qs] for p in range(1, ar + 1)])))
+
+    def wrap(self, sym, k, qs):
+        """c -> f-delta (k = 1) or a(sym,k) at c in position k, the others
+        over qs (qs[k-1] unread): a slice of the flat table; KeyError when
+        an entry is missing."""
+        nq, size = self.q_alg.size, self.dc.size
+        if k == 1:
+            img = self.fdelta[sym][_code(qs[1:], nq)::nq ** (len(qs) - 1)]
+        else:
+            i = _code(qs[:k - 1] + qs[k:], nq) * size
+            img = self.actions[sym, k][i:i + size]
+        if None in img:
+            raise KeyError((sym, k, *qs))
+        return img
 
     def trivial_cocycle(self):
         """The zero 2-cochain: delta(l(f^Q(qs))) at each cell."""
@@ -243,7 +291,7 @@ class AffineDatum:
         lie in, per (C1)."""
         ar = self.signature.arity(sym)
         if ar == 0:
-            base = self.fdelta[sym][()]
+            base = self.fdelta[sym][0]
         else:
             c1 = self.fiber(qs[0])[0]
             base = self.fdelta_apply(sym, c1, qs[1:])
@@ -272,43 +320,18 @@ class AffineDatum:
         return eval_term(self.q_alg, term, qenv)
 
 
-class ClassMaps:
-    """Integer views of a datum for one call of a search: f-delta and action
-    maps as lists indexed by class.  Fiber sums are read from the datum's
-    one memo, DeltaClasses._m_memo()."""
-
-    def __init__(self, d):
-        self.d = d
-        self.size = d.dc.size
-        self._maps = {}
-
-    def wrap(self, sym, k, qs):
-        """The map c -> value at position k of sym when the other arguments
-        lie over qs: f-delta for k = 1, the action a(sym,k) otherwise."""
-        key = (sym, k, qs)
-        img = self._maps.get(key)
-        if img is None:
-            d = self.d
-            if k == 1:
-                img = [d.fdelta_apply(sym, c, qs[1:]) for c in range(self.size)]
-            else:
-                rest = qs[:k - 1] + qs[k:]
-                img = [d.action_apply(sym, k, rest, c) for c in range(self.size)]
-            self._maps[key] = img
-        return img
-
-
 class SumTable:
     """The transfer-free sums of a datum, the reconstructed operations
     without the cocycle: per symbol, one flat table over tuples cs of
     Delta-classes in the term-table layout.  The value at cs is f-delta of
     c1, then the action at each position 2..k, added left-associated
     through m_class at zero delta(l(f^Q(rho(cs)))); a nullary c has
-    delta(l(c^Q)).  offsets[sym][i] is the memo slot of m_class(value,
-    zero, 0) and cells[sym][i] the index in cells() of the cell over
+    delta(l(c^Q)).  offsets[sym][i] is the slot of m(value, zero, 0) in
+    dc.m_table() and cells[sym][i] the index in cells() of the cell over
     rho(cs), so a cocycle value t there is added by reading slot
-    offsets[sym][i] + t.  When a sum raises, failure is (sym, exc) and the
-    tables stop at that entry, as an entry-by-entry loop would.
+    offsets[sym][i] + t.  When a sum meets a missing entry or no class,
+    failure is (sym, KeyError) and the tables stop at that entry, where an
+    entry-by-entry loop would raise.
 
     The datum is fibered when no sum raised and every value is a class
     over f^Q(rho(cs)); algebra is then the tables as a FiniteAlgebra on the
@@ -320,35 +343,30 @@ class SumTable:
     """
 
     def __init__(self, d):
-        dc, size = d.dc, d.dc.size
-        rho, m, q_alg = dc.rho_class, dc.m_class, d.q_alg
+        dc, size, nq = d.dc, d.dc.size, d.qsize()
+        rho, table, classes = dc.rho_class, dc.m_table(), range(dc.size)
+        zero_of = [d.delta_l(q) for q in range(nq)]
         tables, self.offsets, self.cells = {}, {}, {}
         self.failure, self.algebra, fibered = None, None, True
         for sym, ar in d.signature.symbols:
-            vals, offs, cix = [], [], []
-            tables[sym], self.offsets[sym], self.cells[sym] = vals, offs, cix
-            try:
-                for cs in product(range(size), repeat=ar):
-                    qs = tuple([rho[c] for c in cs])
-                    cix.append(d.cell_index(sym, qs))
-                    fq = q_alg.apply(sym, qs)
-                    zero = d.delta_l(fq)
-                    v = d.fdelta_apply(sym, cs[0], qs[1:]) if ar else zero
-                    for k in range(2, ar + 1):
-                        v = m(v, zero, d.action_apply(sym, k, qs[:k - 1] + qs[k:],
-                                                      cs[k - 1]))
-                    fibered = fibered and rho[v] == fq
-                    vals.append(v)
-                    offs.append((v * size + zero) * size)
-            except (KeyError, IndexError, TypeError) as exc:
-                self.failure = sym, exc  # reconstruct raises it at this entry
+            codes = _level_codes([[q * nq ** (ar - p) for q in rho] for p in range(1, ar + 1)])
+            over = list(map(d.q_alg.tables[sym].__getitem__, codes))
+            zeros = list(map(zero_of.__getitem__, over))
+            vals = d.terms(sym, 1, classes, rho) if ar else zeros
+            for k in range(2, ar + 1):
+                vals = [None if v is None or t is None else table[(v * size + z) * size + t]
+                        for v, z, t in zip(vals, zeros, d.terms(sym, k, classes, rho))]
+            end = vals.index(None) if None in vals else len(vals)
+            first = d.cell_index(sym, (0,) * ar)  # a symbol's cells are contiguous
+            tables[sym], self.cells[sym] = vals[:end], [first + c for c in codes[:end]]
+            self.offsets[sym] = [(v * size + z) * size for v, z in zip(vals[:end], zeros)]
+            if end < len(vals):
+                self.failure = sym, KeyError("no sum at entry %d of %s" % (end, sym))
                 return
+            fibered = fibered and [rho[v] for v in vals] == over
         if fibered:
-            try:
-                self.algebra = FiniteAlgebra(size, d.signature, {
-                    sym: tuple(vals) for sym, vals in tables.items()}, name="sums")
-            except AlgebraError:  # a value that is no class, from a datum file
-                pass
+            self.algebra = FiniteAlgebra(size, d.signature, {
+                sym: tuple(vals) for sym, vals in tables.items()}, name="sums")
 
 
 class ExtensionRecord:
@@ -453,49 +471,25 @@ def extract_datum(ext, cap=DEFAULT_CAP, check_m_rule=True):
     mq_flat = tuple(pi[ext.m_elem(lifting[a], lifting[b], lifting[c])]
                     for a, b, c in product(range(nq), repeat=3))
 
-    # blocks of beta indexed by q, for representative-independence sweeps
-    block_by_q = {}
-    for x in range(alg.size):
-        block_by_q.setdefault(pi[x], []).append(x)
-
-    fdelta = {}
-    actions = {}
+    # f-delta over every member of the other arguments' blocks, each action
+    # a(f,i) at their lifting
+    fdelta, actions, n = {}, {}, alg.size
     for sym, ar in q_alg.signature.symbols:
-        tab = {}
+        tab = alg.tables[sym]
         if ar == 0:
-            c = alg.tables[sym][0]
-            tab[()] = dc.class_of_pair(c, c)
-            fdelta[sym] = tab
+            fdelta[sym] = (dc.class_of_pair(tab[0], tab[0]),)
             continue
-        for c1 in range(dc.size):
-            for qrest in product(range(nq), repeat=ar - 1):
-                vals = set()
-                for (a, b) in (dc.pairs[p] for p in dc.classes[c1]):
-                    for xs in product(*(block_by_q[q] for q in qrest)):
-                        top = alg.apply(sym, (a,) + xs)
-                        bot = alg.apply(sym, (b,) + xs)
-                        vals.add(dc.class_of_pair(top, bot))
-                if len(vals) != 1:
-                    raise DatumError("f-delta for %r depends on representatives" % sym)
-                tab[(c1,) + qrest] = vals.pop()
-        fdelta[sym] = tab
-        if ar >= 2:
-            for i in range(1, ar + 1):
-                atab = {}
-                for qrest in product(range(nq), repeat=ar - 1):
-                    largs = [lifting[q] for q in qrest]
-                    for c in range(dc.size):
-                        vals = set()
-                        for (a, b) in (dc.pairs[p] for p in dc.classes[c]):
-                            args_top = largs[:i - 1] + [a] + largs[i - 1:]
-                            args_bot = largs[:i - 1] + [b] + largs[i - 1:]
-                            vals.add(dc.class_of_pair(alg.apply(sym, args_top),
-                                                      alg.apply(sym, args_bot)))
-                        if len(vals) != 1:
-                            raise DatumError("action (%s,%d) depends on representatives"
-                                             % (sym, i))
-                        atab[(qrest, (c,))] = vals.pop()
-                actions[(sym, (i,))] = atab
+        fdelta[sym] = _sweep(dc, tab, ar, 1, product(range(n), repeat=ar - 1), pi, nq,
+                             (nq ** (ar - 1), 1),
+                             "f-delta for %r depends on representatives" % sym)
+        if ar < 2:
+            continue
+        lifted = [tuple(map(lifting.__getitem__, qs))
+                  for qs in product(range(nq), repeat=ar - 1)]
+        for i in range(1, ar + 1):
+            actions[sym, i] = _sweep(dc, tab, ar, i, lifted, pi, nq, (1, dc.size),
+                                     "action (%s,%d) depends on representatives"
+                                     % (sym, i))
 
     datum = AffineDatum(q_alg, mq_flat, alg.size, ext.m_flat, beta, dc,
                         lifting, fdelta, actions,
@@ -504,6 +498,26 @@ def extract_datum(ext, cap=DEFAULT_CAP, check_m_rule=True):
 
     fxs = (alg.apply(sym, tuple(lifting[q] for q in qs)) for sym, qs in datum.cells())
     return datum, tuple(dc.class_of_pair(ext.trace(fx), fx) for fx in fxs)
+
+
+def _sweep(dc, tab, ar, i, others, pi, nq, steps, error):
+    """The flat table of the classes of (f(.., a, ..), f(.., b, ..)), a and b
+    at position i and xs in others elsewhere, over the alpha-pairs (a, b):
+    one pair-code lookup per entry of a column of tab.  Class c goes to slot
+    c*steps[0] + code(pi(xs))*steps[1], where all must agree."""
+    n, code = dc.asize, dc.code_class
+    stride, out = n ** (ar - i), [None] * (dc.size * nq ** (ar - 1))
+    for xs in others:
+        start = _code(xs[:i - 1] + (0,) + xs[i - 1:], n)
+        col = tab[start:start + n * stride:stride]
+        q = _code([pi[x] for x in xs], nq) * steps[1]
+        for (a, b), c in zip(dc.pairs, dc.class_of):
+            v, s = code[col[a] * n + col[b]], c * steps[0] + q
+            if out[s] is None:
+                out[s] = v
+            elif out[s] != v:
+                raise DatumError(error)
+    return tuple(out)
 
 
 # --- validation ----------------------------------------------------------
@@ -590,23 +604,15 @@ def validate_datum(d, cap=DEFAULT_CAP):
 
     # D4 part 1: homomorphic action
     def check_d4_hom():
-        for (sym, spos), atab in sorted(d.actions.items()):
-            ar = d.signature.arity(sym)
-            for qrest in product(range(nq), repeat=ar - len(spos)):
-                for qats in product(range(nq), repeat=len(spos)):
-                    full_q = _merge(qrest, qats, spos, ar)
-                    v = d.q_alg.apply(sym, full_q)
-                    fibs = [d.fiber(q) for q in qats]
-                    for avec in product(*fibs):
-                        for bvec in product(*fibs):
-                            zvec = tuple(d.plus_at(qats[k], avec[k], bvec[k])
-                                         for k in range(len(spos)))
-                            lhs = d.action_apply_set(sym, spos, qrest, zvec)
-                            rhs = d.plus_at(v,
-                                            d.action_apply_set(sym, spos, qrest, avec),
-                                            d.action_apply_set(sym, spos, qrest, bvec))
-                            if lhs != rhs:
-                                return False, (sym, spos, qrest, avec, bvec)
+        for sym, i in sorted(d.actions):
+            for qrest in product(range(nq), repeat=d.signature.arity(sym) - 1):
+                for qat in range(nq):
+                    v = d.q_alg.apply(sym, qrest[:i - 1] + (qat,) + qrest[i - 1:])
+                    for a, b in product(d.fiber(qat), repeat=2):
+                        lhs = d.action_apply(sym, i, qrest, d.plus_at(qat, a, b))
+                        if lhs != d.plus_at(v, d.action_apply(sym, i, qrest, a),
+                                            d.action_apply(sym, i, qrest, b)):
+                            return False, (sym, (i,), qrest, (a,), (b,))
         return True, None
     guarded("(D4) action is homomorphic", check_d4_hom)
 
@@ -621,14 +627,14 @@ def validate_datum(d, cap=DEFAULT_CAP):
                     got = d.dc.rho_class[d.fdelta_apply(sym, c1, qs[1:])]
                     if got != expected:
                         return False, (sym, qs, "fdelta")
-            for (sym2, spos), atab in sorted(d.actions.items()):
-                if sym2 != sym:
-                    continue
-                for (qrest, cs), val in sorted(atab.items()):
-                    full_q = _merge(qrest, tuple(d.dc.rho_class[c] for c in cs),
-                                    spos, ar)
-                    if d.dc.rho_class[val] != d.q_alg.apply(sym, full_q):
-                        return False, (sym, spos, qrest, cs)
+            for i in sorted(i for s, i in d.actions if s == sym):
+                for k, val in enumerate(d.actions[sym, i]):
+                    r, c = divmod(k, d.dc.size)
+                    qrest = tuple_decode(r, nq, ar - 1)
+                    full_q = qrest[:i - 1] + (d.dc.rho_class[c],) + qrest[i - 1:]
+                    if val is not None and \
+                            d.dc.rho_class[val] != d.q_alg.apply(sym, full_q):
+                        return False, (sym, (i,), qrest, (c,))
         return True, None
     guarded("(D4) f-delta and action values lie over f^Q", check_d4_fibers)
 
@@ -637,9 +643,9 @@ def validate_datum(d, cap=DEFAULT_CAP):
         for sym, ar in d.signature.symbols:
             if ar < 2:
                 continue
-            spositions = sorted(s for (s2, s) in d.actions if s2 == sym)
-            if spositions != [(i,) for i in range(1, ar + 1)]:
-                return False, (sym, spositions)
+            positions = sorted((i,) for s, i in d.actions if s == sym)
+            if positions != [(i,) for i in range(1, ar + 1)]:
+                return False, (sym, positions)
             for qrest in product(range(nq), repeat=ar - 1):
                 for c in range(d.dc.size):
                     if d.fdelta_apply(sym, c, qrest) != d.action_apply(sym, 1, qrest, c):
@@ -659,19 +665,6 @@ def validate_datum(d, cap=DEFAULT_CAP):
 _M_SIGNATURE = Signature([("m", 3)])
 
 
-def _merge(qrest, at_values, spos, ar):
-    """Interleave Q values and per-position values back into a full tuple."""
-    out = [None] * ar
-    sset = set(spos)
-    it = iter(qrest)
-    for i in range(1, ar + 1):
-        if i not in sset:
-            out[i - 1] = next(it)
-    for k, i in enumerate(spos):
-        out[i - 1] = at_values[k]
-    return tuple(out)
-
-
 def m_rule_delta(alpha, pairs, m):
     """The m-rule partition of the alpha-pairs: (a,b) ~ (c,d) iff a alpha c
     and m(b,a,e) = m(d,c,e), with e the least element of a's block, as a
@@ -684,7 +677,7 @@ def m_rule_delta(alpha, pairs, m):
     """
     rep, key = alpha.rep, {}
     return Congruence(len(pairs), [key.setdefault((rep[a], m(b, a, rep[a])), i)
-                                   for i, (a, b) in enumerate(pairs)])
+                                   for i, (a, b) in enumerate(pairs)], least=True)
 
 
 def datum_from_tables(q_tables, q_size, mq, asize, m_table, alpha_blocks,
@@ -693,7 +686,10 @@ def datum_from_tables(q_tables, q_size, mq, asize, m_table, alpha_blocks,
     """Assemble an AffineDatum from raw serialized tables.
 
     Delta is recomputed from <A,m> and the class indexing is the documented
-    least-representative order, so file indices are stable.  Delta is the
+    least-representative order, so file indices are stable.  The tables are
+    {index tuple: class} dicts of the file's nested tables, per symbol and
+    per (symbol, position); each is checked whole before it is flattened.
+    Delta is the
     Cg half of congruences.delta() checked against m_rule_delta, with no
     M(alpha,alpha); only when the two part (m is then not affine on the
     blocks) does delta() decide, Cg against Tr M, as for any algebra.
@@ -709,8 +705,30 @@ def datum_from_tables(q_tables, q_size, mq, asize, m_table, alpha_blocks,
         # not an affine datum; Cg and Tr M(alpha,alpha) decide as before
         d_aa = delta_congruence(m_alg, alpha, alpha, cap=cap, pairalg=pairalg)
     dc = DeltaClasses(asize, m_flat, pairalg.pairs, d_aa, rho_pair)
-    return AffineDatum(q_alg, _flat_ternary(mq, q_size), asize, m_flat, alpha,
-                       dc, lifting, fdelta_tables, action_tables, name=name)
+    mq_flat = _flat_ternary(mq, q_size)
+    missing = sorted({(sym, i) for sym, ar in signature.symbols if ar >= 2
+                      for i in range(1, ar + 1)} - set(action_tables))
+    if missing:
+        raise DatumError("no action table for %s" % ", ".join("%s:%d" % m for m in missing))
+    classes, qs = range(dc.size), range(q_size)
+
+    def flat(tab, keys, name, what):
+        if set(tab) != set(keys):
+            raise DatumError("%s lacks a value for some %s, or has extra ones" % (name, what))
+        for v in map(tab.__getitem__, keys):  # bool is an int subclass
+            if type(v) is not int or not 0 <= v < dc.size:
+                raise DatumError("%s has value %r, not a class in 0..%d"
+                                 % (name, v, dc.size - 1))
+        return tuple(map(tab.__getitem__, keys))
+    fdelta = {sym: flat(fdelta_tables[sym], list(product(classes, *[qs] * (ar - 1)))
+                        if ar else [()], "fdelta of %r" % sym, "class and Q arguments")
+              for sym, ar in signature.symbols}
+    actions = {(sym, pos): flat(tab, list(product(*[qs] * (signature.arity(sym) - 1),
+                                                  classes)),
+                                "action %s:%d" % (sym, pos), "Q arguments and class")
+               for (sym, pos), tab in action_tables.items()}
+    return AffineDatum(q_alg, mq_flat, asize, m_flat, alpha, dc, lifting,
+                       fdelta, actions, name=name)
 
 
 # --- compatibility of actions with equation sets --------------------------
@@ -744,56 +762,55 @@ def compatible_value(d, term, assignment):
             k == U_KIND and d.dc.is_diagonal(c) for k, c in vals[1:]):
         qrest = tuple(d.dc.rho_class[c] for _, c in vals[1:])
         return (U_KIND, d.fdelta_apply(sym, vals[0][1], qrest))
-    upos = tuple(i + 1 for i, k in enumerate(kinds) if k == U_KIND)
-    if 0 < len(upos) < ar and (sym, upos) in d.actions:
+    upos = [i + 1 for i, k in enumerate(kinds) if k == U_KIND]
+    if len(upos) == 1 < ar and (sym, upos[0]) in d.actions:
         qrest = tuple(v for k, v in vals if k == Q_KIND)
-        cs = tuple(vals[i - 1][1] for i in upos)
-        return (U_KIND, d.action_apply_set(sym, upos, qrest, cs))
+        return (U_KIND, d.action_apply(sym, upos[0], qrest, vals[upos[0] - 1][1]))
     return None
 
 
-def _weak_columns(cm, term, qenv, cols, n):
+def _weak_columns(d, term, qenv, cols, n):
     """(t^Q, the column of t's transfer-free sum) on n class assignments.
 
     All n assignments lie over the Q assignment qenv; cols maps a variable
-    to its column of classes.  Each node looks its f-delta and action maps
-    up once and adds through m_class's memo: position 1 goes through
+    to its column of classes.  Each node slices its f-delta and action maps
+    once and adds through the m table: position 1 goes through
     f-delta and positions >= 2 through the action, left to right.  Q is
     tracked by the subterms' values in Q, not read off the classes, which
     is the only exact route on a datum that is not fibered (SumTable).
     """
     if is_var(term):
         return qenv[term], cols[term]
-    d, sym, subs = cm.d, term[0], term[1:]
+    sym, subs = term[0], term[1:]
     if not subs:
         q = d.q_alg.tables[sym][0]
         return q, [d.delta_l(q)] * n
-    args = [_weak_columns(cm, s, qenv, cols, n) for s in subs]
+    args = [_weak_columns(d, s, qenv, cols, n) for s in subs]
     qs = tuple(q for q, _ in args)
     uq = d.q_alg.apply(sym, qs)
-    img = cm.wrap(sym, 1, qs)
+    img = d.wrap(sym, 1, qs)
     val = [img[x] for x in args[0][1]]
-    zero, size, m = d.delta_l(uq), cm.size, d.dc.m_class
-    memo, off = d.dc._m_memo(), zero * size
+    zero, size, m = d.delta_l(uq), d.dc.size, d.dc.m_class
+    table, off = d.dc.m_table(), zero * size
     for k in range(2, len(subs) + 1):
-        img = cm.wrap(sym, k, qs)
-        val = [s if (s := memo[x * size * size + off + img[y]]) is not None
+        img = d.wrap(sym, k, qs)
+        val = [s if (s := table[x * size * size + off + img[y]]) is not None
                else m(x, zero, img[y]) for x, y in zip(val, args[k - 1][1])]
     return uq, val
 
 
-def _weak_failures(cm, lhs, rhs, varnames):
+def _weak_failures(d, lhs, rhs, varnames):
     """Where the transfer-free sums of lhs and rhs differ, per class assignment
     in product(range(size)) order, grouped by the Q assignment underneath."""
-    d, found = cm.d, []
+    found = []
     for qvals in product(range(d.qsize()), repeat=len(varnames)):
         envs = list(product(*(d.dc.fibers.get(q, ()) for q in qvals)))
         if not envs:
             continue
         qenv = dict(zip(varnames, qvals))
         cols = {v: [e[i] for e in envs] for i, v in enumerate(varnames)}
-        lcol = _weak_columns(cm, lhs, qenv, cols, len(envs))[1]
-        rcol = _weak_columns(cm, rhs, qenv, cols, len(envs))[1]
+        lcol = _weak_columns(d, lhs, qenv, cols, len(envs))[1]
+        rcol = _weak_columns(d, rhs, qenv, cols, len(envs))[1]
         found += [(env, lv, rv) for env, lv, rv in zip(envs, lcol, rcol)
                   if lv != rv]
     found.sort()
@@ -835,12 +852,11 @@ def check_action_compatible(d, equations, mode="weak"):
         return {"claim": "action %s-compatible" % mode, "holds": False,
                 "witness": {"reason": "Q does not satisfy the equations",
                             "equation": q_fail[:2], "env": q_fail[2]}}
-    cm = ClassMaps(d)
     sums = d.sum_table().algebra if mode == "weak" else None
     for lhs, rhs in equations:
         varnames = term_vars(lhs, rhs)
         if mode == "weak":
-            failures += (_weak_failures(cm, lhs, rhs, varnames) if sums is None
+            failures += (_weak_failures(d, lhs, rhs, varnames) if sums is None
                          else _table_failures(sums, lhs, rhs, varnames))
         else:
             domain = [(Q_KIND, q) for q in range(d.qsize())]

@@ -10,7 +10,7 @@ import json
 import os
 from itertools import chain, product
 
-from .algebras import AlgebraError, FiniteAlgebra, Signature, _unflatten
+from .algebras import AlgebraError, FiniteAlgebra, Signature
 from .congruences import Congruence
 from .terms import TermError, check_term, parse_term, term_table, term_to_str
 
@@ -22,7 +22,7 @@ class InputError(ValueError):
 def algebra_to_json(alg):
     ops = {}
     for sym, ar in alg.signature.symbols:
-        ops[sym] = _unflatten(alg.tables[sym], ar, alg.size)
+        ops[sym] = _nested(alg.tables[sym], [alg.size] * ar)
     return {"name": alg.name or "algebra", "size": alg.size,
             "signature": [{"symbol": s, "arity": a}
                           for s, a in alg.signature.symbols],
@@ -92,32 +92,21 @@ def builtin_equations(name):
 
 def datum_to_json(d):
     """Serialize a datum; class indices refer to the least-representative
-    ordering, action tables are keyed "symbol:position"."""
-    fdelta = {}
-    for sym, ar in d.signature.symbols:
-        tab = d.fdelta[sym]
-        if ar == 0:
-            fdelta[sym] = tab[()]
-            continue
-        # nested dims: [class][q2]...[qn]
-        fdelta[sym] = _nested(tab.__getitem__, (), [d.dc.size] + [d.qsize()] * (ar - 1))
-    actions = {}
-    for (sym, spos), tab in sorted(d.actions.items()):
-        if len(spos) != 1:
-            continue  # files carry the unary action shape only
-        i = spos[0]
-        ar = d.signature.arity(sym)
-        # nested dims: [q_others]...[class], keyed (q_others, (class,))
-        actions["%s:%d" % (sym, i)] = _nested(
-            lambda key: tab[(key[:-1], key[-1:])], (),
-            [d.qsize()] * (ar - 1) + [d.dc.size])
+    ordering, action tables are keyed "symbol:position"; f-delta nests as
+    [class][q2]...[qk] and an action as [q at the other positions]...[class]."""
+    nq, size = d.qsize(), d.dc.size
+    fdelta = {sym: _nested(d.fdelta[sym], [size] + [nq] * (ar - 1) if ar else [])
+              for sym, ar in d.signature.symbols}
+    actions = {"%s:%d" % (sym, i): _nested(tab, [nq] * (d.signature.arity(sym) - 1)
+                                           + [size])
+               for (sym, i), tab in sorted(d.actions.items())}
     rho = [d.dc.rho_class[d.dc.class_of[p]] for p in range(len(d.dc.pairs))]
     return {
         "name": d.name or "datum",
         "q_algebra": algebra_to_json(d.q_alg),
-        "mq": _unflatten(d.mq_flat, 3, d.qsize()),
+        "mq": _nested(d.mq_flat, [nq] * 3),
         "carrier_size": d.asize,
-        "m": _unflatten(d.m_flat, 3, d.asize),
+        "m": _nested(d.m_flat, [d.asize] * 3),
         "alpha_blocks": d.alpha.blocks(),
         "rho": rho,
         "lifting": list(d.lifting),
@@ -126,11 +115,13 @@ def datum_to_json(d):
     }
 
 
-def _nested(leaf, key, dims):
-    """Nested lists of leaf(key + (i, j, ...)) over the index ranges dims."""
+def _nested(flat, dims):
+    """The flat table as nested lists over the index ranges dims, the first
+    the outermost; its one entry when dims is empty."""
     if not dims:
-        return leaf(key)
-    return [_nested(leaf, key + (i,), dims[1:]) for i in range(dims[0])]
+        return flat[0]
+    step = len(flat) // dims[0]
+    return [_nested(flat[i * step:(i + 1) * step], dims[1:]) for i in range(dims[0])]
 
 
 def datum_from_json(data):
@@ -154,34 +145,12 @@ def datum_from_json(data):
         actions = {}
         for key, raw in data["actions"].items():
             sym, pos = key.split(":")
-            actions[(sym, (int(pos),))] = {
-                (k[:-1], k[-1:]): v for k, v in _leaves(raw, sig.arity(sym)).items()}
-        d = datum_from_tables(
+            actions[sym, int(pos)] = _leaves(raw, sig.arity(sym))
+        # datum_from_tables checks every table at its full length
+        return datum_from_tables(
             qdata["operations"], nq, data["mq"], data["carrier_size"],
             m_table, data["alpha_blocks"], data["rho"], data["lifting"],
             fdelta, actions, sig, name=data.get("name"))
-        # every position of a symbol of arity >= 2 has an action table, and
-        # every level has its full length: the classes at an f-delta's first
-        # level and at an action's last, |Q| elsewhere
-        missing = sorted({(sym, i) for sym, ar in sig.symbols if ar >= 2
-                          for i in range(1, ar + 1)}
-                         - {(sym, pos[0]) for sym, pos in actions})
-        if missing:
-            raise InputError("no action table for %s"
-                             % ", ".join("%s:%d" % m for m in missing))
-        classes, qs = range(d.dc.size), range(nq)
-        for sym, ar in sig.symbols:
-            if ar and set(fdelta[sym]) != set(product(classes, *[qs] * (ar - 1))):
-                raise InputError("fdelta of %r lacks a value for some class "
-                                 "and Q arguments, or has extra ones" % sym)
-        for (sym, pos), tab in actions.items():
-            ar = sig.arity(sym)
-            if set(tab) != {(k, (c,)) for k in product(qs, repeat=ar - 1)
-                            for c in classes}:
-                raise InputError("action %s:%d lacks a value for some Q "
-                                 "arguments and class, or has extra ones"
-                                 % (sym, pos[0]))
-        return d
     except (KeyError, TypeError, ValueError, AlgebraError) as exc:
         raise InputError("bad datum file: %s" % exc)
 
@@ -199,8 +168,9 @@ def _leaves(node, depth, key=()):
 def cocycle_to_json(d, T, datum_name=None):
     """A 2-cochain, one class per cell in cells() order, as nested tables
     per symbol."""
-    tables = {sym: _nested(lambda qs: T[d.cell_index(sym, qs)], (), [d.qsize()] * ar)
-              for sym, ar in d.signature.symbols}
+    nq, tables, first = d.qsize(), {}, 0
+    for sym, ar in d.signature.symbols:  # a symbol's cells are contiguous
+        tables[sym], first = _nested(T[first:first + nq ** ar], [nq] * ar), first + nq ** ar
     return {"datum": datum_name or d.name or "datum", "tables": tables}
 
 

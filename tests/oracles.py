@@ -10,7 +10,12 @@ with, now compared with what replaced them.
 - image_list_constraints, image_list_kernel, image_list_z2,
   image_list_delta_kernel: the (C2) instances compiled as sides of
   (cell, image list) pairs per Q assignment, and the kernel that turned
-  each side into Howell rows, for Z2 and for delta.
+  each side into Howell rows, for Z2 and for delta; the image lists are
+  built entry by entry (entrywise_wrap), not sliced off the flat tables.
+- entrywise_datum_tables, triplewise_m_table, entrywise_coboundary:
+  extract_datum's f-delta and action tables swept entry by entry over
+  every representative, the class-level m table filled one triple at a
+  time, and coboundary_of summed cell by cell.
 - search_z2: the propagated backtracking search for Z2, one frame per cell
   in a constraint-driven cell order, over image_list_constraints.
 - first_index_namer: H2's class names with each class compared to every
@@ -52,8 +57,7 @@ from affext.cohomology import (_check_subgroup, _cochain_group, _side_value,
                                twin_pairs_of_identity)
 from affext.commutator import is_malcev_on_blocks, tc_commutator
 from affext.congruences import Congruence, cg, pair_algebra
-from affext.datum import (ClassMaps, DatumError, ExtensionRecord,
-                          check_action_compatible)
+from affext.datum import (DatumError, ExtensionRecord, check_action_compatible)
 from affext.groups import iso_type
 from affext.terms import eval_term, is_var, term_table, term_vars
 
@@ -178,11 +182,10 @@ def search_z2(d, equations, cap=1 << 24):
         return []
     cells = d.cells()
     domains = {cell: list(d.fiber(d.cell_fiber(*cell))) for cell in cells}
-    cm = ClassMaps(d)
     constraints = [(lhs, rhs, {cells[i] for i, _ in lhs[1] + rhs[1]})
-                   for lhs, rhs in image_list_constraints(cm, equations, domains)]
+                   for lhs, rhs in image_list_constraints(d, equations, domains)]
     order, pos = _cell_order(constraints, cells)
-    size, memo, m = cm.size, d.dc._m_memo(), d.dc.m_class
+    size, table, m = d.dc.size, d.dc.m_table(), d.dc.m_class
     square = size * size
 
     def at_depths(side):
@@ -204,7 +207,7 @@ def search_z2(d, equations, cap=1 << 24):
         acc = zero
         for p, img in terms:
             y = img[vals[p]]
-            s = memo[acc * square + off + y]
+            s = table[acc * square + off + y]
             acc = s if s is not None else m(acc, zero, y)
         return acc
 
@@ -313,14 +316,23 @@ def image_list_kernel(d, bases, constraints):
     return order, solutions, nonlinear, rows
 
 
-def image_list_constraints(cm, equations, domains):
+def entrywise_wrap(d, sym, k, qs):
+    """The map c -> value at position k of sym with the other arguments
+    over qs, as a list built entry by entry: f-delta for k = 1, the action
+    a(sym,k) otherwise."""
+    if k == 1:
+        return [d.fdelta_apply(sym, c, qs[1:]) for c in range(d.dc.size)]
+    return [d.action_apply(sym, k, qs[:k - 1] + qs[k:], c) for c in range(d.dc.size)]
+
+
+def image_list_constraints(d, equations, domains):
     """(C2) instances with a cell, as sides (base, [(i, img)]) of t^{d,T}
     at a Q assignment, one entry per member of E_t: i indexes its cell in
     cells() and img carries each value of the cell's domain through the
     path's f-delta/action chain; the side is their sum at base.  Q values
     come from one term table per subterm, and one img per chain and domain.
     """
-    d, cons, images = cm.d, [], {}
+    cons, images = [], {}
     index = {cell: i for i, cell in enumerate(d.cells())}
     for lhs, rhs in equations:
         varnames = term_vars(lhs, rhs)
@@ -338,8 +350,8 @@ def image_list_constraints(cm, equations, domains):
                         (p[0], k, tuple(tables[s][n] for s in p[1:]))
                         for p, k in reversed(frames))
                     if key not in images:
-                        steps = [cm.wrap(*step) for step in key[1]]
-                        images[key] = img = [None] * cm.size
+                        steps = [entrywise_wrap(d, *step) for step in key[1]]
+                        images[key] = img = [None] * d.dc.size
                         for v in domains[cell]:
                             img[v] = reduce(lambda w, step: step[w], steps, v)
                     side.append((index[cell], images[key]))
@@ -379,7 +391,7 @@ def image_list_z2(d, equations):
         return [], [], {}
     bases = d.cell_fibers()
     domains = {cell: d.fiber(q) for cell, q in zip(d.cells(), bases)}
-    constraints = image_list_constraints(ClassMaps(d), equations, domains)
+    constraints = image_list_constraints(d, equations, domains)
     order, gens, nonlinear, rows = image_list_kernel(d, bases, constraints)
     solutions = _solutions(d, bases, (order, gens), 1 << 24, "cocycle_group")
     nonlinear = [constraints[n] for n in nonlinear]
@@ -398,16 +410,16 @@ def image_list_z2(d, equations):
 def image_list_delta_kernel(d):
     """_delta_kernel as it once was, per cell a constraint whose side lists
     coboundary_of's terms as images, solved by image_list_kernel."""
-    cm, negs, cons = ClassMaps(d), {}, []
+    negs, cons = {}, []
     for (sym, qs), base in zip(d.cells(), d.cell_bases()):
         if base not in negs:
-            z, negs[base] = d.delta_l(base), [None] * cm.size
+            z, negs[base] = d.delta_l(base), [None] * d.dc.size
             for x in d.fiber(base):
                 negs[base][x] = d.dc.m_class(z, x, z)
         terms = [(base, negs[base])]
         if qs:
-            terms = [(qs[0], cm.wrap(sym, 1, qs))] + terms + [
-                (qs[k - 1], cm.wrap(sym, k, qs)) for k in range(2, len(qs) + 1)]
+            terms = [(qs[0], entrywise_wrap(d, sym, 1, qs))] + terms + [
+                (qs[k - 1], entrywise_wrap(d, sym, k, qs)) for k in range(2, len(qs) + 1)]
         cons.append(((base, terms), (base, [])))
     return image_list_kernel(d, range(d.qsize()), cons)
 
@@ -683,3 +695,76 @@ def union_find_tr_m(pairalg, matrices):
     for (q1, q2, q3, q4) in matrices:
         uf.union(index[(q1, q3)], index[(q2, q4)])
     return Congruence(pairalg.size, uf.rep_array())
+
+
+def entrywise_datum_tables(ext, d):
+    """(f-delta, actions) of the datum d extracted from ext, as extract_datum
+    once built them: per entry, the set of classes over every
+    representative pair of the class and, for f-delta, every member of the
+    Q blocks of the other arguments (actions take the lifting there), one
+    alg.apply per argument tuple; each set must be a singleton.  The dict
+    tables are returned flattened in key order, the datum's layout."""
+    alg, pi, dc, nq = ext.alg, ext.pi, d.dc, d.qsize()
+    block_by_q = {}
+    for x in range(alg.size):
+        block_by_q.setdefault(pi[x], []).append(x)
+    fdelta, actions = {}, {}
+    for sym, ar in d.signature.symbols:
+        if ar == 0:
+            c = alg.tables[sym][0]
+            fdelta[sym] = (dc.class_of_pair(c, c),)
+            continue
+        tab = {}
+        for c1 in range(dc.size):
+            for qrest in product(range(nq), repeat=ar - 1):
+                vals = set()
+                for a, b in (dc.pairs[p] for p in dc.classes[c1]):
+                    for xs in product(*(block_by_q[q] for q in qrest)):
+                        vals.add(dc.class_of_pair(alg.apply(sym, (a,) + xs),
+                                                  alg.apply(sym, (b,) + xs)))
+                if len(vals) != 1:
+                    raise DatumError("f-delta for %r depends on representatives" % sym)
+                tab[(c1,) + qrest] = vals.pop()
+        fdelta[sym] = tuple(tab[k] for k in sorted(tab))
+        if ar < 2:
+            continue
+        for i in range(1, ar + 1):
+            atab = {}
+            for qrest in product(range(nq), repeat=ar - 1):
+                largs = [ext.lifting[q] for q in qrest]
+                for c in range(dc.size):
+                    vals = {dc.class_of_pair(alg.apply(sym, largs[:i - 1] + [a] + largs[i - 1:]),
+                                             alg.apply(sym, largs[:i - 1] + [b] + largs[i - 1:]))
+                            for a, b in (dc.pairs[p] for p in dc.classes[c])}
+                    if len(vals) != 1:
+                        raise DatumError("action (%s,%d) depends on representatives"
+                                         % (sym, i))
+                    atab[qrest + (c,)] = vals.pop()
+            actions[sym, i] = tuple(atab[k] for k in sorted(atab))
+    return fdelta, actions
+
+
+def triplewise_m_table(dc):
+    """DeltaClasses.m_table() one triple at a time: the class of
+    (m(a1, a2, a3), m(b1, b2, b3)) for the representatives (ai, bi), or
+    None where that is no alpha-pair."""
+    out = []
+    for x, y, z in product(dc.class_reps, repeat=3):
+        key = (dc.m_elem(x[0], y[0], z[0]), dc.m_elem(x[1], y[1], z[1]))
+        out.append(dc.class_of[dc.pair_index[key]] if key in dc.pair_index else None)
+    return out
+
+
+def entrywise_coboundary(d, h):
+    """coboundary_of as it once was: per cell, -h(f(x)) and then the f-delta
+    and action terms added one at a time through plus_at."""
+    out = []
+    for (sym, qs), base in zip(d.cells(), d.cell_bases()):
+        val = d.neg_at(base, h[base])
+        if qs:
+            val = d.plus_at(base, d.fdelta_apply(sym, h[qs[0]], qs[1:]), val)
+            for i in range(2, len(qs) + 1):
+                val = d.plus_at(base, val, d.action_apply(sym, i, qs[:i - 1] + qs[i:],
+                                                          h[qs[i - 1]]))
+        out.append(val)
+    return tuple(out)

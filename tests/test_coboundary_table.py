@@ -150,8 +150,8 @@ def test_off_fiber_datum_is_reported():
     value moved) the identity holds for no map, while delta sends (0, 5) to
     zero.  The kernel then misses the zero map and is reported."""
     d = with_entries(datum("S3", (0, 3, 4)),
-                     [(("action", ("mul", (2,)), ((1,), (0,))), 2),
-                      (("action", ("mul", (2,)), ((0,), (5,))), 5),
+                     [(("action", ("mul", 2), (1, 0)), 2),
+                      (("action", ("mul", 2), (0, 5)), 5),
                       (("fdelta", "mul", (5, 0)), 0)])
     assert reference_derivations(d) == []
     with pytest.raises(DatumError, match="Z1 does not contain zero"):

@@ -229,3 +229,23 @@ def test_congruence_canonical_forms():
 def test_pair_not_in_universe_rejected(cat):
     with pytest.raises(AlgebraError):
         cg(cat["Z4"], [(0, 9)])
+
+
+def test_congruence_equality_is_by_partition():
+    """A rep list that names blocks by other members is normalized to least
+    representatives, so equal partitions are equal, hash equal and
+    deduplicate in a set."""
+    a = Congruence(4, [2, 3, 2, 3])
+    b = Congruence.from_blocks(4, [[0, 2], [1, 3]])
+    assert a.rep == b.rep == (0, 1, 0, 1)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, Congruence(4, ["x", "y", "x", "y"])}) == 1
+    assert Congruence(4, [3, 3, 3, 3]) == Congruence.all(4)
+    assert Congruence(3, [2, 0, 1]) == Congruence.equality(3)
+    assert Congruence(4, [2, 3, 2, 3]) != Congruence.from_blocks(4, [[0, 1], [2, 3]])
+    for part in set_partitions(list(range(4))):
+        labels = [None] * 4
+        for i, block in enumerate(part):
+            for x in block:
+                labels[x] = max(block) + 10 * i  # a label that is no least member
+        assert Congruence(4, labels) == Congruence.from_blocks(4, part)

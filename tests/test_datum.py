@@ -11,7 +11,8 @@ from affext.serialization import InputError, datum_from_json, datum_to_json
 from affext.verify import catalog_extensions
 from affext.terms import parse_term
 
-from oracles import tables_of, weak_sum
+from oracles import tables_of, triplewise_m_table, weak_sum
+from test_weak_gate_oracle import with_entries
 
 
 def test_extract_z4_transfer_values(z4_datum):
@@ -60,13 +61,9 @@ def test_validate_extracted(z4_datum):
 
 def test_validate_catches_constant_fdelta(z4_datum):
     """Replacing f-delta by a constant map on a fiber breaks (D1)."""
-    import copy
     d, _ = z4_datum
-    broken = copy.copy(d)
-    broken.fdelta = {sym: dict(tab) for sym, tab in d.fdelta.items()}
-    const = d.fdelta["mul"][(0, 0)]
-    for c in d.fiber(0):
-        broken.fdelta["mul"][(c, 0)] = const
+    const = d.fdelta_apply("mul", 0, (0,))
+    broken = with_entries(d, [(("fdelta", "mul", (c, 0)), const) for c in d.fiber(0)])
     report = validate_datum(broken)
     failed = {r["claim"] for r in report if not r["holds"]}
     assert any("(D1)" in c or "(AD2)" in c for c in failed), failed
@@ -122,24 +119,34 @@ def test_validate_reports_an_m_that_is_not_beta_compatible(cat):
     assert not report["alpha is a congruence of <A,m>"]["holds"]
 
 
+class _CountedRows(tuple):
+    """A flat table that records its slice reads in self.rows."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.rows.append(key)
+        return tuple.__getitem__(self, key)
+
+
 def test_m_class_entries_are_computed_once(cat, group_eqs):
-    """reconstruct, h2 and h1 on one datum compute each m-class entry at
-    most once: every computation reads m twice and fills one memo slot, and
-    a second round computes nothing."""
+    """reconstruct, h2 and h1 on one datum compute the class-level m table
+    once, a row of z at a time: two rows of m_flat per pair of classes
+    (x, y), for the first and the second coordinates, and a second round
+    reads no row.  Every slot is filled, with the triple-by-triple value."""
     from affext.cocycles import reconstruct
     from affext.cohomology import h1, h2
     for name, kernel in [("Z4", [0, 2]), ("S3", [0, 3, 4]), ("D4", [0, 2, 4, 6])]:
         d, T = extract_datum(group_extension(cat[name], kernel))
-        reads = []
-        m_elem = d.dc.m_elem
-        d.dc.m_elem = lambda a, b, c: reads.append((a, b, c)) or m_elem(a, b, c)
+        d.dc.m_flat = spy = _CountedRows(d.dc.m_flat)
+        spy.rows = []
         for _ in range(2):
             reconstruct(d, T)
             h2(d, group_eqs)
             h1(d)
-            filled = sum(v is not None for v in d.dc._m)
-            assert len(reads) == 2 * filled, name
-        assert filled == d.dc.size ** 3  # reconstruct's m table reads all
+            assert len(spy.rows) == 2 * d.dc.size ** 2, name
+        d.dc.m_flat = tuple(spy)
+        assert d.dc.m_table() == triplewise_m_table(d.dc)
+        assert None not in d.dc.m_table()  # reconstruct's m table reads all
 
 
 def test_plus_u_basics(z4_datum):

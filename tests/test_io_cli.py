@@ -293,11 +293,25 @@ def _drop_action_table(data):
     del data["actions"]["mul:2"]
 
 
+def _fdelta_value_past_the_classes(data):
+    data["fdelta"]["mul"][0][1] = 4
+
+
+def _negative_action_value(data):
+    data["actions"]["mul:2"][1][0] = -1
+
+
+def _bool_nullary_value(data):
+    data["fdelta"]["e"] = True
+
+
 @pytest.mark.parametrize("mutate", [_cut_fdelta_rows, _cut_action_row,
-                                    _lengthen_action_row, _drop_action_table])
+                                    _lengthen_action_row, _drop_action_table,
+                                    _fdelta_value_past_the_classes,
+                                    _negative_action_value, _bool_nullary_value])
 def test_cli_rejects_ragged_datum_tables(z4_datum, tmp_path, mutate):
-    """Every action table is present and every level of an f-delta or
-    action table has its full length."""
+    """Every action table is present, every level of an f-delta or action
+    table has its full length, and every value is a class."""
     data = datum_to_json(z4_datum[0])
     mutate(data)
     dump_json(data, tmp_path / "ragged.json")

@@ -243,11 +243,11 @@ def test_b2_names_a_map_that_is_not_a_homomorphism():
     class off its fiber: delta still sends the zero map to zero, but B2 is
     no span, and the cell is named."""
     d = datum("Z4", (0, 2))
-    table = d.actions[("mul", (2,))]
-    key = next(k for k in sorted(table) if not d.dc.is_diagonal(k[1][0]))
-    q = d.dc.rho_class[table[key]]
+    key = next((q, c) for q in range(d.qsize()) for c in range(d.dc.size)
+               if not d.dc.is_diagonal(c))
+    q = d.dc.rho_class[d.action_apply("mul", 2, key[:1], key[1])]
     off = next(c for c in range(d.dc.size) if d.dc.rho_class[c] != q)
-    bent = with_entries(d, [(("action", ("mul", (2,)), key), off)])
+    bent = with_entries(d, [(("action", ("mul", 2), key), off)])
     with pytest.raises(DatumError, match=r"^delta is not a homomorphism of "
                                          r"fibers at mul\("):
         coboundary_group(bent)

@@ -100,9 +100,7 @@ def test_reconstruct_matches_entrywise_on_perturbed_datums(case):
 def test_a_sum_that_raises_is_raised_at_its_entry():
     """A missing action entry stops the sum table there: the datum is not
     fibered, and reconstruct raises what the entry-by-entry loop raises."""
-    d = datum("Z4", (0, 2))
-    broken = with_entries(d, [])
-    del broken.actions[("mul", (2,))][min(d.actions[("mul", (2,))])]
+    broken = with_entries(datum("Z4", (0, 2)), [(("action", ("mul", 2), (0, 0)), None)])
     sums = broken.sum_table()
     assert sums.failure is not None and sums.algebra is None
     T = broken.trivial_cocycle()

@@ -115,14 +115,31 @@ def datum(group, kernel):
     return extract_datum(group_extension(catalog()[group], list(kernel)))[0]
 
 
+def _dims(d, kind, name):
+    """The nesting of a datum file's table: f-delta [class][q2]...[qk], an
+    action [q at the other positions]...[class]."""
+    nq, size = d.qsize(), d.dc.size
+    if kind == "fdelta":
+        ar = d.signature.arity(name)
+        return [size] + [nq] * (ar - 1) if ar else []
+    return [nq] * (d.signature.arity(name[0]) - 1) + [size]
+
+
 def with_entries(d, changes):
-    """A copy of d with some f-delta / action entries set to new classes."""
-    fdelta = {sym: dict(tab) for sym, tab in d.fdelta.items()}
-    actions = {key: dict(tab) for key, tab in d.actions.items()}
+    """A copy of d with some f-delta / action entries set to new values (a
+    class, or None for a missing entry).  An entry is (kind, name, key):
+    kind "fdelta" with name a symbol, or "action" with name (symbol,
+    position), and key its index tuple in the datum file's nested table."""
+    tables = {"fdelta": {sym: list(tab) for sym, tab in d.fdelta.items()},
+              "action": {key: list(tab) for key, tab in d.actions.items()}}
     for (kind, name, key), value in changes:
-        (fdelta if kind == "fdelta" else actions)[name][key] = value
+        i = 0
+        for x, n in zip(key, _dims(d, kind, name)):
+            i = i * n + x
+        tables[kind][name][i] = value
     return AffineDatum(d.q_alg, d.mq_flat, d.asize, d.m_flat, d.alpha, d.dc,
-                       d.lifting, fdelta, actions, name=d.name)
+                       d.lifting, {k: tuple(t) for k, t in tables["fdelta"].items()},
+                       {k: tuple(t) for k, t in tables["action"].items()}, name=d.name)
 
 
 def off_fiber_z4():
@@ -154,10 +171,11 @@ def test_off_fiber_datum_keeps_its_outcome():
 
 
 def _entries(d):
+    """Every f-delta and action entry of d, as with_entries names them."""
     return ([("fdelta", sym, key) for sym in sorted(d.fdelta)
-             for key in sorted(d.fdelta[sym])]
+             for key in product(*map(range, _dims(d, "fdelta", sym)))]
             + [("action", name, key) for name in sorted(d.actions)
-               for key in sorted(d.actions[name])])
+               for key in product(*map(range, _dims(d, "action", name)))])
 
 
 @st.composite
