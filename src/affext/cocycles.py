@@ -318,22 +318,20 @@ def coboundary_of(d, h):
     """
     size, table, qs, out = d.dc.size, d.dc.m_table(), range(d.qsize()), []
     zero_of = [d.delta_l(q) for q in qs]
-    try:
-        for sym, ar in d.signature.symbols:
-            bases = d.q_alg.tables[sym]
-            zeros = list(map(zero_of.__getitem__, bases))
-            vals = [table[(z * size + h[b]) * size + z] for b, z in zip(bases, zeros)]
-            if ar:
-                vals = [table[(t * size + z) * size + v]
-                        for t, z, v in zip(d.terms(sym, 1, h, qs), zeros, vals)]
-            for k in range(2, ar + 1):
-                vals = [table[(v * size + z) * size + t]
-                        for t, z, v in zip(d.terms(sym, k, h, qs), zeros, vals)]
-            out += vals
-    except TypeError:  # None, a missing entry or sum, met in the arithmetic
-        out = [None]
-    if None in out:
-        raise KeyError("coboundary_of: a missing entry or a sum that is no class")
+    missing = "coboundary_of: a missing entry or a sum that is no class"
+    for sym, ar in d.signature.symbols:
+        bases = d.q_alg.tables[sym]
+        zeros = list(map(zero_of.__getitem__, bases))
+        vals = [table[(z * size + h[b]) * size + z] for b, z in zip(bases, zeros)]
+        for k in range(1, ar + 1):
+            terms = d.terms(sym, k, h, qs)
+            if None in vals or None in terms:
+                raise KeyError(missing)
+            pairs = zip(terms, vals) if k == 1 else zip(vals, terms)
+            vals = [table[(x * size + z) * size + y] for (x, y), z in zip(pairs, zeros)]
+        if None in vals:
+            raise KeyError(missing)
+        out += vals
     return tuple(out)
 
 

@@ -12,18 +12,18 @@ class Congruence:
 
     __slots__ = ("n", "rep")
 
-    def __init__(self, n, rep, least=False):
-        """rep[x] labels x's block, normalized to the block's least member so
-        equal partitions are equal; least=True says it already is."""
+    def __init__(self, n, rep):
+        """rep[x] labels x's block; the labels are normalized to each block's
+        least member, so equal partitions are equal."""
         key = {}
         self.n = n
-        self.rep = tuple(rep if least else [key.setdefault(r, x) for x, r in enumerate(rep)])
+        self.rep = tuple([key.setdefault(r, x) for x, r in enumerate(rep)])
 
     @classmethod
     def from_blocks(cls, n, blocks):
         rep = list(range(n))
         seen = set()
-        for block in blocks:
+        for i, block in enumerate(blocks):
             if not block:
                 raise AlgebraError("empty block")
             for x in block:
@@ -35,10 +35,8 @@ class Congruence:
                 if x in seen:
                     raise AlgebraError("element %d in two blocks" % x)
                 seen.add(x)
-            least = min(block)
-            for x in block:
-                rep[x] = least
-        return cls(n, rep, least=True)
+                rep[x] = n + i  # no element's label
+        return cls(n, rep)
 
     @classmethod
     @lru_cache(maxsize=None)
@@ -46,11 +44,11 @@ class Congruence:
         """The least congruence, one shared instance per n: nothing changes
         a Congruence after construction, and results such as trivial
         commutators then share it."""
-        return cls(n, range(n), least=True)
+        return cls(n, range(n))
 
     @classmethod
     def all(cls, n):
-        return cls(n, [0] * n, least=True)
+        return cls(n, [0] * n)
 
     def blocks(self):
         by_rep = {}
@@ -99,7 +97,7 @@ def equivalence_from_pairs(n, pairs):
     by cg's quick-find merge."""
     label, members = list(range(n)), [[x] for x in range(n)]
     _merge(label, members, [], pairs)
-    return _labelled_congruence(label, members)
+    return Congruence(n, label)
 
 
 def cg(alg, pairs):
@@ -132,18 +130,7 @@ def cg(alg, pairs):
             for xs, ys in _translation_slices(tab, ar, n, a, b):
                 if list(map(get, xs)) != list(map(get, ys)):
                     _merge(label, members, queue, zip(xs, ys))
-    return _labelled_congruence(label, members)
-
-
-def _labelled_congruence(label, members):
-    """The congruence of quick-find labels and member lists, each class
-    relabelled by its least member."""
-    for block in members:
-        if block:  # None where the class was merged into another
-            least = min(block)
-            for x in block:
-                label[x] = least
-    return Congruence(len(label), label, least=True)
+    return Congruence(n, label)
 
 
 def _merge(label, members, queue, pairs):
@@ -175,8 +162,7 @@ def _translation_slices(tab, ar, n, a, b):
 
 def kernel_of_map(mapping, n):
     """ker of mapping given as list of length n (not checked for compatibility)."""
-    key = {}
-    return Congruence(n, [key.setdefault(mapping[x], x) for x in range(n)], least=True)
+    return Congruence(n, mapping)
 
 
 def all_congruences(alg, cap=DEFAULT_CAP):

@@ -2,6 +2,8 @@
 extraction from an extension with abelian kernel, and axiom validation."""
 
 from itertools import product
+from math import prod
+from operator import mul
 
 from .algebras import (AlgebraError, FiniteAlgebra, Signature,
                        is_homomorphism, satisfies, tuple_decode, DEFAULT_CAP)
@@ -15,12 +17,17 @@ class DatumError(AlgebraError):
     pass
 
 
-def _code(digits, base):
-    """The code of digits in base base, the first (maybe >= base) leading."""
-    k = 0
-    for x in digits:
-        k = k * base + x
-    return k
+def _layout(ar, nq, size, i=None):
+    """The nested index ranges (outermost first) and the stride of each
+    argument position 1..ar in the flat table of f-delta (i None) or of
+    a(sym,i): f-delta nests [c1][q2]...[qk], a(sym,i) [the Q values at the
+    other positions, in order]...[c]."""
+    order = [p for p in range(1, ar + 1) if p != i] + ([i] if i else [])
+    dims = [size if p == (i or 1) else nq for p in order]
+    strides, step = [0] * ar, 1
+    for p, n in zip(order[::-1], dims[::-1]):
+        strides[p - 1], step = step, step * n
+    return dims, tuple(strides)
 
 
 def _level_codes(levels):
@@ -124,8 +131,9 @@ class AffineDatum:
     holds f-delta(c1, q2, ..., qk) at c1*|Q|^(k-1) + code(q2..qk), code the
     base-|Q| code (a diagonal delta(x) depends only on x/alpha); a nullary
     f has fdelta[f][0].  actions[f, i] holds a(f,i) with Q values qrest at
-    the other positions at code(qrest)*|classes| + c.  Reading a None
-    entry, a missing one, raises KeyError.
+    the other positions at code(qrest)*|classes| + c.  layouts[key], for
+    key f or (f, i), is the nested dims and the argument strides of that
+    table (_layout).  Reading a None entry, a missing one, raises KeyError.
     """
 
     def __init__(self, q_alg, mq_flat, asize, m_flat, alpha, dc, lifting,
@@ -140,6 +148,9 @@ class AffineDatum:
         self.lifting = tuple(lifting)
         self.fdelta = fdelta
         self.actions = actions
+        arity, nq, size = self.signature.arity, q_alg.size, dc.size
+        self.layouts = {sym: _layout(arity(sym), nq, size) for sym in fdelta}
+        self.layouts.update({(sym, i): _layout(arity(sym), nq, size, i) for sym, i in actions})
         self.name = name
         self._coboundaries = None  # cohomology._coboundary_table's memo
         self._fiber_tables = None  # fiber_tables()'s memo
@@ -230,39 +241,41 @@ class AffineDatum:
 
     # --- structure applications ------------------------------------------
     def fdelta_apply(self, sym, c, qrest):
-        v = self.fdelta[sym][_code((c, *qrest), self.q_alg.size)]
+        v = self.fdelta[sym][sum(map(mul, self.layouts[sym][1], (c, *qrest)))]
         if v is None:
             raise KeyError((sym, c, *qrest))
         return v
 
     def action_apply(self, sym, i, qrest, c):
         """Unary action a(sym,i) with Q values qrest at the other positions."""
-        v = self.actions[sym, i][_code(qrest, self.q_alg.size) * self.dc.size + c]
+        v = self.actions[sym, i][sum(map(mul, self.layouts[sym, i][1],
+                                         (*qrest[:i - 1], c, *qrest[i - 1:])))]
         if v is None:
             raise KeyError((sym, i, *qrest, c))
         return v
+
+    def _table(self, sym, k):
+        """The flat table of f-delta (k = 1) or a(sym,k) and its argument
+        strides."""
+        if k == 1:
+            return self.fdelta[sym], self.layouts[sym][1]
+        return self.actions[sym, k], self.layouts[sym, k][1]
 
     def terms(self, sym, k, at, qs):
         """f-delta (k = 1) or a(sym,k) at every tuple x in product order, as
         a list, position k holding the class at[x_k] and each other p the Q
         value qs[x_p]: index codes built a position at a time."""
-        nq, size, ar = self.q_alg.size, self.dc.size, self.signature.arity(sym)
-        tab, scale, other = ((self.fdelta[sym], nq ** (ar - 1), 1) if k == 1
-                             else (self.actions[sym, k], 1, size))
+        tab, strides = self._table(sym, k)
         return list(map(tab.__getitem__, _level_codes(
-            [[c * scale for c in at] if p == k else
-             [q * other * nq ** (ar - p - (p < k)) for q in qs] for p in range(1, ar + 1)])))
+            [[x * step for x in (at if p == k else qs)] for p, step in enumerate(strides, 1)])))
 
     def wrap(self, sym, k, qs):
         """c -> f-delta (k = 1) or a(sym,k) at c in position k, the others
         over qs (qs[k-1] unread): a slice of the flat table; KeyError when
         an entry is missing."""
-        nq, size = self.q_alg.size, self.dc.size
-        if k == 1:
-            img = self.fdelta[sym][_code(qs[1:], nq)::nq ** (len(qs) - 1)]
-        else:
-            i = _code(qs[:k - 1] + qs[k:], nq) * size
-            img = self.actions[sym, k][i:i + size]
+        tab, strides = self._table(sym, k)
+        start, step = sum(map(mul, strides, (*qs[:k - 1], 0, *qs[k:]))), strides[k - 1]
+        img = tab[start:start + step * self.dc.size:step]
         if None in img:
             raise KeyError((sym, k, *qs))
         return img
@@ -479,15 +492,16 @@ def extract_datum(ext, cap=DEFAULT_CAP, check_m_rule=True):
         if ar == 0:
             fdelta[sym] = (dc.class_of_pair(tab[0], tab[0]),)
             continue
-        fdelta[sym] = _sweep(dc, tab, ar, 1, product(range(n), repeat=ar - 1), pi, nq,
-                             (nq ** (ar - 1), 1),
+        fdelta[sym] = _sweep(dc, tab, ar, 1, product(range(n), repeat=ar - 1), pi,
+                             _layout(ar, nq, dc.size),
                              "f-delta for %r depends on representatives" % sym)
         if ar < 2:
             continue
         lifted = [tuple(map(lifting.__getitem__, qs))
                   for qs in product(range(nq), repeat=ar - 1)]
         for i in range(1, ar + 1):
-            actions[sym, i] = _sweep(dc, tab, ar, i, lifted, pi, nq, (1, dc.size),
+            actions[sym, i] = _sweep(dc, tab, ar, i, lifted, pi,
+                                     _layout(ar, nq, dc.size, i),
                                      "action (%s,%d) depends on representatives"
                                      % (sym, i))
 
@@ -500,19 +514,21 @@ def extract_datum(ext, cap=DEFAULT_CAP, check_m_rule=True):
     return datum, tuple(dc.class_of_pair(ext.trace(fx), fx) for fx in fxs)
 
 
-def _sweep(dc, tab, ar, i, others, pi, nq, steps, error):
+def _sweep(dc, tab, ar, i, others, pi, layout, error):
     """The flat table of the classes of (f(.., a, ..), f(.., b, ..)), a and b
     at position i and xs in others elsewhere, over the alpha-pairs (a, b):
-    one pair-code lookup per entry of a column of tab.  Class c goes to slot
-    c*steps[0] + code(pi(xs))*steps[1], where all must agree."""
-    n, code = dc.asize, dc.code_class
-    stride, out = n ** (ar - i), [None] * (dc.size * nq ** (ar - 1))
+    one pair-code lookup per entry of a column of tab.  Class c goes to the
+    slot of pi(xs) with c at i in the table of that _layout, where all must
+    agree."""
+    (dims, strides), n, code = layout, dc.asize, dc.code_class
+    step, rest = strides[i - 1], strides[:i - 1] + strides[i:]
+    stride, out = n ** (ar - i), [None] * prod(dims)
     for xs in others:
-        start = _code(xs[:i - 1] + (0,) + xs[i - 1:], n)
+        start = sum(x * n ** (ar - p) for p, x in enumerate((*xs[:i - 1], 0, *xs[i - 1:]), 1))
         col = tab[start:start + n * stride:stride]
-        q = _code([pi[x] for x in xs], nq) * steps[1]
+        q = sum(map(mul, rest, map(pi.__getitem__, xs)))
         for (a, b), c in zip(dc.pairs, dc.class_of):
-            v, s = code[col[a] * n + col[b]], c * steps[0] + q
+            v, s = code[col[a] * n + col[b]], c * step + q
             if out[s] is None:
                 out[s] = v
             elif out[s] != v:
@@ -628,9 +644,10 @@ def validate_datum(d, cap=DEFAULT_CAP):
                     if got != expected:
                         return False, (sym, qs, "fdelta")
             for i in sorted(i for s, i in d.actions if s == sym):
-                for k, val in enumerate(d.actions[sym, i]):
-                    r, c = divmod(k, d.dc.size)
-                    qrest = tuple_decode(r, nq, ar - 1)
+                for qrest, c in product(product(range(nq), repeat=ar - 1),
+                                        range(d.dc.size)):
+                    val = d.actions[sym, i][sum(map(mul, d.layouts[sym, i][1],
+                                                    (*qrest[:i - 1], c, *qrest[i - 1:])))]
                     full_q = qrest[:i - 1] + (d.dc.rho_class[c],) + qrest[i - 1:]
                     if val is not None and \
                             d.dc.rho_class[val] != d.q_alg.apply(sym, full_q):
@@ -675,9 +692,8 @@ def m_rule_delta(alpha, pairs, m):
     rule extract_datum checks Delta against; for an affine datum this is
     Delta_{alpha,alpha} of <A,m>.  One pass, no M(alpha,alpha).
     """
-    rep, key = alpha.rep, {}
-    return Congruence(len(pairs), [key.setdefault((rep[a], m(b, a, rep[a])), i)
-                                   for i, (a, b) in enumerate(pairs)], least=True)
+    rep = alpha.rep
+    return Congruence(len(pairs), [(rep[a], m(b, a, rep[a])) for a, b in pairs])
 
 
 def datum_from_tables(q_tables, q_size, mq, asize, m_table, alpha_blocks,
@@ -710,9 +726,11 @@ def datum_from_tables(q_tables, q_size, mq, asize, m_table, alpha_blocks,
                       for i in range(1, ar + 1)} - set(action_tables))
     if missing:
         raise DatumError("no action table for %s" % ", ".join("%s:%d" % m for m in missing))
-    classes, qs = range(dc.size), range(q_size)
-
-    def flat(tab, keys, name, what):
+    for sym, pos in action_tables:
+        if not 0 < pos <= (signature.arity(sym) or 0):
+            raise DatumError("action %s:%d is at no argument position of %s" % (sym, pos, sym))
+    def flat(tab, layout, name, what):
+        keys = list(product(*map(range, layout[0])))
         if set(tab) != set(keys):
             raise DatumError("%s lacks a value for some %s, or has extra ones" % (name, what))
         for v in map(tab.__getitem__, keys):  # bool is an int subclass
@@ -720,11 +738,10 @@ def datum_from_tables(q_tables, q_size, mq, asize, m_table, alpha_blocks,
                 raise DatumError("%s has value %r, not a class in 0..%d"
                                  % (name, v, dc.size - 1))
         return tuple(map(tab.__getitem__, keys))
-    fdelta = {sym: flat(fdelta_tables[sym], list(product(classes, *[qs] * (ar - 1)))
-                        if ar else [()], "fdelta of %r" % sym, "class and Q arguments")
+    fdelta = {sym: flat(fdelta_tables[sym], _layout(ar, q_size, dc.size),
+                        "fdelta of %r" % sym, "class and Q arguments")
               for sym, ar in signature.symbols}
-    actions = {(sym, pos): flat(tab, list(product(*[qs] * (signature.arity(sym) - 1),
-                                                  classes)),
+    actions = {(sym, pos): flat(tab, _layout(signature.arity(sym), q_size, dc.size, pos),
                                 "action %s:%d" % (sym, pos), "Q arguments and class")
                for (sym, pos), tab in action_tables.items()}
     return AffineDatum(q_alg, mq_flat, asize, m_flat, alpha, dc, lifting,

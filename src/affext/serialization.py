@@ -94,17 +94,14 @@ def datum_to_json(d):
     """Serialize a datum; class indices refer to the least-representative
     ordering, action tables are keyed "symbol:position"; f-delta nests as
     [class][q2]...[qk] and an action as [q at the other positions]...[class]."""
-    nq, size = d.qsize(), d.dc.size
-    fdelta = {sym: _nested(d.fdelta[sym], [size] + [nq] * (ar - 1) if ar else [])
-              for sym, ar in d.signature.symbols}
-    actions = {"%s:%d" % (sym, i): _nested(tab, [nq] * (d.signature.arity(sym) - 1)
-                                           + [size])
-               for (sym, i), tab in sorted(d.actions.items())}
+    fdelta = {sym: _nested(d.fdelta[sym], d.layouts[sym][0]) for sym in d.signature.names()}
+    actions = {"%s:%d" % key: _nested(tab, d.layouts[key][0])
+               for key, tab in sorted(d.actions.items())}
     rho = [d.dc.rho_class[d.dc.class_of[p]] for p in range(len(d.dc.pairs))]
     return {
         "name": d.name or "datum",
         "q_algebra": algebra_to_json(d.q_alg),
-        "mq": _nested(d.mq_flat, [nq] * 3),
+        "mq": _nested(d.mq_flat, [d.qsize()] * 3),
         "carrier_size": d.asize,
         "m": _nested(d.m_flat, [d.asize] * 3),
         "alpha_blocks": d.alpha.blocks(),
@@ -168,9 +165,10 @@ def _leaves(node, depth, key=()):
 def cocycle_to_json(d, T, datum_name=None):
     """A 2-cochain, one class per cell in cells() order, as nested tables
     per symbol."""
-    nq, tables, first = d.qsize(), {}, 0
-    for sym, ar in d.signature.symbols:  # a symbol's cells are contiguous
-        tables[sym], first = _nested(T[first:first + nq ** ar], [nq] * ar), first + nq ** ar
+    nq, tables = d.qsize(), {}
+    for sym, ar in d.signature.symbols:
+        first = d.cell_index(sym, (0,) * ar)
+        tables[sym] = _nested(T[first:first + nq ** ar], [nq] * ar)
     return {"datum": datum_name or d.name or "datum", "tables": tables}
 
 

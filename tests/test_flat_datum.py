@@ -101,6 +101,19 @@ def test_a_missing_entry_raises_key_error_where_it_is_read():
     assert d.fdelta_apply("mul", 1, (1,)) == datum("Z4", (0, 2)).fdelta_apply("mul", 1, (1,))
 
 
+def test_coboundary_of_raises_key_error_only_at_a_missing_entry():
+    """A None entry that a map reads is a KeyError; an h whose values are
+    no class indices raises its own error, not that KeyError."""
+    d = with_entries(datum("Z4", (0, 2)), [(("fdelta", "mul", (1, 0)), None)])
+    reads = [h for h in fiber_respecting_maps(d) if 1 in h]
+    assert reads
+    for h in reads:
+        with pytest.raises(KeyError):
+            coboundary_of(d, h)
+    with pytest.raises(TypeError):
+        coboundary_of(datum("Z4", (0, 2)), ("x",) * d.qsize())
+
+
 def test_the_sum_table_stops_at_the_first_entry_that_reads_a_missing_one():
     """The action of mul at position 2 with Q value 1 at position 1 and
     class 3 is missing: the first sum to read it is at (c1, 3), c1 the

@@ -305,10 +305,15 @@ def _bool_nullary_value(data):
     data["fdelta"]["e"] = True
 
 
+def _action_past_the_arity(data):
+    data["actions"]["mul:3"] = data["actions"]["mul:2"]
+
+
 @pytest.mark.parametrize("mutate", [_cut_fdelta_rows, _cut_action_row,
                                     _lengthen_action_row, _drop_action_table,
                                     _fdelta_value_past_the_classes,
-                                    _negative_action_value, _bool_nullary_value])
+                                    _negative_action_value, _bool_nullary_value,
+                                    _action_past_the_arity])
 def test_cli_rejects_ragged_datum_tables(z4_datum, tmp_path, mutate):
     """Every action table is present, every level of an f-delta or action
     table has its full length, and every value is a class."""
