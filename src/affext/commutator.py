@@ -61,9 +61,13 @@ def is_abelian(alg, alpha, cap=DEFAULT_CAP):
     witness = congruence_violation(alg, alpha)
     if witness is not None:
         raise AlgebraError("alpha is not a congruence: %s" % (witness,))
+    return (verify_ternary_abelian_group_on_blocks(m, blocks, alg.size)
+            and _translations_agree(alg, alpha, m, cap))
+
+
+def _translations_agree(alg, alpha, m, cap):
+    """is_abelian's translation test, once m is x - y + z on every block."""
     n, rep = alg.size, alpha.rep
-    if not verify_ternary_abelian_group_on_blocks(m, blocks, n):
-        return False
     pairs = [(x, y) for x, y in alpha.pairs() if x != y]
     ops = [(alg.tables[sym], ar) for sym, ar in alg.signature.symbols if ar]
     entries = sum(ar * n ** (ar - 1) for _, ar in ops) * len(pairs)

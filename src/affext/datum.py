@@ -1,15 +1,16 @@
 """Affine datum: the partial structure on Delta-classes, unary actions,
 extraction from an extension with abelian kernel, and axiom validation."""
 
-from itertools import product
+from itertools import chain, product
 from math import prod
 from operator import mul
 
-from .algebras import (AlgebraError, FiniteAlgebra, Signature,
+from .algebras import (AlgebraError, FiniteAlgebra, Signature, congruence_violation,
                        is_homomorphism, satisfies, tuple_decode, DEFAULT_CAP)
-from .commutator import is_abelian, verify_ternary_abelian_group_on_blocks
-from .congruences import (Congruence, delta_by_cg, kernel_of_map, pair_algebra,
-                          delta as delta_congruence)
+from .commutator import (_translations_agree, is_abelian, is_malcev_on_blocks,
+                         tc_commutator, verify_ternary_abelian_group_on_blocks)
+from .congruences import (Congruence, delta_by_cg, kernel_of_map, m_matrices,
+                          pair_algebra, delta as delta_congruence)
 from .terms import eval_term, is_var, term_table, term_vars, TermError
 
 
@@ -36,6 +37,12 @@ def _level_codes(levels):
     for level in levels:
         codes = [s + c for s in codes for c in level]
     return codes
+
+
+def _column(tab, strides, k, qs, size):
+    """A flat datum table's size entries along position k, the others at qs."""
+    start, step = sum(map(mul, strides, (*qs[:k - 1], 0, *qs[k:]))), strides[k - 1]
+    return tab[start:start + step * size:step]
 
 
 def _flat_ternary(seq, n):
@@ -229,16 +236,6 @@ class AffineDatum:
         self._fiber_tables = tables
         return tables
 
-    def plus_u(self, x, u, y):
-        """m(x, delta(u), y) for an explicit base element u of A.
-
-        The three classes must lie in one hat-alpha block.
-        """
-        du = self.dc.delta_of[u]
-        if not (self.dc.rho_class[x] == self.dc.rho_class[du] == self.dc.rho_class[y]):
-            raise DatumError("plus_u arguments lie in different fibers")
-        return self.dc.m_class(x, du, y)
-
     # --- structure applications ------------------------------------------
     def fdelta_apply(self, sym, c, qrest):
         v = self.fdelta[sym][sum(map(mul, self.layouts[sym][1], (c, *qrest)))]
@@ -273,9 +270,7 @@ class AffineDatum:
         """c -> f-delta (k = 1) or a(sym,k) at c in position k, the others
         over qs (qs[k-1] unread): a slice of the flat table; KeyError when
         an entry is missing."""
-        tab, strides = self._table(sym, k)
-        start, step = sum(map(mul, strides, (*qs[:k - 1], 0, *qs[k:]))), strides[k - 1]
-        img = tab[start:start + step * self.dc.size:step]
+        img = _column(*self._table(sym, k), k, qs, self.dc.size)
         if None in img:
             raise KeyError((sym, k, *qs))
         return img
@@ -457,14 +452,21 @@ def extract_datum(ext, cap=DEFAULT_CAP, check_m_rule=True):
     alg, beta, pi = ext.alg, ext.beta, ext.pi
     if ext.m_flat is None:
         raise DatumError("extension carries no ternary operation")
-    if not is_abelian(alg, beta, cap=cap):
+    # with no ternary operation is_abelian takes its tc route, whose
+    # M(beta,beta) then serves Delta as well
+    pairalg = matrices = None
+    if not any(ar == 3 for _, ar in alg.signature.symbols):
+        pairalg = pair_algebra(alg, beta, cap=cap)
+        matrices = m_matrices(alg, beta, beta, cap=cap, pairalg=pairalg)
+    if not (is_abelian(alg, beta, cap=cap) if matrices is None
+            else tc_commutator(alg, beta, beta, cap=cap, matrices=matrices).is_equality()):
         raise DatumError("kernel congruence is not abelian")
     blocks = beta.blocks()
     if not verify_ternary_abelian_group_on_blocks(ext.m_elem, blocks):
         raise DatumError("m is not a ternary abelian group operation on kernel blocks")
 
-    pairalg = pair_algebra(alg, beta, cap=cap)
-    d_bb = delta_congruence(alg, beta, beta, cap=cap, pairalg=pairalg)
+    pairalg = pairalg or pair_algebra(alg, beta, cap=cap)
+    d_bb = delta_congruence(alg, beta, beta, cap=cap, pairalg=pairalg, matrices=matrices)
     if check_m_rule and m_rule_delta(beta, pairalg.pairs, ext.m_elem) != d_bb:
         # (AD1) holds, so the keyed partition is the pairwise rule; name
         # the first pair of pairs where it and Delta part
@@ -538,10 +540,36 @@ def _sweep(dc, tab, ar, i, others, pi, layout, error):
 
 # --- validation ----------------------------------------------------------
 
+def _additive_break(dc, img, fib, du, zero, missing):
+    """The first (a, b) in fib x fib where img[a + b] != img[a] + img[b], + read
+    in m_table() at du and at zero, or None.  Only a fiber that fails as a whole
+    is walked, to name the pair or raise the KeyError (missing(c) for a missing
+    img[c]) an entry-by-entry check meets first."""
+    table, size = dc.m_table(), dc.size
+    sums = [table[(a * size + du) * size + b] for a in fib for b in fib]
+    cols = [img[b] for b in fib]
+    if None not in img and None not in sums and list(map(img.__getitem__, sums)) == [
+            table[(x * size + zero) * size + y] for x in cols for y in cols]:
+        return None
+    for (a, b), s in zip(product(fib, repeat=2), sums):
+        if s is None:
+            raise KeyError((a, du, b))
+        for c in (s, a, b):
+            if img[c] is None:
+                raise missing(c)
+        if (r := table[(img[a] * size + zero) * size + img[b]]) is None:
+            raise KeyError((img[a], zero, img[b]))
+        if img[s] != r:
+            return a, b
+
+
 def validate_datum(d, cap=DEFAULT_CAP):
     """Exhaustively check (D1)-(D4) and (AD1)-(AD2); returns a report list.
 
     Each entry is {"claim", "holds", "witness"}; the report never raises.
+    Each check compares whole flat tables, columns or fiber slices; only where
+    they part does a walk (the Delta rule's over pairs of pairs) name the
+    failure an entry-by-entry check meets first.
     """
     report = []
 
@@ -549,131 +577,130 @@ def validate_datum(d, cap=DEFAULT_CAP):
         report.append({"claim": claim, "holds": bool(holds),
                        "witness": None if holds else witness})
 
-    def guarded(claim, fn):
-        """Record a crash inside a check as a failure, never raise."""
+    def guarded(claim, fn):  # fn returns the witness, None when the claim holds
         try:
-            holds, witness = fn()
-        except Exception as exc:  # broken tables surface as failed claims
-            holds, witness = False, "check raised: %s" % exc
-        add(claim, holds, witness)
+            witness = fn()
+        except Exception as exc:  # broken tables surface as failed claims, never raised
+            witness = "check raised: %s" % exc
+        add(claim, witness is None, witness)
 
-    n = d.asize
-    nq = d.qsize()
-    m = d.dc.m_elem
+    n, nq, dc, q_alg = d.asize, d.qsize(), d.dc, d.q_alg
+    size, rho, m = dc.size, dc.rho_class, dc.m_elem
 
-    # m-algebra and alpha
+    # m-algebra and alpha; is_abelian reuses the congruence and (AD1) checks
     m_alg = FiniteAlgebra(n, _M_SIGNATURE, {"m": d.m_flat}, name="<A,m>")
-    from .algebras import congruence_violation
     w = congruence_violation(m_alg, d.alpha)
-    add("alpha is a congruence of <A,m>", w is None, w)
-    if w is None:
-        add("alpha is abelian in <A,m>", is_abelian(m_alg, d.alpha, cap=cap))
     blocks = d.alpha.blocks()
     try:
-        ok, w = verify_ternary_abelian_group_on_blocks(m, blocks), None
+        ad1, ad1_witness = verify_ternary_abelian_group_on_blocks(m, blocks), None
     except AlgebraError as exc:
-        ok, w = False, str(exc)
-    add("(AD1) m is a ternary abelian group operation on alpha-blocks", ok, w)
+        ad1, ad1_witness = False, str(exc)
+    add("alpha is a congruence of <A,m>", w is None, w)
+    if w is None:
+        add("alpha is abelian in <A,m>",
+            ad1 and _translations_agree(m_alg, d.alpha, d.m_flat, cap)
+            if is_malcev_on_blocks(m, blocks) else is_abelian(m_alg, d.alpha, cap=cap))
+    add("(AD1) m is a ternary abelian group operation on alpha-blocks", ad1, ad1_witness)
 
     # D3: rho and the idempotent interpretation of m in Q
-    mq = lambda a, b, c: d.mq_flat[(a * nq + b) * nq + c]
-    add("(D3) m idempotent in Q", all(mq(q, q, q) == q for q in range(nq)))
-    surj = set(d.dc.rho_class) == set(range(nq))
+    add("(D3) m idempotent in Q", list(d.mq_flat[::nq * nq + nq + 1]) == list(range(nq)))
+    surj = set(rho) == set(range(nq))
     add("(D3) rho surjective", surj)
 
     def check_d3_hom():
-        for trip in product(range(d.dc.size), repeat=3):
-            if d.dc.rho_class[d.dc.m_class(*trip)] != mq(
-                    *(d.dc.rho_class[c] for c in trip)):
-                return False, trip
-        return True, None
+        got = [None if v is None else rho[v] for v in dc.m_table()]
+        want = list(map(d.mq_flat.__getitem__, _level_codes(
+            [[r * nq * nq for r in rho], [r * nq for r in rho], rho])))
+        if got != want:
+            k = next(k for k, (g, x) in enumerate(zip(got, want)) if g != x)
+            if got[k] is None:
+                raise KeyError(tuple_decode(k, size, 3))
+            return tuple_decode(k, size, 3)
     guarded("(D3) rho is a homomorphism A(alpha) -> <Q,m>", check_d3_hom)
-    over = [(a, d.dc.rho_class[c]) for (a, _), c in zip(d.dc.pairs, d.dc.class_of)]
-    add("(D3) ker rho = hat-alpha", all((q == r) == d.alpha.related(a, c)
-                                        for a, q in over for c, r in over))
+    add("(D3) ker rho = hat-alpha", Congruence(len(dc.pairs), [rho[c] for c in dc.class_of])
+        == Congruence(len(dc.pairs), [d.alpha.rep[a] for a, _ in dc.pairs]))
 
     add("lifting is a section (rho . delta . l = id)",
-        all(d.dc.rho_class[d.delta_l(q)] == q for q in range(nq)))
+        all(rho[d.delta_l(q)] == q for q in range(nq)))
     add("rho . delta is the canonical map A -> A/alpha",
-        all((d.pi_of(a) == d.pi_of(b)) == d.alpha.related(a, b)
-            for a in range(n) for b in range(n)))
+        Congruence(n, list(map(d.pi_of, range(n)))) == d.alpha)
 
-    # D1: homomorphic structure
+    # D1: homomorphic structure, an f-delta column per (f, q1, qrest)
     def check_d1():
         for sym, ar in d.signature.symbols:
-            if ar == 0:
-                continue
-            for q1 in range(nq):
-                fib = d.fiber(q1)
-                u = next(x for x in range(n) if d.pi_of(x) == q1)
+            for q1 in range(nq) if ar else ():
+                fib, du = d.fiber(q1), dc.delta_of[next(x for x in range(n) if d.pi_of(x) == q1)]
                 for qrest in product(range(nq), repeat=ar - 1):
-                    v = d.q_alg.apply(sym, (q1,) + qrest)
-                    for a in fib:
-                        for b in fib:
-                            lhs = d.fdelta_apply(sym, d.plus_u(a, u, b), qrest)
-                            rhs = d.plus_at(v, d.fdelta_apply(sym, a, qrest),
-                                            d.fdelta_apply(sym, b, qrest))
-                            if lhs != rhs:
-                                return False, (sym, a, b, qrest)
-        return True, None
+                    if bad := _additive_break(
+                            dc, _column(d.fdelta[sym], d.layouts[sym][1], 1, (0,) + qrest, size),
+                            fib, du, d.delta_l(q_alg.apply(sym, (q1,) + qrest)),
+                            lambda c: KeyError((sym, c, *qrest))):
+                        return (sym, *bad, qrest)
     guarded("(D1) structure is homomorphic", check_d1)
 
-    # D4 part 1: homomorphic action
+    # D4 part 1: homomorphic action, an action column per (f, i, qrest)
     def check_d4_hom():
         for sym, i in sorted(d.actions):
             for qrest in product(range(nq), repeat=d.signature.arity(sym) - 1):
+                img = _column(d.actions[sym, i], d.layouts[sym, i][1], i,
+                              qrest[:i - 1] + (0,) + qrest[i - 1:], size)
                 for qat in range(nq):
-                    v = d.q_alg.apply(sym, qrest[:i - 1] + (qat,) + qrest[i - 1:])
-                    for a, b in product(d.fiber(qat), repeat=2):
-                        lhs = d.action_apply(sym, i, qrest, d.plus_at(qat, a, b))
-                        if lhs != d.plus_at(v, d.action_apply(sym, i, qrest, a),
-                                            d.action_apply(sym, i, qrest, b)):
-                            return False, (sym, (i,), qrest, (a,), (b,))
-        return True, None
+                    if bad := _additive_break(
+                            dc, img, d.fiber(qat), d.delta_l(qat),
+                            d.delta_l(q_alg.apply(sym, qrest[:i - 1] + (qat,) + qrest[i - 1:])),
+                            lambda c: KeyError((sym, i, *qrest, c))):
+                        return (sym, (i,), qrest, bad[:1], bad[1:])
     guarded("(D4) action is homomorphic", check_d4_hom)
 
-    # D4 part 2: f-delta and action values share hat-alpha/Delta blocks
+    # D4 part 2: f-delta and action values lie over f^Q, rho of whole tables
+    # against f^Q read at the Q values of their slots
     def check_d4_fibers():
         for sym, ar in d.signature.symbols:
-            if ar < 2:
-                continue
-            for qs in product(range(nq), repeat=ar):
-                expected = d.q_alg.apply(sym, qs)
-                for c1 in d.fiber(qs[0]):
-                    got = d.dc.rho_class[d.fdelta_apply(sym, c1, qs[1:])]
-                    if got != expected:
-                        return False, (sym, qs, "fdelta")
-            for i in sorted(i for s, i in d.actions if s == sym):
-                for qrest, c in product(product(range(nq), repeat=ar - 1),
-                                        range(d.dc.size)):
-                    val = d.actions[sym, i][sum(map(mul, d.layouts[sym, i][1],
-                                                    (*qrest[:i - 1], c, *qrest[i - 1:])))]
-                    full_q = qrest[:i - 1] + (d.dc.rho_class[c],) + qrest[i - 1:]
-                    if val is not None and \
-                            d.dc.rho_class[val] != d.q_alg.apply(sym, full_q):
-                        return False, (sym, (i,), qrest, (c,))
-        return True, None
+            qtab, tab, w = q_alg.tables[sym], d.fdelta[sym], nq ** max(ar - 1, 0)
+            if ar == 0 and (tab[0] is None or rho[tab[0]] != qtab[0]):
+                return (sym, (), "fdelta")
+            if ar > 1 and (not surj or None in tab or list(map(rho.__getitem__, tab))
+                           != [q for r in rho for q in qtab[r * w:r * w + w]]):
+                for r, qs in enumerate(product(range(nq), repeat=ar)):
+                    for c in d.fiber(qs[0]):
+                        if tab[c * w + r % w] is None:
+                            raise KeyError((sym, c, *qs[1:]))
+                        if rho[tab[c * w + r % w]] != qtab[r]:
+                            return (sym, qs, "fdelta")
+            for i in sorted(i for s, i in d.actions if s == sym and ar > 1):
+                tab, want = d.actions[sym, i], list(map(qtab.__getitem__, _level_codes(
+                    [[q * nq ** (ar - p) for q in range(nq)] for p in range(1, ar + 1) if p != i]
+                    + [[r * nq ** (ar - i) for r in rho]])))
+                if None in tab or list(map(rho.__getitem__, tab)) != want:
+                    if (k := next((k for k, (v, x) in enumerate(zip(tab, want))
+                                   if v is not None and rho[v] != x), None)) is not None:
+                        return (sym, (i,), tuple_decode(k // size, nq, ar - 1), (k % size,))
     guarded("(D4) f-delta and action values lie over f^Q", check_d4_fibers)
 
-    # AD2: unary action with a(f,1) equal to f-delta
+    # AD2: unary action with a(f,1) equal to f-delta, read transposed
     def check_ad2():
         for sym, ar in d.signature.symbols:
             if ar < 2:
                 continue
             positions = sorted((i,) for s, i in d.actions if s == sym)
             if positions != [(i,) for i in range(1, ar + 1)]:
-                return False, (sym, positions)
-            for qrest in product(range(nq), repeat=ar - 1):
-                for c in range(d.dc.size):
-                    if d.fdelta_apply(sym, c, qrest) != d.action_apply(sym, 1, qrest, c):
-                        return False, (sym, qrest, c)
-        return True, None
+                return (sym, positions)
+            w, act = nq ** (ar - 1), d.actions[sym, 1]
+            fd = tuple(chain.from_iterable(d.fdelta[sym][r::w] for r in range(w)))
+            for k in range(len(fd)) if fd != act or None in act else ():
+                qrest, c = tuple_decode(k // size, nq, ar - 1), k % size
+                if None in (fd[k], act[k]):
+                    raise KeyError((sym, c, *qrest) if fd[k] is None else (sym, 1, *qrest, c))
+                if fd[k] != act[k]:
+                    return (sym, qrest, c)
     guarded("(AD2) action is unary and a(f,1) agrees with f-delta", check_ad2)
 
-    # Delta agrees with the m-rule (reconstructibility of the universe)
-    bad = [((a, b), (c, e)) for (a, b), i in zip(d.dc.pairs, d.dc.class_of)
-           for (c, e), j in zip(d.dc.pairs, d.dc.class_of)
-           if (d.alpha.related(a, c) and e == m(b, a, c)) != (i == j)]
+    # Delta agrees with the m-rule (reconstructibility of the universe);
+    # under (AD1) the rule is the partition m_rule_delta
+    bad = [] if ad1 and m_rule_delta(d.alpha, dc.pairs, m) == dc.delta_cong else [
+        ((a, b), (c, e)) for (a, b), i in zip(dc.pairs, dc.class_of)
+        for (c, e), j in zip(dc.pairs, dc.class_of)
+        if (d.alpha.related(a, c) and e == m(b, a, c)) != (i == j)]
     add("Delta matches the rule d = m(b,a,c)", not bad, bad and bad[-1])
 
     return report

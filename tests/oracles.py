@@ -40,24 +40,33 @@ with, now compared with what replaced them.
   k-tuple and looked up by hashing it.
 - UnionFind, union_find_tr_m: path-halving union-find, and the Tr M half
   of Delta by one union per matrix with tuple-keyed pair lookups.
+- plus_u, entrywise_validate_datum: m(x, delta(u), y) at an explicit base
+  element u, and validate_datum with every axiom checked per
+  class, pair or triple through fdelta_apply, action_apply, plus_at and
+  m_class, and ker rho, the canonical map and the Delta rule by scans over
+  every pair of pairs.
 """
 
 from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, product
+from operator import mul
 
 from affext._linear import fiber_basis, howell, howell_kernel
-from affext.algebras import (GROUP_SIGNATURE, CapExceeded, FiniteAlgebra,
-                             _apply_rows, _invariant, _row_getters, closure,
+from affext.algebras import (DEFAULT_CAP, GROUP_SIGNATURE, AlgebraError,
+                             CapExceeded, FiniteAlgebra, _apply_rows, _invariant,
+                             _row_getters, closure, congruence_violation,
                              find_isomorphism)
 from affext.cocycles import (coboundary_of, e_paths, fiber_respecting_maps,
                              reconstruct)
 from affext.cohomology import (_check_subgroup, _cochain_group, _side_value,
                                _solutions, _two_cochains, stabilizers,
                                twin_pairs_of_identity)
-from affext.commutator import is_malcev_on_blocks, tc_commutator
+from affext.commutator import (is_abelian, is_malcev_on_blocks, tc_commutator,
+                               verify_ternary_abelian_group_on_blocks)
 from affext.congruences import Congruence, cg, pair_algebra
-from affext.datum import (DatumError, ExtensionRecord, check_action_compatible)
+from affext.datum import (_M_SIGNATURE, DatumError, ExtensionRecord,
+                          check_action_compatible)
 from affext.groups import iso_type
 from affext.terms import eval_term, is_var, term_table, term_vars
 
@@ -768,3 +777,155 @@ def entrywise_coboundary(d, h):
                                                           h[qs[i - 1]]))
         out.append(val)
     return tuple(out)
+
+
+def plus_u(d, x, u, y):
+    """m(x, delta(u), y) for an explicit base element u of A; the three
+    classes must lie in one hat-alpha block."""
+    du = d.dc.delta_of[u]
+    if not (d.dc.rho_class[x] == d.dc.rho_class[du] == d.dc.rho_class[y]):
+        raise DatumError("plus_u arguments lie in different fibers")
+    return d.dc.m_class(x, du, y)
+
+
+def entrywise_validate_datum(d, cap=DEFAULT_CAP):
+    """validate_datum one entry at a time: each axiom checked per class,
+    pair or triple through fdelta_apply, action_apply, plus_at and
+    m_class, and ker rho, the canonical map and the Delta rule by scans
+    over every pair of pairs.  A nullary f-delta must lie over f^Q."""
+    report = []
+
+    def add(claim, holds, witness=None):
+        report.append({"claim": claim, "holds": bool(holds),
+                       "witness": None if holds else witness})
+
+    def guarded(claim, fn):
+        """Record a crash inside a check as a failure, never raise."""
+        try:
+            holds, witness = fn()
+        except Exception as exc:  # broken tables surface as failed claims
+            holds, witness = False, "check raised: %s" % exc
+        add(claim, holds, witness)
+
+    n = d.asize
+    nq = d.qsize()
+    m = d.dc.m_elem
+
+    # m-algebra and alpha
+    m_alg = FiniteAlgebra(n, _M_SIGNATURE, {"m": d.m_flat}, name="<A,m>")
+    w = congruence_violation(m_alg, d.alpha)
+    add("alpha is a congruence of <A,m>", w is None, w)
+    if w is None:
+        add("alpha is abelian in <A,m>", is_abelian(m_alg, d.alpha, cap=cap))
+    blocks = d.alpha.blocks()
+    try:
+        ok, w = verify_ternary_abelian_group_on_blocks(m, blocks), None
+    except AlgebraError as exc:
+        ok, w = False, str(exc)
+    add("(AD1) m is a ternary abelian group operation on alpha-blocks", ok, w)
+
+    # D3: rho and the idempotent interpretation of m in Q
+    mq = lambda a, b, c: d.mq_flat[(a * nq + b) * nq + c]
+    add("(D3) m idempotent in Q", all(mq(q, q, q) == q for q in range(nq)))
+    surj = set(d.dc.rho_class) == set(range(nq))
+    add("(D3) rho surjective", surj)
+
+    def check_d3_hom():
+        for trip in product(range(d.dc.size), repeat=3):
+            if d.dc.rho_class[d.dc.m_class(*trip)] != mq(
+                    *(d.dc.rho_class[c] for c in trip)):
+                return False, trip
+        return True, None
+    guarded("(D3) rho is a homomorphism A(alpha) -> <Q,m>", check_d3_hom)
+    over = [(a, d.dc.rho_class[c]) for (a, _), c in zip(d.dc.pairs, d.dc.class_of)]
+    add("(D3) ker rho = hat-alpha", all((q == r) == d.alpha.related(a, c)
+                                        for a, q in over for c, r in over))
+
+    add("lifting is a section (rho . delta . l = id)",
+        all(d.dc.rho_class[d.delta_l(q)] == q for q in range(nq)))
+    add("rho . delta is the canonical map A -> A/alpha",
+        all((d.pi_of(a) == d.pi_of(b)) == d.alpha.related(a, b)
+            for a in range(n) for b in range(n)))
+
+    # D1: homomorphic structure
+    def check_d1():
+        for sym, ar in d.signature.symbols:
+            if ar == 0:
+                continue
+            for q1 in range(nq):
+                fib = d.fiber(q1)
+                u = next(x for x in range(n) if d.pi_of(x) == q1)
+                for qrest in product(range(nq), repeat=ar - 1):
+                    v = d.q_alg.apply(sym, (q1,) + qrest)
+                    for a in fib:
+                        for b in fib:
+                            lhs = d.fdelta_apply(sym, plus_u(d, a, u, b), qrest)
+                            rhs = d.plus_at(v, d.fdelta_apply(sym, a, qrest),
+                                            d.fdelta_apply(sym, b, qrest))
+                            if lhs != rhs:
+                                return False, (sym, a, b, qrest)
+        return True, None
+    guarded("(D1) structure is homomorphic", check_d1)
+
+    # D4 part 1: homomorphic action
+    def check_d4_hom():
+        for sym, i in sorted(d.actions):
+            for qrest in product(range(nq), repeat=d.signature.arity(sym) - 1):
+                for qat in range(nq):
+                    v = d.q_alg.apply(sym, qrest[:i - 1] + (qat,) + qrest[i - 1:])
+                    for a, b in product(d.fiber(qat), repeat=2):
+                        lhs = d.action_apply(sym, i, qrest, d.plus_at(qat, a, b))
+                        if lhs != d.plus_at(v, d.action_apply(sym, i, qrest, a),
+                                            d.action_apply(sym, i, qrest, b)):
+                            return False, (sym, (i,), qrest, (a,), (b,))
+        return True, None
+    guarded("(D4) action is homomorphic", check_d4_hom)
+
+    # D4 part 2: f-delta and action values share hat-alpha/Delta blocks
+    def check_d4_fibers():
+        for sym, ar in d.signature.symbols:
+            got = d.fdelta[sym][0] if ar == 0 else None
+            if ar == 0 and (got is None or d.dc.rho_class[got] != d.q_alg.apply(sym, ())):
+                return False, (sym, (), "fdelta")
+            if ar < 2:
+                continue
+            for qs in product(range(nq), repeat=ar):
+                expected = d.q_alg.apply(sym, qs)
+                for c1 in d.fiber(qs[0]):
+                    got = d.dc.rho_class[d.fdelta_apply(sym, c1, qs[1:])]
+                    if got != expected:
+                        return False, (sym, qs, "fdelta")
+            for i in sorted(i for s, i in d.actions if s == sym):
+                for qrest, c in product(product(range(nq), repeat=ar - 1),
+                                        range(d.dc.size)):
+                    val = d.actions[sym, i][sum(map(mul, d.layouts[sym, i][1],
+                                                    (*qrest[:i - 1], c, *qrest[i - 1:])))]
+                    full_q = qrest[:i - 1] + (d.dc.rho_class[c],) + qrest[i - 1:]
+                    if val is not None and \
+                            d.dc.rho_class[val] != d.q_alg.apply(sym, full_q):
+                        return False, (sym, (i,), qrest, (c,))
+        return True, None
+    guarded("(D4) f-delta and action values lie over f^Q", check_d4_fibers)
+
+    # AD2: unary action with a(f,1) equal to f-delta
+    def check_ad2():
+        for sym, ar in d.signature.symbols:
+            if ar < 2:
+                continue
+            positions = sorted((i,) for s, i in d.actions if s == sym)
+            if positions != [(i,) for i in range(1, ar + 1)]:
+                return False, (sym, positions)
+            for qrest in product(range(nq), repeat=ar - 1):
+                for c in range(d.dc.size):
+                    if d.fdelta_apply(sym, c, qrest) != d.action_apply(sym, 1, qrest, c):
+                        return False, (sym, qrest, c)
+        return True, None
+    guarded("(AD2) action is unary and a(f,1) agrees with f-delta", check_ad2)
+
+    # Delta agrees with the m-rule (reconstructibility of the universe)
+    bad = [((a, b), (c, e)) for (a, b), i in zip(d.dc.pairs, d.dc.class_of)
+           for (c, e), j in zip(d.dc.pairs, d.dc.class_of)
+           if (d.alpha.related(a, c) and e == m(b, a, c)) != (i == j)]
+    add("Delta matches the rule d = m(b,a,c)", not bad, bad and bad[-1])
+
+    return report

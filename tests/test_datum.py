@@ -11,7 +11,7 @@ from affext.serialization import InputError, datum_from_json, datum_to_json
 from affext.verify import catalog_extensions
 from affext.terms import parse_term
 
-from oracles import tables_of, triplewise_m_table, weak_sum
+from oracles import plus_u, tables_of, triplewise_m_table, weak_sum
 from test_weak_gate_oracle import with_entries
 
 
@@ -50,6 +50,46 @@ def test_extract_requires_abelian_kernel(cat):
         ext = ExtensionRecord.from_kernel(s3, Congruence.all(6),
                                           "(mul x0 (mul (inv x1) x2))")
         extract_datum(ext)
+
+
+def _z4_ternary_table():
+    return tuple((a - b + c) % 4 for a, b, c in product(range(4), repeat=3))
+
+
+@pytest.mark.parametrize("case, cap, stage, size", [
+    ("group", 10, "pair_algebra", 8),  # |A(beta)| = 8 and 8**2 > 10
+    ("unary", 10, "m_matrices", 64),  # 8**1 fits, the 8 * 8 quadruples do not
+    ("ternary", 100, "is_abelian", 192),  # 3 * 4**2 * 4 translation entries
+])
+def test_extract_caps_keep_their_stage(cat, case, cap, stage, size):
+    """extract_datum meets the caps of its kernel test in the order is_abelian
+    meets them: on the tc route the pair algebra's cap, then M(beta,beta)'s;
+    on the Mal'cev route the translation test's, before any Delta work."""
+    from affext.algebras import CapExceeded, Signature
+    beta = Congruence.from_blocks(4, [[0, 2], [1, 3]])
+    if case == "group":
+        ext = group_extension(cat["Z4"], [0, 2])
+    else:
+        sym, ar, tab = (("s", 1, (1, 2, 3, 0)) if case == "unary"
+                        else ("t", 3, _z4_ternary_table()))
+        alg = FiniteAlgebra(4, Signature([(sym, ar)]), {sym: tab})
+        ext = ExtensionRecord.from_kernel(alg, beta, _z4_ternary_table())
+    with pytest.raises(CapExceeded) as info:
+        extract_datum(ext, cap=cap)
+    assert (info.value.stage, info.value.size, info.value.cap) == (stage, size, cap)
+
+
+def test_extract_refuses_a_nonabelian_malcev_kernel_before_its_caps(cat):
+    """<S3, x y^-1 z> over the all-congruence: the basic ternary operation is
+    Mal'cev on the block and no abelian group operation, so the kernel test
+    says no before any cap is read."""
+    from affext.algebras import Signature
+    from affext.terms import GROUP_DIFFERENCE_TERM, term_table
+    t = term_table(cat["S3"], GROUP_DIFFERENCE_TERM, ("x0", "x1", "x2"))
+    alg = FiniteAlgebra(6, Signature([("t", 3)]), {"t": t})
+    ext = ExtensionRecord.from_kernel(alg, Congruence.all(6), t)
+    with pytest.raises(DatumError, match="kernel congruence is not abelian"):
+        extract_datum(ext, cap=1)
 
 
 def test_validate_extracted(z4_datum):
@@ -165,7 +205,7 @@ def test_plus_u_basics(z4_datum):
 def test_plus_u_rejects_mixed_fibers(z4_datum):
     d, _ = z4_datum
     with pytest.raises(DatumError):
-        d.plus_u(d.fiber(0)[0], 0, d.fiber(1)[0])
+        plus_u(d, d.fiber(0)[0], 0, d.fiber(1)[0])
 
 
 def test_weak_compatibility_group_axioms(z4_datum, group_eqs):

@@ -141,6 +141,37 @@ def test_cli_datum_validate(files):
     assert "FAIL" not in r.stdout
 
 
+def _set_mul_entry(data):
+    data["fdelta"]["mul"][0][1] = 5
+
+
+def _set_e(data):
+    data["fdelta"]["e"] = 2  # a class over q = 1, while e^Q = 0
+
+
+@pytest.mark.parametrize("edit, claim, witness", [
+    (_set_mul_entry, "(D1) structure is homomorphic", ["mul", 0, 0, [1]]),
+    (_set_e, "(D4) f-delta and action values lie over f^Q", ["e", [], "fdelta"])])
+def test_cli_datum_validate_names_the_witness(tmp_path, cat, edit, claim, witness):
+    """The datum of D4 over its centre from a file, one f-delta entry
+    edited: validate exits 1 and its JSON names the witness.  A nullary
+    f-delta off its fiber is caught."""
+    from affext.datum import extract_datum, group_extension
+    from affext.groups import center
+    d, _ = extract_datum(group_extension(cat["D4"], center(cat["D4"])))
+    data = datum_to_json(d)
+    dump_json(data, tmp_path / "d4datum.json")
+    r = run_cli(["datum", "validate", "--datum", "d4datum.json"], tmp_path)
+    assert r.returncode == 0, r.stdout
+    edit(data)
+    dump_json(data, tmp_path / "broken.json")
+    r = run_cli(["datum", "validate", "--datum", "broken.json", "--format", "json"],
+                tmp_path)
+    assert r.returncode == 1, r.stderr
+    failed = [c for c in json.loads(r.stdout)["checks"] if not c["holds"]]
+    assert {"claim": claim, "holds": False, "witness": witness} in failed
+
+
 def test_cli_usage_errors(files):
     r = run_cli(["h2", "--alg", "missing.json", "--con", "alpha.json",
                  "--sigma", "builtin:groups"], files)
