@@ -522,83 +522,97 @@ def _iterate_colors(alg):
     return colors
 
 
-def find_isomorphism(a, b, seed=0):
+def find_isomorphism(a, b):
     """A bijection list (a-element -> b-element) commuting with all tables, or None.
 
-    Plain backtracking over profile-compatible candidates; complete for the
-    desk-scale sizes this package targets.
+    The block search (_block_maps) on one-element blocks, those with the
+    fewest same-colored candidates first, each x trying the b-elements of
+    its profile color in ascending order, no image taken twice.  Every
+    table entry of a is checked once its arguments and value all have
+    images, so the map returned is the first isomorphism in that order.
     """
-    if a.signature != b.signature:
+    if a.signature != b.signature or a.size != b.size or _invariant(a) != _invariant(b):
         return None
-    if a.size != b.size:
-        return None
-    n = a.size
-    if _invariant(a) != _invariant(b):
-        return None
-    ca = _profiles(a)
-    cb = _profiles(b)
-    cand = [[y for y in range(n) if cb[y] == ca[x]] for x in range(n)]
+    n, ca, cb = a.size, _profiles(a), _profiles(b)
+    cand = [[[y] for y in range(n) if cb[y] == ca[x]] for x in range(n)]
     order = sorted(range(n), key=lambda x: (len(cand[x]), x))
-    if seed:
-        import random
-        rng = random.Random(seed)
-        for row in cand:
-            rng.shuffle(row)
+    return next(_block_maps(_search_plan(a, [[x] for x in order]),
+                            [cand[x] for x in order], b, injective=True), None)
 
-    img = [-1] * n
-    used = [False] * n
-    binops = [(a.tables[s], b.tables[s]) for s, ar in a.signature.symbols if ar == 2]
-    unops = [(a.tables[s], b.tables[s]) for s, ar in a.signature.symbols if ar == 1]
-    others = [(s, ar) for s, ar in a.signature.symbols if ar > 2]
-    for s, ar in a.signature.symbols:
-        if ar == 0 and cb[b.tables[s][0]] != ca[a.tables[s][0]]:
-            return None
 
-    def consistent(x):
-        assigned = [z for z in range(n) if img[z] >= 0]
-        for ta, tb in unops:
-            if img[ta[x]] >= 0 and img[ta[x]] != tb[img[x]]:
-                return False
-        for ta, tb in binops:
-            for z in assigned:
-                v = ta[x * n + z]
-                if img[v] >= 0 and img[v] != tb[img[x] * n + img[z]]:
-                    return False
-                v = ta[z * n + x]
-                if img[v] >= 0 and img[v] != tb[img[z] * n + img[x]]:
-                    return False
-        for s, ar in others:
-            for args in product(assigned + [x], repeat=ar):
-                if x not in args:
-                    continue
-                v = a.apply(s, args)
-                if img[v] >= 0 and img[v] != b.apply(s, tuple(img[z] for z in args)):
-                    return False
-        return True
+def _search_plan(alg, blocks):
+    """(spans, where, checks): the block search's plan for maps out of alg
+    assigned a block at a time.  Images are kept by position, the blocks'
+    elements in order: x at where[x], block i at spans[i], and one last
+    position that holds 0.  checks[i] holds, per symbol, the table entries
+    of alg whose deepest argument or value lies in blocks[i], by position:
+    (v, x, y) up to arity 2, shorter argument lists padded on the left
+    with the last position, else (v, args)."""
+    n = alg.size
+    depth, where, spans, zero = [0] * n, [0] * n, [], 0
+    for i, block in enumerate(blocks):
+        spans.append(slice(zero, zero + len(block)))
+        for x in block:
+            depth[x], where[x], zero = i, zero, zero + 1
+    checks = [[] for _ in blocks]
+    for sym, ar in alg.signature.symbols:
+        by_depth = [[] for _ in blocks]
+        for args, v in zip(product(range(n), repeat=ar), alg.tables[sym]):
+            ps = tuple(map(where.__getitem__, args))
+            by_depth[max(map(depth.__getitem__, args + (v,)))].append(
+                (where[v],) + (zero,) * (2 - ar) + ps if ar <= 2 else (where[v], ps))
+        for i, entries in enumerate(by_depth):
+            if entries:
+                checks[i].append((sym, ar > 2, entries))
+    return spans, where, checks
 
-    def solve(pos):
-        if pos == n:
-            for s, ar in a.signature.symbols:
-                if ar == 0 and img[a.tables[s][0]] != b.tables[s][0]:
-                    return False
-            return True
-        x = order[pos]
-        for y in cand[x]:
-            if used[y]:
-                continue
-            img[x] = y
-            used[y] = True
-            if consistent(x) and solve(pos + 1):
-                return True
-            img[x] = -1
-            used[y] = False
-        return False
 
-    try:
-        found = solve(0)
-    finally:
-        del solve  # the recursive closure refers to itself
-    return list(img) if found else None
+def _block_maps(plan, pools, target, injective=False):
+    """Every map out of a _search_plan's algebra into target that takes, on
+    each block, one of its pool's image lists and commutes with every
+    table, each as a list: depth-first, blocks in order and each pool in
+    order, so least first in that order.  An entry is checked once, when
+    the deepest block it reads is assigned.  With injective, no image is
+    taken twice: each pool is filtered, as it is read, to the lists that
+    avoid the images above it."""
+    spans, where, checks = plan
+    n, tables = target.size, target.tables
+    g = [0] * (len(where) + 1)
+    stack = [iter(pools[0])]
+    while stack:
+        i = len(stack) - 1
+        for images in stack[i]:
+            g[spans[i]] = images
+            if _entries_hold(checks[i], g, tables, n):
+                break
+        else:
+            stack.pop()
+            continue
+        if i + 1 == len(spans):
+            yield list(map(g.__getitem__, where))
+            continue
+        pool = iter(pools[i + 1])
+        if injective:
+            pool = filter(set(g[:spans[i].stop]).isdisjoint, pool)
+        stack.append(pool)
+
+
+def _entries_hold(checks, g, tables, n):
+    """f(g(args)) = g(v) in the target tables, of size n, for every entry."""
+    for sym, wide, entries in checks:
+        tab = tables[sym]
+        if wide:
+            for v, args in entries:
+                k = 0
+                for x in args:
+                    k = k * n + g[x]
+                if tab[k] != g[v]:
+                    return False
+        else:
+            for v, x, y in entries:
+                if tab[g[x] * n + g[y]] != g[v]:
+                    return False
+    return True
 
 
 def is_homomorphism(mapping, a, b):

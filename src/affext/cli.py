@@ -43,8 +43,6 @@ def _parser():
     p.add_argument("--format", default="text", choices=["json", "text"])
     p.add_argument("--cap", type=int, default=1 << 24,
                    help="search/enumeration cap")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized tie-breaking (0 = deterministic)")
     return p
 
 
@@ -267,7 +265,7 @@ def _dispatch(args):
                                                 "con": None}))
         ext = _extension(ws, args)
         from .cocycles import check_realization
-        rep = check_realization(ext, d, cap=32)
+        rep = check_realization(ext, d)
         payload = {"holds": rep["holds"], "witness": rep["witness"]}
         lines = ["realizes: %s" % rep["holds"]]
         if not rep["holds"]:
@@ -311,7 +309,7 @@ def _dispatch(args):
         d, _ = _datum(ws, args)
         eqs = ws.load_equations(args.sigma, d.signature)
         from .cohomology import h2 as h2_fn
-        res = h2_fn(d, eqs, cap=args.cap, seed=args.seed)
+        res = h2_fn(d, eqs, cap=args.cap)
         payload = res.to_json()
         if not res.classes:
             lines = ["H2 empty: the equations do not contain the datum"]

@@ -3,8 +3,8 @@
 from itertools import product
 from math import prod
 
-from .algebras import (AlgebraError, CapExceeded, FiniteAlgebra, is_homomorphism,
-                       DEFAULT_CAP)
+from .algebras import (AlgebraError, CapExceeded, FiniteAlgebra, _block_maps,
+                       _search_plan, DEFAULT_CAP)
 from .congruences import kernel_of_map, pair_algebra, delta as delta_congruence
 from .datum import DatumError, ExtensionRecord
 from .terms import is_var, term_vars, term_to_str
@@ -119,6 +119,15 @@ def check_cocycle(d, T, equations):
 
 # --- reconstruction --------------------------------------------------------
 
+def _check_fibers(d, T):
+    """Raise DatumError at the first cell, in cells() order, where the
+    2-cochain T leaves the fiber (C1) fixes, cell_fibers()."""
+    rho = d.dc.rho_class
+    for (sym, qs), fib, v in zip(d.cells(), d.cell_fibers(), T):
+        if rho[v] != fib:
+            raise DatumError("cocycle violates (C1) at %s%r" % (sym, qs))
+
+
 def reconstruct(d, T, name=None, verify=True):
     """The algebra on the Delta-class universe built from datum and cocycle.
 
@@ -134,9 +143,7 @@ def reconstruct(d, T, name=None, verify=True):
     U, nq, rho = d.dc.size, d.qsize(), d.dc.rho_class
     _check_cochain(d, T)
     if verify:
-        for (sym, qs), fib, v in zip(d.cells(), d.cell_fibers(), T):
-            if rho[v] != fib:
-                raise DatumError("cocycle violates (C1) at %s%r" % (sym, qs))
+        _check_fibers(d, T)
     sums = d.sum_table()
     table, m = d.dc.m_table(), d.dc.m_class
     tables = {}
@@ -162,18 +169,22 @@ def reconstruct(d, T, name=None, verify=True):
 
 # --- realization -----------------------------------------------------------
 
-def check_realization(ext, d, cap=32):
+REALIZATION_CAP = 32
+
+
+def check_realization(ext, d):
     """Search for a bijection i and lifting l realizing the datum in ext.
 
     The bijection is fiber-preserving; the search runs over per-fiber
-    bijections and liftings with early pruning.  Returns a report with the
-    witness or with "exhausted".
+    bijections and liftings with early pruning, on extensions of at most
+    REALIZATION_CAP elements.  Returns a report with the witness or with
+    "exhausted".
     """
     if ext.q_alg.size != d.qsize():
         return {"claim": "realizes datum", "holds": False,
                 "witness": {"reason": "different quotients"}}
-    if ext.alg.size > cap:
-        raise DatumError("realization search capped at %d elements" % cap)
+    if ext.alg.size > REALIZATION_CAP:
+        raise DatumError("realization search capped at %d elements" % REALIZATION_CAP)
     if ext.m_flat is None:
         raise DatumError("extension carries no ternary operation")
     alg, beta = ext.alg, ext.beta
@@ -251,7 +262,9 @@ def is_semidirect(ext):
 
     Retractions constant on kernel blocks are exactly the choices of one
     representative per block, so the search is over those, Pi |block| of
-    them, held to DEFAULT_CAP before the first is tried.
+    them, held to DEFAULT_CAP before the first is tried: the block search
+    (_block_maps) with the constant lists [r] * |block|, r in block order,
+    as each block's pool, so the least retraction is returned.
     """
     alg, beta = ext.alg, ext.beta
     blocks = beta.blocks()
@@ -259,14 +272,8 @@ def is_semidirect(ext):
     if space > DEFAULT_CAP:
         raise CapExceeded("is_semidirect", space, DEFAULT_CAP,
                           "{stage}: {size} candidate retractions exceed cap {cap}")
-    for reps in product(*blocks):
-        r = [0] * alg.size
-        for block, rep in zip(blocks, reps):
-            for x in block:
-                r[x] = rep
-        if is_homomorphism(r, alg, alg):
-            return r
-    return None
+    pools = [[[r] * len(block) for r in block] for block in blocks]
+    return next(_block_maps(_search_plan(alg, blocks), pools, alg), None)
 
 
 # --- transfer products ------------------------------------------------------

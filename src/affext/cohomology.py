@@ -5,9 +5,9 @@ from functools import reduce
 from itertools import product
 from math import prod
 
-from .algebras import (DEFAULT_CAP, AlgebraError, CapExceeded, closure,
-                       find_isomorphism, is_homomorphism)
-from .cocycles import (check_cocycle, coboundary_of, e_paths,
+from .algebras import (DEFAULT_CAP, AlgebraError, CapExceeded, _block_maps,
+                       _search_plan, closure, find_isomorphism, is_homomorphism)
+from .cocycles import (_check_fibers, check_cocycle, coboundary_of, e_paths,
                        fiber_respecting_maps, reconstruct)
 from ._linear import System, factor, fiber_bases
 from .datum import DatumError, check_action_compatible
@@ -383,12 +383,15 @@ class CohomologyResult:
         }
 
 
-def h2(d, equations, cap=1 << 24, brute=False, namer=None, seed=0):
+def h2(d, equations, cap=1 << 24, namer=None):
     """H^2 = Z^2/B^2 with a representative cocycle and the reconstructed
-    extension's isomorphism type per class."""
-    z2 = cocycle_group(d, equations, cap=cap, brute=brute)
+    extension's isomorphism type per class.  An empty Z^2 gives an empty
+    H^2 only on a datum whose trivial cocycle meets (C1); on any other,
+    h2 raises the DatumError reconstruct raises on it."""
+    z2 = cocycle_group(d, equations, cap=cap)
     b2 = coboundary_group(d)
     if not z2.serialized:
+        _check_fibers(d, d.trivial_cocycle())
         return CohomologyResult(d, z2, b2, [], [])
     if not set(z2.serialized).issuperset(b2.serialized):
         raise DatumError("a coboundary is not a compatible cocycle")
@@ -396,7 +399,7 @@ def h2(d, equations, cap=1 << 24, brute=False, namer=None, seed=0):
     least, reps, factors = _quotient(z2.serialized, b2.serialized, zero, add)
     zero_key = least[zero]
     if namer is None:
-        namer = _default_namer(d, seed=seed)
+        namer = _default_namer(d)
     classes, reconstructions = [], []
     for rep in reps:
         ext = reconstruct(d, rep)
@@ -408,7 +411,7 @@ def h2(d, equations, cap=1 << 24, brute=False, namer=None, seed=0):
     return CohomologyResult(d, z2, b2, factors, classes)
 
 
-def _default_namer(d, seed=0):
+def _default_namer(d):
     """Names a reconstruction by its catalog group when it has the group
     signature and one matches; otherwise "iso-class-i" for the least i
     whose earlier reconstruction is isomorphic to it (its own index when
@@ -422,13 +425,13 @@ def _default_namer(d, seed=0):
     def namer(alg, previous):
         if alg.signature == GROUP_SIGNATURE:
             from .groups import iso_type
-            t = iso_type(alg, seed=seed)
+            t = iso_type(alg)
             if t is not None:
                 return t
         key = _invariant(alg)
         for i, first in firsts:
             if _invariant(first) == key and \
-                    find_isomorphism(alg, first, seed=seed) is not None:
+                    find_isomorphism(alg, first) is not None:
                 return "iso-class-%d" % i
         firsts.append((len(previous) - 1, alg))
         return "iso-class-%d" % (len(previous) - 1)
@@ -456,18 +459,18 @@ def stabilizing_isomorphism(ext_a, ext_b):
 
     The search plan (the fibers, their image pools, and the depth at which
     each table entry of ext_a is checked) reads only ext_a and ext_b.pi, so
-    it is built once per (ext_a, ext_b.pi) and kept in ext_a.  The search
-    assigns the fibers depth-first in key order, y ascending, and checks
-    each entry as soon as the last fiber it reads or writes is assigned.
-    Candidates are met in lexicographic order, and the gamma returned is
-    the least.
+    it is built once per (ext_a, ext_b.pi) and kept in ext_a.  The block
+    search (_block_maps) assigns the fibers depth-first in key order, y
+    ascending, and checks each entry as soon as the last fiber it reads or
+    writes is assigned.  Candidates are met in lexicographic order, and
+    the gamma returned is the least.
     """
     return next(_stabilizing_maps(ext_a, ext_b), None)
 
 
 def _stabilizing_maps(ext_a, ext_b):
     """Every stabilizing isomorphism ext_a -> ext_b, each as a list, least
-    first: the depth-first search of stabilizing_isomorphism run to the end."""
+    first: the block search (_block_maps) on the plan below, run to the end."""
     if ext_a.m_flat is None:
         raise DatumError("extension carries no ternary operation")
     a, b = ext_a.alg, ext_b.alg
@@ -480,31 +483,13 @@ def _stabilizing_maps(ext_a, ext_b):
     plan = plans[ext_b.pi]
     if plan is None or a.signature != b.signature:
         return
-    fibers, pools, checks = plan
-    n, tables = b.size, b.tables
-    gamma = [0] * n
-    stack = [iter(pools[0])]
-    while stack:
-        i = len(stack) - 1
-        for images in stack[i]:
-            for x, y in zip(fibers[i], images):
-                gamma[x] = y
-            if _entries_hold(checks[i], gamma, tables, n):
-                break
-        else:
-            stack.pop()
-            continue
-        if i + 1 == len(fibers):
-            yield list(gamma)
-        else:
-            stack.append(iter(pools[i + 1]))
+    yield from _block_maps(*plan, b)
 
 
 def _gamma_plan(ext_a, target_pi):
-    """stabilizing_isomorphism's (fibers, pools, checks), or None when a
-    fiber of ext_a and its target fiber differ in size.  checks[i] holds,
-    per symbol, the entries (value, args) of ext_a's table whose deepest
-    fiber is fibers[i]."""
+    """stabilizing_isomorphism's block search plan on ext_a's fibers
+    (_search_plan) and their image pools, or None when a fiber of ext_a
+    and its target fiber differ in size."""
     a = ext_a.alg
     n = a.size
     fibers_a, fibers_b = {}, {}
@@ -531,32 +516,7 @@ def _gamma_plan(ext_a, target_pi):
                     for i, r in enumerate(block) for j, x in enumerate(block)):
                 pool.append(im)
         pools.append(pool)
-    depth = [0] * n
-    for i, block in enumerate(fibers):
-        for x in block:
-            depth[x] = i
-    checks = [[] for _ in fibers]
-    for sym, ar in a.signature.symbols:
-        by_depth = [[] for _ in fibers]
-        for args, v in zip(product(range(n), repeat=ar), a.tables[sym]):
-            by_depth[max(map(depth.__getitem__, args + (v,)))].append((v, args))
-        for i, entries in enumerate(by_depth):
-            if entries:
-                checks[i].append((sym, entries))
-    return fibers, pools, checks
-
-
-def _entries_hold(checks, gamma, tables, n):
-    """gamma(v) = f(gamma(args)) in the target tables for every entry."""
-    for sym, entries in checks:
-        tab = tables[sym]
-        for v, args in entries:
-            k = 0
-            for x in args:
-                k = k * n + gamma[x]
-            if tab[k] != gamma[v]:
-                return False
-    return True
+    return _search_plan(a, fibers), pools
 
 
 # --- stabilizing automorphisms and derivations -------------------------------
@@ -566,7 +526,7 @@ def stabilizers(ext):
     pair (a,x), gamma(x) = m(gamma(a), a, x), sorted.
 
     They are the stabilizing isomorphisms from ext to itself, read off the
-    compiled search (_stabilizing_maps) after this function's own cap on
+    block search (_stabilizing_maps) after this function's own cap on
     the Pi |block| candidates.  Each map is fixed on a block by y = gamma(b0),
     b0 the block's least element, and listed once, keyed by that y; a loop
     over every y of the block would meet one map twice when m(y, b0, b0)
@@ -700,12 +660,13 @@ def h1(d):
 
 # --- trivial actions and central extensions ----------------------------------
 
-def trivial_action_check(d, all_liftings_cap=256):
+def trivial_action_check(d):
     """Exhaustive test of the trivial-action sum identity over all symbols,
-    index sets and argument tuples; sweeps every lifting when cheap."""
+    index sets and argument tuples; sweeps every lifting when there are at
+    most 256, else tests the datum's own."""
     n = d.asize
     per_q = [[x for x in range(n) if d.pi_of(x) == q] for q in range(d.qsize())]
-    if prod(map(len, per_q)) <= all_liftings_cap:
+    if prod(map(len, per_q)) <= 256:
         lift_choices = [tuple(c) for c in product(*per_q)]
     else:
         lift_choices = [d.lifting]

@@ -226,14 +226,14 @@ def subgroup_as_group(alg, sub, name=None):
     return _group_from_mul(name or "%s|%d" % (alg.name, len(sub)), mul)
 
 
-def iso_type(alg, cat=None, seed=0):
+def iso_type(alg, cat=None):
     """Name of the catalog group isomorphic to alg, or None."""
     if cat is None:
         cat = catalog()
     for name in sorted(cat):
         g = cat[name]
         if g.size == alg.size and g.signature == alg.signature:
-            if find_isomorphism(alg, g, seed=seed) is not None:
+            if find_isomorphism(alg, g) is not None:
                 return name
     return None
 

@@ -384,14 +384,14 @@ def claim_realization(cap=1 << 24):
     d, T = extract_datum(ext)
     failures = []
     rec = reconstruct(d, T)
-    r = check_realization(rec, d, cap=32)
+    r = check_realization(rec, d)
     if not r["holds"]:
         failures.append({"reconstruction": r["witness"]})
-    r = check_realization(ext, d, cap=32)
+    r = check_realization(ext, d)
     if not r["holds"]:
         failures.append({"Z4": r["witness"]})
     v4 = group_extension(cat["Z2xZ2"], [0, 1])
-    r = check_realization(v4, d, cap=32)
+    r = check_realization(v4, d)
     if not r["holds"]:
         failures.append({"Z2xZ2": r["witness"]})
     return {"claim": "extensions realize the extracted datum",

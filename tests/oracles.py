@@ -40,6 +40,11 @@ with, now compared with what replaced them.
   k-tuple and looked up by hashing it.
 - UnionFind, union_find_tr_m: path-halving union-find, and the Tr M half
   of Delta by one union per matrix with tuple-keyed pair lookups.
+- backtracking_isomorphism: find_isomorphism's element-by-element
+  backtracking, with is_homomorphism tested at each leaf (its partial
+  check missed entries whose value gets its image after its arguments).
+- product_retraction: is_semidirect's loop over the product of the kernel
+  blocks, each representative choice tested with is_homomorphism.
 - plus_u, entrywise_validate_datum: m(x, delta(u), y) at an explicit base
   element u, and validate_datum with every axiom checked per
   class, pair or triple through fdelta_apply, action_apply, plus_at and
@@ -55,8 +60,8 @@ from operator import mul
 from affext._linear import fiber_basis, howell, howell_kernel
 from affext.algebras import (DEFAULT_CAP, GROUP_SIGNATURE, AlgebraError,
                              CapExceeded, FiniteAlgebra, _apply_rows, _invariant,
-                             _row_getters, closure, congruence_violation,
-                             find_isomorphism)
+                             _profiles, _row_getters, closure, congruence_violation,
+                             find_isomorphism, is_homomorphism)
 from affext.cocycles import (coboundary_of, e_paths, fiber_respecting_maps,
                              reconstruct)
 from affext.cohomology import (_check_subgroup, _cochain_group, _side_value,
@@ -370,7 +375,7 @@ def image_list_constraints(d, equations, domains):
     return cons
 
 
-def first_index_namer(d, seed=0):
+def first_index_namer(d):
     """_default_namer as it once was: names a reconstruction by its catalog
     group when it has the group signature and one matches; otherwise
     "iso-class-i" for the least i whose earlier reconstruction is
@@ -380,13 +385,13 @@ def first_index_namer(d, seed=0):
 
     def namer(alg, previous):
         if alg.signature == GROUP_SIGNATURE:
-            t = iso_type(alg, seed=seed)
+            t = iso_type(alg)
             if t is not None:
                 return t
         key = _invariant(alg)
         for i, ext in enumerate(previous[:-1]):
             if _invariant(ext.alg) == key and \
-                    find_isomorphism(alg, ext.alg, seed=seed) is not None:
+                    find_isomorphism(alg, ext.alg) is not None:
                 return "iso-class-%d" % i
         return "iso-class-%d" % (len(previous) - 1)
 
@@ -929,3 +934,78 @@ def entrywise_validate_datum(d, cap=DEFAULT_CAP):
     add("Delta matches the rule d = m(b,a,c)", not bad, bad and bad[-1])
 
     return report
+
+
+def backtracking_isomorphism(a, b):
+    """find_isomorphism as it once was: backtracking over profile-compatible
+    candidates element by element, with is_homomorphism tested at each
+    leaf, as the partial check never compares an entry whose value gets
+    its image after its arguments."""
+    if a.signature != b.signature or a.size != b.size or _invariant(a) != _invariant(b):
+        return None
+    n = a.size
+    ca, cb = _profiles(a), _profiles(b)
+    cand = [[y for y in range(n) if cb[y] == ca[x]] for x in range(n)]
+    order = sorted(range(n), key=lambda x: (len(cand[x]), x))
+    img = [-1] * n
+    used = [False] * n
+    binops = [(a.tables[s], b.tables[s]) for s, ar in a.signature.symbols if ar == 2]
+    unops = [(a.tables[s], b.tables[s]) for s, ar in a.signature.symbols if ar == 1]
+    others = [(s, ar) for s, ar in a.signature.symbols if ar > 2]
+    for s, ar in a.signature.symbols:
+        if ar == 0 and cb[b.tables[s][0]] != ca[a.tables[s][0]]:
+            return None
+
+    def consistent(x):
+        assigned = [z for z in range(n) if img[z] >= 0]
+        for ta, tb in unops:
+            if img[ta[x]] >= 0 and img[ta[x]] != tb[img[x]]:
+                return False
+        for ta, tb in binops:
+            for z in assigned:
+                v = ta[x * n + z]
+                if img[v] >= 0 and img[v] != tb[img[x] * n + img[z]]:
+                    return False
+                v = ta[z * n + x]
+                if img[v] >= 0 and img[v] != tb[img[z] * n + img[x]]:
+                    return False
+        for s, ar in others:
+            for args in product(assigned + [x], repeat=ar):
+                if x not in args:
+                    continue
+                v = a.apply(s, args)
+                if img[v] >= 0 and img[v] != b.apply(s, tuple(img[z] for z in args)):
+                    return False
+        return True
+
+    def solve(pos):
+        if pos == n:
+            return is_homomorphism(img, a, b)
+        x = order[pos]
+        for y in cand[x]:
+            if used[y]:
+                continue
+            img[x] = y
+            used[y] = True
+            if consistent(x) and solve(pos + 1):
+                return True
+            img[x] = -1
+            used[y] = False
+        return False
+
+    return list(img) if solve(0) else None
+
+
+def product_retraction(ext):
+    """is_semidirect as it once was: the first choice of one representative
+    per kernel block, in product order, whose retraction is a
+    homomorphism, or None."""
+    alg, blocks = ext.alg, ext.beta.blocks()
+    for reps in product(*blocks):
+        r = [0] * alg.size
+        for block, rep in zip(blocks, reps):
+            for x in block:
+                r[x] = rep
+        if is_homomorphism(r, alg, alg):
+            return r
+    return None

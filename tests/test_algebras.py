@@ -9,7 +9,7 @@ from affext.algebras import (AlgebraError, FiniteAlgebra, Signature,
                              tuple_decode)
 from affext.congruences import Congruence, cg
 
-from oracles import tuple_encode
+from oracles import backtracking_isomorphism, tuple_encode
 
 
 def test_subalgebra_examples(cat):
@@ -151,6 +151,35 @@ def test_profile_invariant_is_memoized_and_iso_invariant(cat):
         for b in cat.values():
             if a.size == b.size and _invariant(a) != _invariant(b):
                 assert find_isomorphism(a, b) is None
+
+
+def test_iso_checks_entries_whose_value_is_assigned_last():
+    """XNOR and AND on {0, 1} have equal invariants, and the identity agrees
+    on every entry whose value has its image before its arguments, but no
+    bijection is a homomorphism."""
+    sig = Signature([("f", 2)])
+    xnor = FiniteAlgebra(2, sig, {"f": (1, 0, 0, 1)})
+    conj = FiniteAlgebra(2, sig, {"f": (0, 0, 0, 1)})
+    assert find_isomorphism(xnor, conj) is None
+    assert backtracking_isomorphism(xnor, conj) is None
+
+
+def test_iso_matches_the_backtracking_on_the_catalog(cat):
+    """The first isomorphism on every catalog pair of one order, and onto a
+    relabelled copy of each group."""
+    rng = random.Random(3)
+    for a in cat.values():
+        perm = list(range(a.size))
+        rng.shuffle(perm)
+        inv = [perm.index(i) for i in range(a.size)]
+        copy = FiniteAlgebra(a.size, a.signature, {
+            sym: tuple(perm[a.tables[sym][tuple_encode([inv[x] for x in args], a.size)]]
+                       for args in product(range(a.size), repeat=ar))
+            for sym, ar in a.signature.symbols})
+        for b in [copy] + [b for b in cat.values() if b.size == a.size]:
+            iso = find_isomorphism(a, b)
+            assert iso == backtracking_isomorphism(a, b)
+            assert (iso is not None) == (b is copy or b is a)
 
 
 def test_iso_size_mismatch(cat):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from affext.algebras import (DEFAULT_CAP, AlgebraError, CapExceeded,
                              is_homomorphism)
-from affext.cocycles import reconstruct
+from affext.cocycles import is_semidirect, reconstruct
 from affext.cohomology import (_check_subgroup, _two_cochains,
                                coboundary_group, cocycle_group, derivations,
                                h1, h2, invariant_factors,
@@ -24,7 +24,7 @@ from affext.groups import cyclic
 from affext.verify import (catalog_extensions, datum_for_oracle_case,
                            oracle_cases)
 
-from oracles import cocycle_add
+from oracles import cocycle_add, product_retraction
 
 # (group, kernel): Z2^3/Z2, order-4 kernels of order-8 groups, Z4/Z2 and
 # cyclic groups over Z2 or Z3
@@ -204,6 +204,22 @@ def test_stabilizers_match_the_product_search(cat, name, kernel):
     d, _ = extract_datum(ext)
     a0 = reconstruct(d, d.trivial_cocycle())
     assert stabilizers(a0) == _product_stabilizers(a0)
+
+
+def test_is_semidirect_matches_the_product_loop(cat):
+    """The least retraction on the catalog extensions and on every case,
+    and on A_0 of each case's datum, which always splits."""
+    exts = [ext for _, ext in catalog_extensions(cat)]
+    for name, kernel in CASES:
+        ext = group_extension(_group(cat, name), kernel)
+        d, _ = extract_datum(ext)
+        exts += [ext, reconstruct(d, d.trivial_cocycle())]
+    splits = 0
+    for ext in exts:
+        r = is_semidirect(ext)
+        assert r == product_retraction(ext)
+        splits += r is not None
+    assert (len(exts), splits) == (25, 17)
 
 
 def _old_stabilizing_isomorphism(ext_a, ext_b):

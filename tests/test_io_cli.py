@@ -172,6 +172,26 @@ def test_cli_datum_validate_names_the_witness(tmp_path, cat, edit, claim, witnes
     assert {"claim": claim, "holds": False, "witness": witness} in failed
 
 
+@pytest.mark.parametrize("command", [["h2", "--sigma", "builtin:groups"], ["h1"]],
+                         ids=["h2", "h1"])
+def test_cli_cohomology_refuses_an_off_fiber_nullary(tmp_path, cat, monkeypatch,
+                                                     capsys, command):
+    """D4 over its centre with the nullary f-delta on a class over q = 1:
+    the trivial cocycle breaks (C1) at e(), and h2, whose Z2 is empty
+    there, exits 2 as h1 does."""
+    from affext.datum import extract_datum, group_extension
+    from affext.groups import center
+    d, _ = extract_datum(group_extension(cat["D4"], center(cat["D4"])))
+    data = datum_to_json(d)
+    _set_e(data)
+    dump_json(data, tmp_path / "d4e.json")
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(command[:1] + ["--datum", "d4e.json"] + command[1:])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "cocycle violates (C1) at e()" in err
+
+
 def test_cli_usage_errors(files):
     r = run_cli(["h2", "--alg", "missing.json", "--con", "alpha.json",
                  "--sigma", "builtin:groups"], files)

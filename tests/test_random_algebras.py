@@ -2,20 +2,24 @@
 and the displacement loop they replaced, the sliced congruence_violation
 against its apply loop, is_abelian against the Cg on A(alpha) it replaced
 and the term-condition commutator, satisfies against its eval_term loop,
-and the lattice laws of Con A and of the commutator."""
+the lattice laws of Con A and of the commutator, and find_isomorphism
+against a search over every permutation and the backtracking it
+replaced."""
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 from hypothesis import given, settings, strategies as st
 
 from affext.algebras import (AlgebraError, FiniteAlgebra, Signature,
-                             congruence_violation, satisfies)
+                             congruence_violation, find_isomorphism,
+                             is_homomorphism, satisfies)
 from affext.commutator import is_abelian, tc_commutator
 from affext.congruences import (Congruence, all_congruences, cg,
                                 kernel_of_map, pair_algebra)
 
-from oracles import UnionFind, cg_is_abelian, enumerated_congruences, eval_satisfies
+from oracles import (UnionFind, backtracking_isomorphism, cg_is_abelian,
+                     enumerated_congruences, eval_satisfies)
 
 
 def oracle_cg(alg, pairs):
@@ -298,3 +302,56 @@ def test_is_abelian_on_group_malcev_reducts(cat):
                 assert not is_abelian(alg, alpha)
                 continue
             assert is_abelian(alg, alpha) == tc_commutator(alg, alpha, alpha).is_equality()
+
+
+def permuted(alg, perm):
+    """alg relabelled along the bijection perm."""
+    n = alg.size
+    inv = [perm.index(y) for y in range(n)]
+    return FiniteAlgebra(n, alg.signature, {
+        sym: tuple(perm[alg.apply(sym, tuple(inv[x] for x in args))]
+                   for args in product(range(n), repeat=ar))
+        for sym, ar in alg.signature.symbols})
+
+
+def is_isomorphism_by_apply(perm, a, b):
+    return all(perm[a.apply(sym, args)] == b.apply(sym, tuple(perm[x] for x in args))
+               for sym, ar in a.signature.symbols
+               for args in product(range(a.size), repeat=ar))
+
+
+@st.composite
+def algebra_pairs(draw):
+    """Two algebras of one size and signature, one symbol of each arity
+    0..3 or fewer: b is a relabelled copy of a, that copy with one entry
+    changed, or a second random algebra."""
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    a = draw(algebras(5, arities))
+    n = a.size
+    kind = draw(st.sampled_from(["copy", "edited copy", "fresh"]))
+    if kind == "fresh":
+        elem = st.integers(0, n - 1)
+        return a, FiniteAlgebra(n, a.signature, {
+            sym: tuple(draw(st.lists(elem, min_size=n ** ar, max_size=n ** ar)))
+            for sym, ar in a.signature.symbols})
+    b = permuted(a, draw(st.permutations(range(n))))
+    if kind == "edited copy":
+        sym, ar = draw(st.sampled_from(a.signature.symbols))
+        tab = list(b.tables[sym])
+        tab[draw(st.integers(0, len(tab) - 1))] = draw(st.integers(0, n - 1))
+        b = FiniteAlgebra(n, a.signature, {**b.tables, sym: tuple(tab)})
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(algebra_pairs())
+def test_find_isomorphism_is_exact(pair):
+    """find_isomorphism answers as a search over every permutation does,
+    returns the backtracking's map, and that map is an isomorphism."""
+    a, b = pair
+    iso = find_isomorphism(a, b)
+    assert iso == backtracking_isomorphism(a, b)
+    assert (iso is not None) == any(is_isomorphism_by_apply(p, a, b)
+                                    for p in permutations(range(a.size)))
+    if iso is not None:
+        assert sorted(iso) == list(range(a.size)) and is_homomorphism(iso, a, b)
