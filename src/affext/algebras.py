@@ -5,6 +5,7 @@ by base-n positional encoding with the leftmost argument most significant.
 The same encoding fixes tuple indexing in power algebras.
 """
 
+from collections import Counter
 from functools import partial, reduce
 from itertools import chain, product, repeat
 from operator import add, getitem, itemgetter, mul
@@ -113,6 +114,7 @@ class FiniteAlgebra:
         self._latin = {}  # is_group_op()'s memo
         self._inverses = {}  # group_inverses()'s memo
         self._profile_memo = None  # (_profiles(), _invariant())
+        self._iso_plan = None  # find_isomorphism's (order, _search_plan)
 
     def associative_ops(self):
         """The symbols of the associative binary operations, in signature
@@ -162,7 +164,7 @@ class FiniteAlgebra:
         sub._associative = base.associative_ops()
         sub._latin = {sym: True for sym in sub._associative if base.is_group_op(sym)}
         sub._inverses = {sym: base.group_inverses(sym) for sym in sub._latin}
-        sub._profile_memo = None
+        sub._profile_memo = sub._iso_plan = None
         return sub
 
     def op(self, sym, *args):
@@ -530,14 +532,21 @@ def find_isomorphism(a, b):
     its profile color in ascending order, no image taken twice.  Every
     table entry of a is checked once its arguments and value all have
     images, so the map returned is the first isomorphism in that order.
+    Once the invariants agree, a color has as many members in b as in a,
+    so the order and its plan read only a and are built once per a.
     """
     if a.signature != b.signature or a.size != b.size or _invariant(a) != _invariant(b):
         return None
-    n, ca, cb = a.size, _profiles(a), _profiles(b)
-    cand = [[[y] for y in range(n) if cb[y] == ca[x]] for x in range(n)]
-    order = sorted(range(n), key=lambda x: (len(cand[x]), x))
-    return next(_block_maps(_search_plan(a, [[x] for x in order]),
-                            [cand[x] for x in order], b, injective=True), None)
+    ca, cb = _profiles(a), _profiles(b)
+    if a._iso_plan is None:
+        count = Counter(ca)
+        order = sorted(range(a.size), key=lambda x: (count[ca[x]], x))
+        a._iso_plan = order, _search_plan(a, [[x] for x in order])
+    order, plan = a._iso_plan
+    cand = {}
+    for y, c in enumerate(cb):
+        cand.setdefault(c, []).append([y])
+    return next(_block_maps(plan, [cand[ca[x]] for x in order], b, injective=True), None)
 
 
 def _search_plan(alg, blocks):

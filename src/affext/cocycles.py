@@ -1,12 +1,12 @@
 """2-cocycles, derived term operations, reconstruction and realization."""
 
-from itertools import product
-from math import prod
+from itertools import permutations, product
+from math import factorial, prod
 
-from .algebras import (AlgebraError, CapExceeded, FiniteAlgebra, _block_maps,
-                       _search_plan, DEFAULT_CAP)
+from .algebras import (AlgebraError, CapExceeded, FiniteAlgebra, Signature,
+                       _block_maps, _search_plan, DEFAULT_CAP)
 from .congruences import kernel_of_map, pair_algebra, delta as delta_congruence
-from .datum import DatumError, ExtensionRecord
+from .datum import DatumError, ExtensionRecord, _column
 from .terms import is_var, term_vars, term_to_str
 
 
@@ -169,90 +169,68 @@ def reconstruct(d, T, name=None, verify=True):
 
 # --- realization -----------------------------------------------------------
 
-REALIZATION_CAP = 32
-
-
 def check_realization(ext, d):
-    """Search for a bijection i and lifting l realizing the datum in ext.
+    """Search for a fiber-preserving bijection i of the Delta-classes and a
+    lifting l realizing the datum d in ext.
 
-    The bijection is fiber-preserving; the search runs over per-fiber
-    bijections and liftings with early pruning, on extensions of at most
-    REALIZATION_CAP elements.  Returns a report with the witness or with
-    "exhausted".
+    i maps A(beta)/Delta_{beta,beta} of ext onto d's classes and must carry
+    each action a(f,k) at each Q tuple, read at the diagonal classes of l,
+    to d's, and likewise f-delta for unary f and the constants.  The
+    lifting is fixed to the least element of each beta-block: Delta_{beta,
+    beta} holds ((u,u),(v,v)) for u beta v, so the diagonal classes, all
+    the search reads of l, are the same for every lifting.  The search is
+    the block search (_block_maps) on ext's fibers in q order, each fiber's
+    pool the permutations of d's matching fiber, Pi |fiber|! bijections
+    and the listed images held to DEFAULT_CAP before any pool is built; the
+    first bijection found is the least in product order.  Returns a report
+    with the witness or with the reason it fails.
     """
-    if ext.q_alg.size != d.qsize():
+    def fails(reason):
         return {"claim": "realizes datum", "holds": False,
-                "witness": {"reason": "different quotients"}}
-    if ext.alg.size > REALIZATION_CAP:
-        raise DatumError("realization search capped at %d elements" % REALIZATION_CAP)
+                "witness": {"reason": reason}}
+    nq, size, pi = d.qsize(), d.dc.size, ext.pi
+    if ext.q_alg.size != nq:
+        return fails("different quotients")
     if ext.m_flat is None:
         raise DatumError("extension carries no ternary operation")
-    alg, beta = ext.alg, ext.beta
-    pairalg = pair_algebra(alg, beta)
-    d_bb = delta_congruence(alg, beta, beta, pairalg=pairalg)
-    rho_pair = [ext.pi[p[0]] for p in pairalg.pairs]
-    from .datum import DeltaClasses
-    dcb = DeltaClasses(alg.size, ext.m_flat, pairalg.pairs, d_bb, rho_pair)
-    if dcb.size != d.dc.size:
-        return {"claim": "realizes datum", "holds": False,
-                "witness": {"reason": "class counts differ"}}
-    nq = d.qsize()
-
-    def quotient_apply(sym, cls_args):
-        reps = [dcb.class_reps[c] for c in cls_args]
-        top = alg.apply(sym, tuple(r[0] for r in reps))
-        bot = alg.apply(sym, tuple(r[1] for r in reps))
-        return dcb.class_of_pair(top, bot)
-
-    fibers_b = {q: dcb.fibers[q] for q in range(nq)}
-    fibers_a = {q: d.fiber(q) for q in range(nq)}
-    if any(len(fibers_b[q]) != len(fibers_a[q]) for q in range(nq)):
-        return {"claim": "realizes datum", "holds": False,
-                "witness": {"reason": "fiber sizes differ"}}
-    blocks = beta.blocks()
-    block_of_q = {q: blocks[[ext.pi[b[0]] for b in blocks].index(q)] for q in range(nq)}
-
-    def bij_candidates(q):
-        from itertools import permutations
-        fb, fa = fibers_b[q], fibers_a[q]
-        return [dict(zip(fb, perm)) for perm in permutations(fa)]
-
-    def check(i_map, lift):
-        dl = {q: dcb.delta_of[lift[q]] for q in range(nq)}
-        for sym, ar in d.signature.symbols:
-            if ar >= 2:
-                for pos in range(1, ar + 1):
-                    for qs in product(range(nq), repeat=ar - 1):
-                        for x in range(dcb.size):
-                            args = [dl[q] for q in qs[:pos - 1]] + [x] + \
-                                   [dl[q] for q in qs[pos - 1:]]
-                            rhs = i_map[quotient_apply(sym, args)]
-                            lhs = d.action_apply(sym, pos, qs, i_map[x])
-                            if lhs != rhs:
-                                return False
-            elif ar == 1:
-                for x in range(dcb.size):
-                    if d.fdelta_apply(sym, i_map[x], ()) != i_map[quotient_apply(sym, [x])]:
-                        return False
-            else:
-                cls = dcb.class_of_pair(alg.tables[sym][0], alg.tables[sym][0])
-                if d.fdelta[sym][0] != i_map[cls]:
-                    return False
-        return True
-
-    lift_pools = [block_of_q[q] for q in range(nq)]
-    bij_pools = [bij_candidates(q) for q in range(nq)]
-    for lift in product(*lift_pools):
-        for parts in product(*bij_pools):
-            i_map = {}
-            for part in parts:
-                i_map.update(part)
-            if check(i_map, lift):
-                return {"claim": "realizes datum", "holds": True,
-                        "witness": {"bijection": [i_map[c] for c in range(dcb.size)],
-                                    "lifting": list(lift)}}
-    return {"claim": "realizes datum", "holds": False,
-            "witness": {"reason": "exhausted"}}
+    qalg, pairalg, classmap = delta_quotient(ext.alg, ext.beta, ext.beta)
+    if qalg.size != size:
+        return fails("class counts differ")
+    rho = dict(zip(classmap, (pi[a] for a, _ in pairalg.pairs)))
+    fibers = [[c for c in range(size) if rho[c] == q] for q in range(nq)]
+    if any(len(fib) != len(d.fiber(q)) for q, fib in enumerate(fibers)):
+        return fails("fiber sizes differ")
+    space = prod(factorial(len(fib)) for fib in fibers)
+    listed = sum(factorial(len(fib)) * len(fib) for fib in fibers)
+    if max(space, listed) > DEFAULT_CAP:
+        raise CapExceeded("check_realization", space if space > DEFAULT_CAP else listed,
+                          DEFAULT_CAP, "{stage}: {size} fiber bijections or "
+                          "listed images exceed cap {cap}")
+    lifting = [pi.index(q) for q in range(nq)]
+    diag = [classmap[pairalg.pair_index[(u, u)]] for u in lifting]
+    symbols, src, dst = [], {}, {}
+    for sym, ar in d.signature.symbols:
+        if ar < 2:
+            symbols.append((sym, ar))
+            src[sym], dst[sym] = qalg.tables[sym], d.fdelta[sym]
+            continue
+        strides = tuple(size ** (ar - p) for p in range(1, ar + 1))
+        for k in range(1, ar + 1):
+            for rest in product(range(nq), repeat=ar - 1):
+                qs = rest[:k - 1] + (0,) + rest[k - 1:]
+                key = "%s:%d:%s" % (sym, k, rest)
+                symbols.append((key, 1))
+                src[key] = _column(qalg.tables[sym], strides, k,
+                                   [diag[q] for q in qs], size)
+                dst[key] = _column(d.actions[sym, k], d.layouts[sym, k][1], k, qs, size)
+    sig = Signature(symbols)
+    pools = [list(permutations(d.fiber(q))) for q in range(nq)]
+    bijection = next(_block_maps(_search_plan(FiniteAlgebra(size, sig, src), fibers),
+                                 pools, FiniteAlgebra(size, sig, dst)), None)
+    if bijection is None:
+        return fails("exhausted")
+    return {"claim": "realizes datum", "holds": True,
+            "witness": {"bijection": bijection, "lifting": lifting}}
 
 
 # --- semidirect test --------------------------------------------------------
@@ -377,10 +355,12 @@ def delta_quotient(alg, alpha, beta, cap=DEFAULT_CAP):
 def central_tensor_decomposition(alg, alpha, difference_term, cap=DEFAULT_CAP):
     """A/[alpha,1] as B (x)^T Q with B = A(alpha)/Delta_{alpha 1}, Q = A/alpha.
 
-    The transfer is T_f(q) = [r(f(l(q))) // f(l(q))]/Delta_{alpha 1} and the
-    sum on B is d(x, 0, y) at the diagonal class 0.  Representative
-    independence of the transfer is asserted.  Returns a dict with the
-    factors, the product and the isomorphism (None if not found).
+    The transfer is T_f(q) = [l(f^Q(q)) // f(l(q))]/Delta_{alpha 1}, l the
+    least element of each alpha-block, once per Q tuple q: on any members
+    x of the blocks q the pair [r(f(x)) // f(r(x))], r = l.pi, is the same
+    one, as pi(f(x)) = f^Q(q).  The sum on B is d(x, 0, y) at the diagonal
+    class 0.  Returns a dict with the factors, the product and the
+    isomorphism (None if not found).
     """
     from .algebras import quotient_algebra, find_isomorphism
     from .commutator import tc_commutator, is_abelian
@@ -398,25 +378,12 @@ def central_tensor_decomposition(alg, alpha, difference_term, cap=DEFAULT_CAP):
     plus = tuple(eval_term(b_alg, difference_term, {"x0": x, "x1": zero, "x2": y})
                  for x in range(b_alg.size) for y in range(b_alg.size))
     q_alg, blockmap = quotient_algebra(alg, alpha)
-    lifting = [min(x for x in range(n) if blockmap[x] == q)
-               for q in range(q_alg.size)]
-    blocks_by_q = {}
-    for x in range(n):
-        blocks_by_q.setdefault(blockmap[x], []).append(x)
+    lifting = [blockmap.index(q) for q in range(q_alg.size)]
     transfers = {}
     for sym, ar in alg.signature.symbols:
-        tf = {}
-        for qs in product(range(q_alg.size), repeat=ar):
-            vals = set()
-            for xs in product(*(blocks_by_q[q] for q in qs)):
-                fx = alg.apply(sym, xs)
-                rfx = lifting[blockmap[fx]]
-                frx = alg.apply(sym, tuple(lifting[blockmap[x]] for x in xs))
-                vals.add(classmap[pairalg.pair_index[(rfx, frx)]])
-            if len(vals) != 1:
-                raise DatumError("transfer for %r depends on representatives" % sym)
-            tf[qs] = vals.pop()
-        transfers[sym] = tf
+        transfers[sym] = {qs: classmap[pairalg.pair_index[(
+            lifting[q_alg.apply(sym, qs)], alg.apply(sym, [lifting[q] for q in qs]))]]
+            for qs in product(range(q_alg.size), repeat=ar)}
     prod_alg = tensor_product(b_alg, q_alg, plus, transfers)
     comm = tc_commutator(alg, alpha, Congruence.all(n), cap=cap)
     target, _ = quotient_algebra(alg, comm)
@@ -451,24 +418,21 @@ def is_two_step_nilpotent(alg, cap=DEFAULT_CAP):
     return tc_commutator(alg, one, derived, cap=cap).is_equality()
 
 
-def lower_central_series(alg, cap=DEFAULT_CAP, max_steps=8):
+def lower_central_series(alg, cap=DEFAULT_CAP):
     """[1]_1 = [1,1], [1]_{k+1} = [1,[1]_k] until equality or stabilization.
 
-    Returns (series, nilpotent); series[k] is [1]_k (series[0] = 1)."""
+    Returns (series, nilpotent); series[k] is [1]_k (series[0] = 1).  As
+    [1,theta] <= theta, the series falls until it repeats, within the
+    height of the congruence lattice."""
     from .commutator import tc_commutator
     from .congruences import Congruence
     one = Congruence.all(alg.size)
     series = [one]
-    while len(series) <= max_steps:
+    while True:
         nxt = tc_commutator(alg, one, series[-1], cap=cap)
-        if nxt.is_equality():
-            series.append(nxt)
-            return series, True
-        if nxt == series[-1]:
-            series.append(nxt)
-            return series, False
         series.append(nxt)
-    return series, False
+        if nxt.is_equality() or nxt == series[-2]:
+            return series, nxt.is_equality()
 
 
 def nilpotent_decomposition(alg, difference_term, cap=DEFAULT_CAP):

@@ -11,7 +11,7 @@ from .cocycles import (_check_fibers, check_cocycle, coboundary_of, e_paths,
                        fiber_respecting_maps, reconstruct)
 from ._linear import System, factor, fiber_bases
 from .datum import DatumError, check_action_compatible
-from .terms import term_table, term_vars
+from .terms import term_tables, term_vars
 
 
 def invariant_factors(orders):
@@ -174,8 +174,7 @@ def _compile(d, equations):
     for lhs, rhs in equations:
         varnames, left = term_vars(lhs, rhs), len(e_paths(lhs))
         paths = [(sign, p) for sign, t in ((1, lhs), (-1, rhs)) for p in e_paths(t)]
-        tables = {s: term_table(d.q_alg, s, varnames)
-                  for s in [lhs, rhs] + [s for _, (_, node) in paths for s in node[1:]]}
+        tables = term_tables(d.q_alg, [lhs, rhs], varnames)
         base, columns = tables[lhs], []
 
         def codes(node):

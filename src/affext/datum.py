@@ -440,7 +440,7 @@ def group_extension(alg, kernel_block, lifting=None, name=None):
                                        lifting=lifting, name=name)
 
 
-def extract_datum(ext, cap=DEFAULT_CAP, check_m_rule=True):
+def extract_datum(ext, cap=DEFAULT_CAP):
     """Decompose an extension with abelian kernel into affine datum and its
     2-cocycle.
 
@@ -467,7 +467,7 @@ def extract_datum(ext, cap=DEFAULT_CAP, check_m_rule=True):
 
     pairalg = pairalg or pair_algebra(alg, beta, cap=cap)
     d_bb = delta_congruence(alg, beta, beta, cap=cap, pairalg=pairalg, matrices=matrices)
-    if check_m_rule and m_rule_delta(beta, pairalg.pairs, ext.m_elem) != d_bb:
+    if m_rule_delta(beta, pairalg.pairs, ext.m_elem) != d_bb:
         # (AD1) holds, so the keyed partition is the pairwise rule; name
         # the first pair of pairs where it and Delta part
         for i, (a, b) in enumerate(pairalg.pairs):

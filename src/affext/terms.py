@@ -120,18 +120,29 @@ def term_table(alg, t, variables):
     the TermError eval_term would raise, in the same order, and a node
     with the wrong number of arguments raises TermError too.
     """
+    return term_tables(alg, [t], variables)[t]
+
+
+def term_tables(alg, terms, variables):
+    """{subterm: term_table} for every subterm of each of terms and every
+    variable, from one walk of the terms in turn: a subterm met again is
+    read back, not walked again.  The TermErrors are term_table's on each
+    term in turn."""
     n, k = alg.size, len(variables)
-    columns = {v: tuple([x for x in range(n) for _ in range(n ** (k - 1 - j))]) * n ** j
-               for j, v in enumerate(variables)}
-    return _node_table(alg, t, columns, n, n ** k)
+    tables = {v: tuple([x for x in range(n) for _ in range(n ** (k - 1 - j))]) * n ** j
+              for j, v in enumerate(variables)}
+    for t in terms:
+        _node_table(alg, t, tables, n, n ** k)
+    return tables
 
 
-def _node_table(alg, t, columns, n, size):
-    """term_table of t, with columns mapping each variable to its table."""
+def _node_table(alg, t, tables, n, size):
+    """term_table of t, filed in tables, which holds each variable's table
+    and each subterm's already made."""
+    if t in tables:
+        return tables[t]
     if is_var(t):
-        if t not in columns:
-            raise TermError("unbound variable %r" % t)
-        return columns[t]
+        raise TermError("unbound variable %r" % t)
     name = t[0]
     ar = alg.signature.arity(name)
     if ar is None:
@@ -140,11 +151,14 @@ def _node_table(alg, t, columns, n, size):
         raise TermError("symbol %r expects %d arguments, got %d" % (name, ar, len(t) - 1))
     tab = alg.tables[name]
     if ar == 0:
-        return (tab[0],) * size
-    codes = _node_table(alg, t[1], columns, n, size)
-    for s in t[2:]:
-        codes = [c * n + x for c, x in zip(codes, _node_table(alg, s, columns, n, size))]
-    return tuple(map(tab.__getitem__, codes))
+        out = (tab[0],) * size
+    else:
+        codes = _node_table(alg, t[1], tables, n, size)
+        for s in t[2:]:
+            codes = [c * n + x for c, x in zip(codes, _node_table(alg, s, tables, n, size))]
+        out = tuple(map(tab.__getitem__, codes))
+    tables[t] = out
+    return out
 
 
 def linearize_term(t):

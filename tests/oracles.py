@@ -45,6 +45,8 @@ with, now compared with what replaced them.
   check missed entries whose value gets its image after its arguments).
 - product_retraction: is_semidirect's loop over the product of the kernel
   blocks, each representative choice tested with is_homomorphism.
+- product_realization: check_realization's loop over every lifting and
+  every product of per-fiber bijections, each tested in full.
 - plus_u, entrywise_validate_datum: m(x, delta(u), y) at an explicit base
   element u, and validate_datum with every axiom checked per
   class, pair or triple through fdelta_apply, action_apply, plus_at and
@@ -69,7 +71,7 @@ from affext.cohomology import (_check_subgroup, _cochain_group, _side_value,
                                twin_pairs_of_identity)
 from affext.commutator import (is_abelian, is_malcev_on_blocks, tc_commutator,
                                verify_ternary_abelian_group_on_blocks)
-from affext.congruences import Congruence, cg, pair_algebra
+from affext.congruences import Congruence, cg, delta as delta_congruence, pair_algebra
 from affext.datum import (_M_SIGNATURE, DatumError, ExtensionRecord,
                           check_action_compatible)
 from affext.groups import iso_type
@@ -1009,3 +1011,87 @@ def product_retraction(ext):
         if is_homomorphism(r, alg, alg):
             return r
     return None
+
+
+REALIZATION_CAP = 32
+
+
+def product_realization(ext, d):
+    """check_realization as it once was: every lifting (blocks' members in
+    product order) times every product of per-fiber bijections, each
+    candidate checked entry by entry through the quotient's
+    representatives, on extensions of at most REALIZATION_CAP elements.
+    Returns a report with the witness or with "exhausted"."""
+    if ext.q_alg.size != d.qsize():
+        return {"claim": "realizes datum", "holds": False,
+                "witness": {"reason": "different quotients"}}
+    if ext.alg.size > REALIZATION_CAP:
+        raise DatumError("realization search capped at %d elements" % REALIZATION_CAP)
+    if ext.m_flat is None:
+        raise DatumError("extension carries no ternary operation")
+    alg, beta = ext.alg, ext.beta
+    pairalg = pair_algebra(alg, beta)
+    d_bb = delta_congruence(alg, beta, beta, pairalg=pairalg)
+    rho_pair = [ext.pi[p[0]] for p in pairalg.pairs]
+    from affext.datum import DeltaClasses
+    dcb = DeltaClasses(alg.size, ext.m_flat, pairalg.pairs, d_bb, rho_pair)
+    if dcb.size != d.dc.size:
+        return {"claim": "realizes datum", "holds": False,
+                "witness": {"reason": "class counts differ"}}
+    nq = d.qsize()
+
+    def quotient_apply(sym, cls_args):
+        reps = [dcb.class_reps[c] for c in cls_args]
+        top = alg.apply(sym, tuple(r[0] for r in reps))
+        bot = alg.apply(sym, tuple(r[1] for r in reps))
+        return dcb.class_of_pair(top, bot)
+
+    fibers_b = {q: dcb.fibers[q] for q in range(nq)}
+    fibers_a = {q: d.fiber(q) for q in range(nq)}
+    if any(len(fibers_b[q]) != len(fibers_a[q]) for q in range(nq)):
+        return {"claim": "realizes datum", "holds": False,
+                "witness": {"reason": "fiber sizes differ"}}
+    blocks = beta.blocks()
+    block_of_q = {q: blocks[[ext.pi[b[0]] for b in blocks].index(q)] for q in range(nq)}
+
+    def bij_candidates(q):
+        from itertools import permutations
+        fb, fa = fibers_b[q], fibers_a[q]
+        return [dict(zip(fb, perm)) for perm in permutations(fa)]
+
+    def check(i_map, lift):
+        dl = {q: dcb.delta_of[lift[q]] for q in range(nq)}
+        for sym, ar in d.signature.symbols:
+            if ar >= 2:
+                for pos in range(1, ar + 1):
+                    for qs in product(range(nq), repeat=ar - 1):
+                        for x in range(dcb.size):
+                            args = [dl[q] for q in qs[:pos - 1]] + [x] + \
+                                   [dl[q] for q in qs[pos - 1:]]
+                            rhs = i_map[quotient_apply(sym, args)]
+                            lhs = d.action_apply(sym, pos, qs, i_map[x])
+                            if lhs != rhs:
+                                return False
+            elif ar == 1:
+                for x in range(dcb.size):
+                    if d.fdelta_apply(sym, i_map[x], ()) != i_map[quotient_apply(sym, [x])]:
+                        return False
+            else:
+                cls = dcb.class_of_pair(alg.tables[sym][0], alg.tables[sym][0])
+                if d.fdelta[sym][0] != i_map[cls]:
+                    return False
+        return True
+
+    lift_pools = [block_of_q[q] for q in range(nq)]
+    bij_pools = [bij_candidates(q) for q in range(nq)]
+    for lift in product(*lift_pools):
+        for parts in product(*bij_pools):
+            i_map = {}
+            for part in parts:
+                i_map.update(part)
+            if check(i_map, lift):
+                return {"claim": "realizes datum", "holds": True,
+                        "witness": {"bijection": [i_map[c] for c in range(dcb.size)],
+                                    "lifting": list(lift)}}
+    return {"claim": "realizes datum", "holds": False,
+            "witness": {"reason": "exhausted"}}

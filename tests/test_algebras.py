@@ -182,6 +182,19 @@ def test_iso_matches_the_backtracking_on_the_catalog(cat):
             assert (iso is not None) == (b is copy or b is a)
 
 
+def test_iso_plan_is_kept_on_the_source(cat):
+    """The search plan is built on the first call from a source algebra and
+    read back on later calls, whatever the target."""
+    d4 = cat["D4"]
+    a = FiniteAlgebra(d4.size, d4.signature, d4.tables)
+    assert a._iso_plan is None
+    assert find_isomorphism(a, d4) == list(range(8))
+    plan = a._iso_plan
+    assert find_isomorphism(a, a) == list(range(8))
+    assert a._iso_plan is plan
+    assert find_isomorphism(a, cat["Q8"]) is None and a._iso_plan is plan
+
+
 def test_iso_size_mismatch(cat):
     assert find_isomorphism(cat["Z4"], cat["Z2"]) is None
 

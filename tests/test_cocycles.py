@@ -1,10 +1,15 @@
+import time
 from itertools import product
 
 import pytest
 
-from affext.algebras import find_isomorphism, satisfies
+from affext import cocycles
+from affext.algebras import DEFAULT_CAP, CapExceeded, find_isomorphism, satisfies
 from affext.congruences import Congruence
-from affext.datum import DatumError, extract_datum, group_extension
+from affext.datum import (DatumError, ExtensionRecord, extract_datum,
+                          group_extension)
+from affext.groups import cyclic, direct_product
+from affext.verify import catalog_extensions, datum_for_oracle_case, oracle_cases
 from affext.cocycles import (_serialized_sub, central_tensor_decomposition,
                              check_cocycle, check_realization,
                              cocycle_difference_coboundary,
@@ -14,7 +19,8 @@ from affext.cocycles import (_serialized_sub, central_tensor_decomposition,
                              coboundary_of)
 from affext.terms import parse_term, term_vars
 
-from oracles import partial_derivative_recursive, tables_of, weak_sum
+from oracles import (partial_derivative_recursive, product_realization,
+                     tables_of, weak_sum)
 
 
 def test_e_paths_counts_internal_nodes():
@@ -182,6 +188,85 @@ def test_realization_rejects_wrong_datum(cat):
     ext_z6 = group_extension(z6, kernel)
     rep = check_realization(ext_z6, d_s3)
     assert not rep["holds"]
+
+
+def test_realization_matches_the_product_loop(cat):
+    """The block search reports what the loop over every lifting and every
+    product of fiber bijections reported, witness included, on the catalog
+    extensions and their reconstructions against the catalog datums and
+    the oracle cases' datums."""
+    exts, datums = [], []
+    for _, ext in catalog_extensions(cat):
+        d, T = extract_datum(ext)
+        exts += [ext, reconstruct(d, T)]
+        datums.append(d)
+    datums += [datum_for_oracle_case(cat, k, q, act)[0]
+               for k, q, _, act in oracle_cases(cat)]
+    reports = [check_realization(e, d) for e in exts for d in datums]
+    assert reports == [product_realization(e, d) for e in exts for d in datums]
+    assert (len(reports), sum(r["holds"] for r in reports)) == (154, 42)
+
+
+def test_realization_matches_the_product_loop_on_order_8(cat):
+    """The same on the order-8 groups over order-4 kernels and Z2^3 over Z2,
+    and on A_0 of each of their datums, against those datums: fibers of
+    four classes, and pairs that exhaust every bijection."""
+    cases = [group_extension(cat[name], kernel) for name, kernel in
+             [("Z2xZ2xZ2", [0, 1]), ("Z8", [0, 2, 4, 6]), ("D4", [0, 2, 4, 6]),
+              ("Q8", [0, 2, 4, 6])]]
+    datums = [extract_datum(ext)[0] for ext in cases]
+    exts = cases + [reconstruct(d, d.trivial_cocycle()) for d in datums]
+    reports = [check_realization(e, d) for e in exts for d in datums]
+    assert reports == [product_realization(e, d) for e in exts for d in datums]
+    reasons = [r["witness"].get("reason") for r in reports]
+    assert (reasons.count(None), reasons.count("exhausted")) == (12, 8)
+
+
+def test_realization_reads_no_lifting(cat):
+    """Every lifting of an extension gives the same report."""
+    for _, ext in catalog_extensions(cat):
+        d, _ = extract_datum(ext)
+        want = check_realization(ext, d)
+        assert want["holds"]
+        for reps in product(*ext.beta.blocks()):
+            lifting = sorted(reps, key=ext.pi.__getitem__)
+            other = ExtensionRecord(ext.alg, ext.pi, ext.q_alg, ext.m_flat,
+                                    lifting=lifting)
+            assert check_realization(other, d) == want
+
+
+def test_realization_exhausts_s3xz4_against_z24_quickly(cat):
+    """S3xZ4 over its Z3 against the Z24/Z3 datum: eight fibers of three
+    classes, 6^8 bijections, none realizing; the search prunes them."""
+    ext = group_extension(direct_product(cat["S3"], cyclic(4)), [0, 12, 16])
+    d, _ = extract_datum(group_extension(cyclic(24), [0, 8, 16]))
+    start = time.perf_counter()
+    rep = check_realization(ext, d)
+    assert time.perf_counter() - start < 1
+    assert rep["witness"] == {"reason": "exhausted"}
+
+
+def test_realization_past_32_elements():
+    """Z40/Z2 realizes its own datum; there is no element limit."""
+    ext = group_extension(cyclic(40), [0, 20])
+    d, _ = extract_datum(ext)
+    rep = check_realization(ext, d)
+    assert rep["holds"] and rep["witness"]["lifting"] == list(range(20))
+
+
+def test_realization_cap_comes_before_the_pools(monkeypatch):
+    """Z11 over itself has one fiber of 11 classes, 11! bijections: over
+    the cap, raised before any permutation is listed."""
+    ext = group_extension(cyclic(11), list(range(11)))
+    d, _ = extract_datum(ext)
+
+    def listed(*args):
+        raise AssertionError("a pool was listed")
+    monkeypatch.setattr(cocycles, "permutations", listed)
+    with pytest.raises(CapExceeded) as info:
+        check_realization(ext, d)
+    exc = info.value
+    assert (exc.stage, exc.size, exc.cap) == ("check_realization", 39916800, DEFAULT_CAP)
 
 
 def test_is_semidirect_examples(cat):

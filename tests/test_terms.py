@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 
 from affext.terms import (GROUP_DIFFERENCE_TERM, TermError, eval_term,
-                          linearize_term, parse_term, term_table, term_to_str,
-                          term_vars, check_term)
+                          linearize_term, parse_term, term_table, term_tables,
+                          term_to_str, term_vars, check_term)
 
 
 def test_term_vars_of_an_equation():
@@ -122,6 +122,33 @@ def test_term_table_raises_what_eval_term_raises(cat):
         assert str(by_table.value) == str(by_eval.value)
     with pytest.raises(TermError):
         term_table(z4, parse_term("(mul x0)"), ("x0",))
+
+
+def _subterms(t):
+    yield t
+    if not isinstance(t, str):
+        for s in t[1:]:
+            yield from _subterms(s)
+
+
+def test_term_tables_hold_every_subterm_once(cat):
+    """term_tables of an equation's sides is term_table of each subterm,
+    the variables' own tables included, a repeated subterm once; it
+    raises the first side's error first."""
+    rng = random.Random(2)
+    ternary = ("x0", "x1", "x2")
+    for alg in cat.values():
+        lhs, sub = random_term(rng, 4, 3), random_term(rng, 3, 3)
+        rhs = ("mul", sub, sub)
+        tables = term_tables(alg, [lhs, rhs], ternary)
+        assert set(tables) == {*_subterms(lhs), *_subterms(rhs), *ternary}
+        for t, table in tables.items():
+            assert table == term_table(alg, t, ternary)
+    z4 = cat["Z4"]
+    with pytest.raises(TermError, match="'foo'"):
+        term_tables(z4, [parse_term("(mul x0 (foo x1))"), parse_term("x5")], ternary)
+    with pytest.raises(TermError, match="'x5'"):
+        term_tables(z4, [parse_term("x5"), parse_term("(foo x0)")], ternary)
 
 
 def test_eval_respects_linearize(cat):
