@@ -177,12 +177,6 @@ class FiniteAlgebra:
             idx = idx * self.size + a
         return tab[idx]
 
-    def elements(self):
-        return range(self.size)
-
-    def constants(self):
-        return [self.tables[sym][0] for sym, ar in self.signature.symbols if ar == 0]
-
     def __repr__(self):
         return "FiniteAlgebra(%s, n=%d)" % (self.name or "?", self.size)
 

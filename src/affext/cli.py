@@ -11,7 +11,7 @@ import sys
 
 from .algebras import AlgebraError
 from .cohomology import CapExceeded
-from .serialization import InputError, Workspace, dump_json
+from .serialization import InputError, Workspace, dump_json, read_json
 from .terms import GROUP_DIFFERENCE_TERM, parse_term
 
 
@@ -102,34 +102,18 @@ def _extension(ws, args):
         if args.m is None and alg.signature.arity(sym) is None:
             raise InputError("no --m given and the signature is not group-like")
     from .datum import ExtensionRecord
-    ext = ExtensionRecord.from_kernel(alg, alpha, m, name=alg.name)
-    lift = _parse_lift(args, alg, ext.q_alg.size)
-    if lift is not None:
-        ext = ExtensionRecord.from_kernel(alg, alpha, m, lifting=lift,
-                                          name=alg.name)
-    return ext
+    lift = _parse_lift(args, alg, alpha.block_count())
+    return ExtensionRecord.from_kernel(alg, alpha, m, lifting=lift, name=alg.name)
 
 
 def _datum(ws, args):
     if args.datum:
         from .serialization import datum_from_json
-        return datum_from_json(_read_json(args.datum)), None
+        return datum_from_json(read_json(args.datum)), None
     from .datum import extract_datum
     ext = _extension(ws, args)
     d, T = extract_datum(ext, cap=args.cap)
     return d, T
-
-
-def _read_json(path):
-    import os
-    if not os.path.exists(path):
-        raise InputError("no such file: %s" % path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError("%s: invalid JSON at line %d column %d"
-                         % (path, exc.lineno, exc.colno))
 
 
 def main(argv=None):
@@ -248,7 +232,7 @@ def _dispatch(args):
         d, T = _datum(ws, args)
         if args.cocycle:
             from .serialization import cocycle_from_json
-            T = cocycle_from_json(d, _read_json(args.cocycle))
+            T = cocycle_from_json(d, read_json(args.cocycle))
         if T is None:
             T = d.trivial_cocycle()
         from .cocycles import reconstruct
@@ -291,7 +275,7 @@ def _dispatch(args):
         d, T = _datum(ws, args)
         if args.cocycle:
             from .serialization import cocycle_from_json
-            T = cocycle_from_json(d, _read_json(args.cocycle))
+            T = cocycle_from_json(d, read_json(args.cocycle))
         if T is None:
             raise InputError("no cocycle given (use --cocycle or extract one)")
         eqs = ws.load_equations(args.sigma, d.signature)
@@ -339,8 +323,8 @@ def _dispatch(args):
         _require(args, "cocycle", "cocycle2")
         d, _ = _datum(ws, args)
         from .serialization import cocycle_from_json
-        T1 = cocycle_from_json(d, _read_json(args.cocycle))
-        T2 = cocycle_from_json(d, _read_json(args.cocycle2))
+        T1 = cocycle_from_json(d, read_json(args.cocycle))
+        T2 = cocycle_from_json(d, read_json(args.cocycle2))
         from .cohomology import are_equivalent
         eq = are_equivalent(d, T1, T2)
         _emit(args, {"equivalent": eq}, ["equivalent: %s" % eq])

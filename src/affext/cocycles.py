@@ -128,7 +128,7 @@ def _check_fibers(d, T):
             raise DatumError("cocycle violates (C1) at %s%r" % (sym, qs))
 
 
-def reconstruct(d, T, name=None, verify=True):
+def reconstruct(d, T, name=None):
     """The algebra on the Delta-class universe built from datum and cocycle.
 
     Operations are the f-delta term, then the action terms for positions
@@ -142,8 +142,7 @@ def reconstruct(d, T, name=None, verify=True):
     """
     U, nq, rho = d.dc.size, d.qsize(), d.dc.rho_class
     _check_cochain(d, T)
-    if verify:
-        _check_fibers(d, T)
+    _check_fibers(d, T)
     sums = d.sum_table()
     table, m = d.dc.m_table(), d.dc.m_class
     tables = {}
@@ -291,7 +290,7 @@ def tensor_right_kernel(b_alg, q_alg):
     return kernel_of_map([x % nq for x in range(nb * nq)], nb * nq)
 
 
-# --- coboundary difference ---------------------------------------------------
+# --- coboundaries ------------------------------------------------------------
 
 def coboundary_of(d, h):
     """The 2-coboundary G_f produced by a fiber-respecting h: Q -> classes.
@@ -329,15 +328,6 @@ def fiber_respecting_maps(d):
         raise CapExceeded("fiber_respecting_maps", space, DEFAULT_CAP,
                           "{stage}: {size} fiber-respecting maps exceed cap {cap}")
     return [tuple(h) for h in product(*pools)]
-
-
-def cocycle_difference_coboundary(d, T, Tp):
-    """The first h in fiber_respecting_maps order with coboundary(h) =
-    T' - T, or None: a lookup in the datum's coboundary table."""
-    from .cohomology import _coboundary_table
-    _check_cochain(d, T, Tp)
-    witnesses = _coboundary_table(d).get(_serialized_sub(d, Tp, T))
-    return witnesses[0] if witnesses else None
 
 
 # --- the A(alpha)/Delta_{alpha 1} transfer decomposition ---------------------

@@ -1,14 +1,16 @@
 """Cohomology of affine datum: Z^2, B^2, H^2, Z^1, PDer, H^1, equivalence,
 stabilizing automorphisms, trivial actions and variety comparisons."""
 
+from bisect import bisect_left
 from functools import reduce
 from itertools import product
 from math import prod
 
 from .algebras import (DEFAULT_CAP, AlgebraError, CapExceeded, _block_maps,
                        _search_plan, closure, find_isomorphism, is_homomorphism)
-from .cocycles import (_check_fibers, check_cocycle, coboundary_of, e_paths,
-                       fiber_respecting_maps, reconstruct)
+from .cocycles import (_check_cochain, _check_fibers, _serialized_sub,
+                       coboundary_of, e_paths, fiber_respecting_maps,
+                       reconstruct)
 from ._linear import System, factor, fiber_bases
 from .datum import DatumError, check_action_compatible
 from .terms import term_tables, term_vars
@@ -235,14 +237,13 @@ def _side_value(d, side, vals):
     return acc
 
 
-def cocycle_group(d, equations, cap=1 << 24, brute=False):
+def cocycle_group(d, equations, cap=1 << 24):
     """All 2-cocycles compatible with the equations, as an abelian group.
 
     (C1) fixes each cell's fiber.  Z2 is the kernel of the (C2) rows that
     _compile reads column by column, each other instance checked on its
     members; cap bounds the entries listed, order times cells, before the
-    first is built.  brute=True is the oracle mode: the product of the
-    fibers filtered through check_cocycle, cap bounding it.
+    first is built.
 
     A kernel listed with every constraint linear is a subgroup of the
     fibers over cell_fibers(), zero included; when those are the cells'
@@ -253,24 +254,13 @@ def cocycle_group(d, equations, cap=1 << 24, brute=False):
     if not gate["holds"]:
         return Z2Result(d, equations, [], gate)
     bases = d.cell_fibers()
-    if brute:
-        domains = [d.fiber(q) for q in bases]
-        space = prod(map(len, domains))
-        if space > cap:
-            raise CapExceeded("cocycle_group", space, cap,
-                              "{stage}: brute-force space {size} exceeds cap {cap}")
-        solutions = [v for v in product(*domains)
-                     if check_cocycle(d, v, equations)["holds"]]
-        filtered = True
-    else:
-        system, nonlinear = _compile(d, equations)
-        solutions = _solutions(d, bases, system.kernel(), cap, "cocycle_group")
-        for lhs, rhs in nonlinear:
-            solutions = [v for v in solutions
-                         if _side_value(d, lhs, v) == _side_value(d, rhs, v)]
-        filtered = bool(nonlinear)
+    system, nonlinear = _compile(d, equations)
+    solutions = _solutions(d, bases, system.kernel(), cap, "cocycle_group")
+    for lhs, rhs in nonlinear:
+        solutions = [v for v in solutions
+                     if _side_value(d, lhs, v) == _side_value(d, rhs, v)]
     solutions.sort()
-    if solutions and (filtered or bases != d.cell_bases()):
+    if solutions and (nonlinear or bases != d.cell_bases()):
         zero, add = _two_cochains(d)
         if zero not in set(solutions):
             raise DatumError("trivial cocycle is not compatible; gate failed")
@@ -305,42 +295,49 @@ def _delta_kernel(d):
 
 
 class B2Result:
-    def __init__(self, datum, serialized):
+    """B^2 of a datum as coboundary_group lists it, read-only.  The listing
+    and the coboundary table are kept in the datum's memo slot, which holds
+    no reference back to the datum, so every B2Result of a datum shares
+    them."""
+
+    def __init__(self, datum, serialized, witnesses):
         self.datum = datum
         self.serialized = serialized
+        self._witnesses = witnesses
 
     @property
     def order(self):
         return len(self.serialized)
 
+    def __contains__(self, cochain):
+        i = bisect_left(self.serialized, cochain)
+        return i < len(self.serialized) and self.serialized[i] == cochain
+
     @property
     def witnesses(self):
-        """The datum's coboundary table, built on the first read."""
-        return _coboundary_table(self.datum)
+        """{delta(h): [h, ...]} over every fiber-respecting h, in
+        fiber_respecting_maps order: the coboundary table, filled on the
+        first read (it is never empty, as the zero map is one h)."""
+        if not self._witnesses:
+            table = {}
+            for h in fiber_respecting_maps(self.datum):
+                table.setdefault(coboundary_of(self.datum, h), []).append(h)
+            self._witnesses.update(table)
+        return self._witnesses
 
     def invariant_factors(self):
         return _invariant_factors_of(self.datum, self.serialized)
 
 
-def _coboundary_table(d):
-    """{delta(h): [h, ...]} over every fiber-respecting h, in
-    fiber_respecting_maps order: delta enumerated once and kept on the
-    datum, for the B^2 witnesses and cocycle equivalence."""
-    if d._coboundaries is None:
-        table = {}
-        for h in fiber_respecting_maps(d):
-            table.setdefault(coboundary_of(d, h), []).append(h)
-        d._coboundaries = table
-    return d._coboundaries
-
-
 def coboundary_group(d):
-    """B^2 = delta(C^1), sorted: with delta(0) = 0 and all delta's maps
-    homomorphisms of fibers (_delta_kernel), the span of delta on the maps
-    that are one fiber generator at one q and zero elsewhere, of order
-    |C^1|/|Z^1|, held to DEFAULT_CAP before it is listed.  witnesses, the
-    maps h behind each image, is the coboundary table, built when read.
+    """B^2 = delta(C^1), sorted and kept on the datum: with delta(0) = 0 and
+    all delta's maps homomorphisms of fibers (_delta_kernel), the span of
+    delta on the maps that are one fiber generator at one q and zero
+    elsewhere, of order |C^1|/|Z^1|, held to DEFAULT_CAP before it is
+    listed.  witnesses, the maps h behind each image, is built when read.
     """
+    if d._b2 is not None:
+        return B2Result(d, *d._b2)
     nq = d.qsize()
     zero_map = tuple(d.delta_l(q) for q in range(nq))
     if coboundary_of(d, zero_map) != d.trivial_cocycle():
@@ -352,8 +349,9 @@ def coboundary_group(d):
     gens = [coboundary_of(d, zero_map[:q] + (g,) + zero_map[q + 1:])
             for q, (basis, _, _) in enumerate(fiber_bases(d)) for g, _, _ in basis]
     order = prod(len(d.fiber(q)) for q in range(nq)) // z1_order
-    return B2Result(d, sorted(_solutions(d, d.cell_bases(), (order, gens),
-                                         DEFAULT_CAP, "coboundary_group")))
+    d._b2 = sorted(_solutions(d, d.cell_bases(), (order, gens), DEFAULT_CAP,
+                              "coboundary_group")), {}
+    return B2Result(d, *d._b2)
 
 
 class CohomologyResult:
@@ -440,9 +438,10 @@ def _default_namer(d):
 
 def are_equivalent(d, T, Tp):
     """T and T' give equivalent extensions: T' - T lies in B^2 = delta(C^1),
-    one lookup in the datum's coboundary table."""
-    from .cocycles import cocycle_difference_coboundary
-    return cocycle_difference_coboundary(d, T, Tp) is not None
+    a binary search in B^2 as coboundary_group lists it once per datum."""
+    _check_cochain(d, T, Tp)
+    b2 = coboundary_group(d)
+    return _serialized_sub(d, Tp, T) in b2
 
 
 def stabilizing_isomorphism(ext_a, ext_b):
@@ -540,11 +539,6 @@ def stabilizers(ext):
     return sorted(map(tuple, _stabilizing_maps(ext, ext)))
 
 
-def stab_closed_under_composition(stabs):
-    sset = set(stabs)
-    return all(tuple(g1[x] for x in g2) in sset for g1 in stabs for g2 in stabs)
-
-
 def derivations(d):
     """Z^1 = ker delta: the sorted fiber-respecting maps h with delta(h) the
     zero cochain, checked to be a subgroup under pointwise +_{l(x)}: the
@@ -577,7 +571,8 @@ def derivation_of_stabilizer(ext, d, gamma):
 
 def stabilizer_derivation_isomorphism(ext, d):
     """gamma -> d_gamma is a bijection Stab -> Z^1 turning composition into
-    addition; returns a report dict."""
+    addition; returns a report dict.  A composition outside Stab fails at
+    its lookup, so Stab is closed under composition when the claim holds."""
     stabs = stabilizers(ext)
     ders = derivations(d)
     dmap = {g: derivation_of_stabilizer(ext, d, g) for g in stabs}
@@ -591,13 +586,10 @@ def stabilizer_derivation_isomorphism(ext, d):
             comp = tuple(g1[x] for x in g2)
             rhs = tuple(d.plus_at(q, dmap[g1][q], dmap[g2][q])
                         for q in range(d.qsize()))
-            if dmap[comp] != rhs:
+            if dmap.get(comp) != rhs:
                 report["holds"] = False
                 report["witness"] = {"composition": (g1, g2)}
                 return report
-    if not stab_closed_under_composition(stabs):
-        report["holds"] = False
-        report["witness"] = "Stab not closed under composition"
     return report
 
 
@@ -605,8 +597,8 @@ def stabilizer_derivation_isomorphism(ext, d):
 
 def twin_pairs_of_identity(alg, theta):
     """Pairs (g, h) of unary polynomial maps coming from one term with
-    theta-related parameter tuples, and exact: True, as the closure runs
-    to its fixpoint (held to its cap without an associative operation).
+    theta-related parameter tuples; the closure runs to its fixpoint (held
+    to its cap without an associative operation).
 
     A pair is the 2n-tuple g || h in alg**(2n), where every operation acts
     coordinatewise, as it acts pointwise on the unary polynomials.  The
@@ -616,7 +608,7 @@ def twin_pairs_of_identity(alg, theta):
     n = alg.size
     seeds = [tuple(range(n)) * 2] + [(c,) * n + (e,) * n for block in theta.blocks()
                                      for c in block for e in block]
-    return {(t[:n], t[n:]) for t in closure(alg, 2 * n, seeds)}, True
+    return {(t[:n], t[n:]) for t in closure(alg, 2 * n, seeds)}
 
 
 def principal_stabilizers(d):
@@ -625,77 +617,77 @@ def principal_stabilizers(d):
     (a bijection, pi.g = pi, g(x) = m(g(a), a, x) on kernel blocks, a
     homomorphism) instead of listing Stab(A_0)."""
     a0 = reconstruct(d, d.trivial_cocycle(), name="A_0")
-    pairs, exact = twin_pairs_of_identity(a0.alg, a0.beta)
+    pairs = twin_pairs_of_identity(a0.alg, a0.beta)
     ident = tuple(range(a0.alg.size))
     blocks, pi, m = a0.beta.blocks(), a0.pi, a0.m_elem
     twins = sorted({g for g, h in pairs if h == ident and any(g[x] == x for x in ident)})
     return a0, [g for g in twins if len(set(g)) == len(g)
                 and all(pi[y] == pi[x] for x, y in enumerate(g))
                 and all(g[x] == m(g[a], a, x) for b in blocks for a in b for x in b)
-                and is_homomorphism(list(g), a0.alg, a0.alg)], exact
+                and is_homomorphism(list(g), a0.alg, a0.alg)]
 
 
 def principal_derivations(d):
     """PDer: the subgroup of Z^1 generated by the derivations of principal
     stabilizing automorphisms of the semidirect product."""
-    a0, pstab, exact = principal_stabilizers(d)
+    _, pstab = principal_stabilizers(d)
     nq = d.qsize()
     gens = [tuple(gamma[d.delta_l(q)] for q in range(nq)) for gamma in pstab]
     zero, add = _cochain_group(d, range(nq))
-    sub = _span(gens, zero, add, set(derivations(d)).__contains__,
-                "principal derivation outside Z1")
-    return sorted(sub), exact
+    return sorted(_span(gens, zero, add, set(derivations(d)).__contains__,
+                        "principal derivation outside Z1"))
 
 
 def h1(d):
-    """H^1 = Z^1/PDer as coset representatives with invariant factors."""
+    """H^1 = Z^1/PDer as coset representatives with invariant factors; the
+    twin-pair closure runs to its fixpoint, so the result is exact."""
     ders = derivations(d)
-    pder, exact = principal_derivations(d)
+    pder = principal_derivations(d)
     zero, add = _cochain_group(d, range(d.qsize()))
     _, reps, factors = _quotient(ders, pder, zero, add)
     return {"order": len(reps), "invariant_factors": factors,
-            "exact": exact, "Z1_order": len(ders), "PDer_order": len(pder)}
+            "exact": True, "Z1_order": len(ders), "PDer_order": len(pder)}
 
 
 # --- trivial actions and central extensions ----------------------------------
 
 def trivial_action_check(d):
-    """Exhaustive test of the trivial-action sum identity over all symbols,
-    index sets and argument tuples; sweeps every lifting when there are at
-    most 256, else tests the datum's own."""
-    n = d.asize
-    per_q = [[x for x in range(n) if d.pi_of(x) == q] for q in range(d.qsize())]
-    if prod(map(len, per_q)) <= 256:
-        lift_choices = [tuple(c) for c in product(*per_q)]
-    else:
-        lift_choices = [d.lifting]
+    """The trivial-action sum identity, read off the datum's classes.
 
-    def action_sum(lifting, sym, idx_set, cs):
-        """(delta(l(f(q))), the sum over idx_set of the actions on the
-        classes [l(q_i) // c_i]) for q = pi(cs)."""
-        qs = tuple(d.pi_of(c) for c in cs)
-        fq = d.q_alg.apply(sym, qs)
-        return d.dc.delta_of[lifting[fq]], d.sum_at(fq, [
-            d.action_apply(sym, i, qs[:i - 1] + qs[i:],
-                           d.dc.class_of_pair(lifting[qs[i - 1]], cs[i - 1]))
-            for i in idx_set])
+    For f of arity >= 2, a nonempty index set I and Q values at I, take a
+    class c_i of the fiber over each position i in I.  Every assignment of
+    Q values q to the other positions gives a pair (u, s): u = delta(l(q'))
+    and s the sum at q' of a(f,i)(c_i), i in I, where q' = f^Q(q).  The
+    identity holds when s = m(u, u', t) for any two such pairs (u, s),
+    (u', t).
 
-    for lifting in lift_choices:
-        for sym, ar in d.signature.symbols:
-            if ar < 2:
-                continue
-            for mask in range(1, 1 << ar):
-                idx_set = [i + 1 for i in range(ar) if mask >> i & 1]
-                free = [i for i in range(1, ar + 1) if i not in idx_set]
-                for cs in product(range(n), repeat=ar):
-                    u, lhs = action_sum(lifting, sym, idx_set, cs)
-                    for alt in product(range(n), repeat=len(free)):
-                        cs2 = list(cs)
-                        for p, v in zip(free, alt):
-                            cs2[p - 1] = v
-                        u2, rhs0 = action_sum(lifting, sym, idx_set, cs2)
-                        if lhs != d.dc.m_class(u, u2, rhs0):
-                            return False
+    These are the comparisons of a sweep over every lifting and every tuple
+    of A's elements, whose class at position i is [l(q_i) // a_i]:
+    Delta_{alpha,alpha} holds ((u,u),(v,v)) for u alpha v, so delta(l(q))
+    is one class per block whatever the lifting; and by the Delta rule
+    (a,b) ~ (c, m(b,a,c)), so b -> [l(q) // b] is a bijection from the
+    block over q onto the fiber over q.  Every lifting and every tuple of
+    elements reads the same tuples of classes.
+    """
+    nq, m = d.qsize(), d.dc.m_class
+    for sym, ar in d.signature.symbols:
+        if ar < 2:
+            continue
+        for mask in range(1, 1 << ar):
+            idx = [i for i in range(1, ar + 1) if mask >> i - 1 & 1]
+            rows = {}  # Q values at I -> the Q tuples that agree there
+            for qs in product(range(nq), repeat=ar):
+                rows.setdefault(tuple(qs[i - 1] for i in idx), []).append(qs)
+            for at, tuples in rows.items():
+                for cs in product(*map(d.fiber, at)):
+                    pairs = []
+                    for qs in tuples:
+                        fq = d.q_alg.apply(sym, qs)
+                        pairs.append((d.delta_l(fq), d.sum_at(fq, [
+                            d.action_apply(sym, i, qs[:i - 1] + qs[i:], c)
+                            for i, c in zip(idx, cs)])))
+                    if any(s != m(u, v, t) for u, s in pairs for v, t in pairs):
+                        return False
     return True
 
 

@@ -159,7 +159,7 @@ class AffineDatum:
         self.layouts = {sym: _layout(arity(sym), nq, size) for sym in fdelta}
         self.layouts.update({(sym, i): _layout(arity(sym), nq, size, i) for sym, i in actions})
         self.name = name
-        self._coboundaries = None  # cohomology._coboundary_table's memo
+        self._b2 = None  # coboundary_group's memo: (B2, coboundary table)
         self._fiber_tables = None  # fiber_tables()'s memo
         self._delta_kernel = None  # cohomology._delta_kernel's memo
         self._fiber_bases = None  # _linear.fiber_bases's memo

@@ -201,6 +201,19 @@ def dump_json(data, path=None):
     return text
 
 
+def read_json(path):
+    """The JSON value in the file at path; InputError when it is missing or
+    is no JSON."""
+    if not os.path.exists(path):
+        raise InputError("no such file: %s" % path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputError("%s: invalid JSON at line %d column %d"
+                         % (path, exc.lineno, exc.colno))
+
+
 class Workspace:
     """Named store of loaded inputs; file references resolved eagerly."""
 
@@ -210,32 +223,22 @@ class Workspace:
         self.data = {}
 
     def load_algebra(self, path):
-        alg = algebra_from_json(self._read(path))
+        alg = algebra_from_json(read_json(path))
         if alg.name in self.algebras:
             raise InputError("duplicate algebra name %r" % alg.name)
         self.algebras[alg.name] = alg
         return alg
 
     def load_congruence(self, path, alg):
-        return congruence_from_json(self._read(path), alg)
+        return congruence_from_json(read_json(path), alg)
 
     def load_equations(self, ref, signature):
         """The equations at ref, each side checked against signature."""
         eqs = (builtin_equations(ref.split(":", 1)[1]) if ref.startswith("builtin:")
-               else equations_from_json(self._read(ref)))
+               else equations_from_json(read_json(ref)))
         try:
             for side in chain.from_iterable(eqs):
                 check_term(side, signature)
         except TermError as exc:
             raise InputError("bad equations: %s" % exc)
         return eqs
-
-    def _read(self, path):
-        if not os.path.exists(path):
-            raise InputError("no such file: %s" % path)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError("%s: invalid JSON at line %d column %d"
-                             % (path, exc.lineno, exc.colno))

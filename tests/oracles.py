@@ -47,6 +47,14 @@ with, now compared with what replaced them.
   blocks, each representative choice tested with is_homomorphism.
 - product_realization: check_realization's loop over every lifting and
   every product of per-fiber bijections, each tested in full.
+- brute_cocycle_group: Z2 as the product of the fibers filtered through
+  check_cocycle, cocycle_group's old oracle mode.
+- cocycle_difference_coboundary: the first fiber-respecting h with
+  delta(h) = T' - T, read off the coboundary table (B2Result.witnesses),
+  as are_equivalent once decided equivalence.
+- lifting_sweep_trivial_action: the trivial-action identity swept over
+  every lifting (at most 256 of them, else the datum's own) and every
+  tuple of A's elements.
 - plus_u, entrywise_validate_datum: m(x, delta(u), y) at an explicit base
   element u, and validate_datum with every axiom checked per
   class, pair or triple through fdelta_apply, action_apply, plus_at and
@@ -57,6 +65,7 @@ with, now compared with what replaced them.
 from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, product
+from math import prod
 from operator import mul
 
 from affext._linear import fiber_basis, howell, howell_kernel
@@ -64,10 +73,12 @@ from affext.algebras import (DEFAULT_CAP, GROUP_SIGNATURE, AlgebraError,
                              CapExceeded, FiniteAlgebra, _apply_rows, _invariant,
                              _profiles, _row_getters, closure, congruence_violation,
                              find_isomorphism, is_homomorphism)
-from affext.cocycles import (coboundary_of, e_paths, fiber_respecting_maps,
+from affext.cocycles import (_check_cochain, _serialized_sub, check_cocycle,
+                             coboundary_of, e_paths, fiber_respecting_maps,
                              reconstruct)
-from affext.cohomology import (_check_subgroup, _cochain_group, _side_value,
-                               _solutions, _two_cochains, stabilizers,
+from affext.cohomology import (Z2Result, _check_subgroup, _cochain_group,
+                               _side_value, _solutions, _two_cochains,
+                               coboundary_group, stabilizers,
                                twin_pairs_of_identity)
 from affext.commutator import (is_abelian, is_malcev_on_blocks, tc_commutator,
                                verify_ternary_abelian_group_on_blocks)
@@ -578,16 +589,16 @@ def eval_satisfies(alg, equations):
 
 
 def intersected_principal_stabilizers(d):
-    """principal_stabilizers(d) as (A_0, PStab, exact), with PStab the
-    sorted twins of the identity that have a fixed point and lie in
+    """principal_stabilizers(d) as (A_0, PStab), with PStab the sorted
+    twins of the identity that have a fixed point and lie in
     stabilizers(A_0), which is listed under its own cap."""
     a0 = reconstruct(d, d.trivial_cocycle(), name="A_0")
-    pairs, exact = twin_pairs_of_identity(a0.alg, a0.beta)
+    pairs = twin_pairs_of_identity(a0.alg, a0.beta)
     ident = tuple(range(a0.alg.size))
     twins = sorted({g for g, h in pairs
                     if h == ident and any(g[x] == x for x in range(a0.alg.size))})
     stabs = set(stabilizers(a0))
-    return a0, [g for g in twins if g in stabs], exact
+    return a0, [g for g in twins if g in stabs]
 
 
 def enumerated_congruences(alg):
@@ -625,18 +636,17 @@ def pair_algebra_m_matrices(alg, alpha, beta):
             for i, j in closure(pairalg, 2, gens)}
 
 
-def entrywise_reconstruct(d, T, name=None, verify=True):
+def entrywise_reconstruct(d, T, name=None):
     """reconstruct with each entry summed on its own: the f-delta term, the
     action terms for positions 2..n and T_f, left-associated at base
     l(f^Q(q)), after (C1) is checked cell by cell."""
     U = d.dc.size
     nq = d.qsize()
     T = tables_of(d, T)
-    if verify:
-        for sym, ar in d.signature.symbols:
-            for qs in product(range(nq), repeat=ar):
-                if d.dc.rho_class[T[sym][qs]] != d.cell_fiber(sym, qs):
-                    raise DatumError("cocycle violates (C1) at %s%r" % (sym, qs))
+    for sym, ar in d.signature.symbols:
+        for qs in product(range(nq), repeat=ar):
+            if d.dc.rho_class[T[sym][qs]] != d.cell_fiber(sym, qs):
+                raise DatumError("cocycle violates (C1) at %s%r" % (sym, qs))
     tables = {}
     for sym, ar in d.signature.symbols:
         if ar == 0:
@@ -1095,3 +1105,73 @@ def product_realization(ext, d):
                                     "lifting": list(lift)}}
     return {"claim": "realizes datum", "holds": False,
             "witness": {"reason": "exhausted"}}
+
+
+def brute_cocycle_group(d, equations, cap=1 << 24):
+    """cocycle_group as the product of the fibers filtered through
+    check_cocycle, cap bounding the product before it is walked, the
+    members checked to be a subgroup."""
+    gate = check_action_compatible(d, equations, mode="weak")
+    if not gate["holds"]:
+        return Z2Result(d, equations, [], gate)
+    domains = [d.fiber(q) for q in d.cell_fibers()]
+    space = prod(map(len, domains))
+    if space > cap:
+        raise CapExceeded("cocycle_group", space, cap,
+                          "{stage}: brute-force space {size} exceeds cap {cap}")
+    solutions = sorted(v for v in product(*domains)
+                       if check_cocycle(d, v, equations)["holds"])
+    if solutions:
+        zero, add = _two_cochains(d)
+        if zero not in set(solutions):
+            raise DatumError("trivial cocycle is not compatible; gate failed")
+        _check_subgroup(solutions, zero, add, "Z2")
+    return Z2Result(d, equations, solutions, gate)
+
+
+def cocycle_difference_coboundary(d, T, Tp):
+    """The first h in fiber_respecting_maps order with coboundary(h) =
+    T' - T, or None: a lookup in the datum's coboundary table."""
+    _check_cochain(d, T, Tp)
+    witnesses = coboundary_group(d).witnesses.get(_serialized_sub(d, Tp, T))
+    return witnesses[0] if witnesses else None
+
+
+def lifting_sweep_trivial_action(d):
+    """Exhaustive test of the trivial-action sum identity over all symbols,
+    index sets and argument tuples; sweeps every lifting when there are at
+    most 256, else tests the datum's own."""
+    n = d.asize
+    per_q = [[x for x in range(n) if d.pi_of(x) == q] for q in range(d.qsize())]
+    if prod(map(len, per_q)) <= 256:
+        lift_choices = [tuple(c) for c in product(*per_q)]
+    else:
+        lift_choices = [d.lifting]
+
+    def action_sum(lifting, sym, idx_set, cs):
+        """(delta(l(f(q))), the sum over idx_set of the actions on the
+        classes [l(q_i) // c_i]) for q = pi(cs)."""
+        qs = tuple(d.pi_of(c) for c in cs)
+        fq = d.q_alg.apply(sym, qs)
+        return d.dc.delta_of[lifting[fq]], d.sum_at(fq, [
+            d.action_apply(sym, i, qs[:i - 1] + qs[i:],
+                           d.dc.class_of_pair(lifting[qs[i - 1]], cs[i - 1]))
+            for i in idx_set])
+
+    for lifting in lift_choices:
+        for sym, ar in d.signature.symbols:
+            if ar < 2:
+                continue
+            for mask in range(1, 1 << ar):
+                idx_set = [i + 1 for i in range(ar) if mask >> i & 1]
+                free = [i for i in range(1, ar + 1) if i not in idx_set]
+                for cs in product(range(n), repeat=ar):
+                    u, lhs = action_sum(lifting, sym, idx_set, cs)
+                    for alt in product(range(n), repeat=len(free)):
+                        cs2 = list(cs)
+                        for p, v in zip(free, alt):
+                            cs2[p - 1] = v
+                        u2, rhs0 = action_sum(lifting, sym, idx_set, cs2)
+                        if lhs != d.dc.m_class(u, u2, rhs0):
+                            return False
+    return True

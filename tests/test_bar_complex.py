@@ -2,7 +2,7 @@
 against the bar complex over GF(p) (tests/oracles.bar_complex_orders),
 which reads only the group tables of Q, K and the action.  The rungs of
 order 16 have no other check: groups.classical_h2 stops at |Q| = 4, and
-brute=True at a product of fibers of 2^24."""
+oracles.brute_cocycle_group at a product of fibers of 2^24."""
 
 import pytest
 

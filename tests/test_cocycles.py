@@ -12,15 +12,14 @@ from affext.groups import cyclic, direct_product
 from affext.verify import catalog_extensions, datum_for_oracle_case, oracle_cases
 from affext.cocycles import (_serialized_sub, central_tensor_decomposition,
                              check_cocycle, check_realization,
-                             cocycle_difference_coboundary,
                              delta_quotient, e_paths, is_semidirect,
                              partial_derivative,
                              reconstruct, tensor_product, tensor_right_kernel,
                              coboundary_of)
 from affext.terms import parse_term, term_vars
 
-from oracles import (partial_derivative_recursive, product_realization,
-                     tables_of, weak_sum)
+from oracles import (cocycle_difference_coboundary, partial_derivative_recursive,
+                     product_realization, tables_of, weak_sum)
 
 
 def test_e_paths_counts_internal_nodes():

@@ -12,7 +12,7 @@ from affext.cocycles import reconstruct
 from affext.datum import DatumError, extract_datum, group_extension
 from affext.terms import parse_term
 
-from oracles import cocycle_add
+from oracles import brute_cocycle_group, cocycle_add
 from test_cohomology_oracle import AbelianGroupPresentation
 
 
@@ -76,7 +76,7 @@ def test_propagated_matches_brute(z4_datum, group_eqs, abelian_eqs):
     d, _ = z4_datum
     for eqs in (group_eqs, abelian_eqs):
         fast = cocycle_group(d, eqs)
-        slow = cocycle_group(d, eqs, brute=True)
+        slow = brute_cocycle_group(d, eqs)
         assert fast.serialized == slow.serialized
 
 
@@ -91,7 +91,7 @@ def test_propagated_matches_brute_on_more_datums(cat, group, kernel, variety):
     d, _ = extract_datum(group_extension(cat[group], kernel))
     eqs = builtin_equations(variety)
     fast = cocycle_group(d, eqs)
-    slow = cocycle_group(d, eqs, brute=True)
+    slow = brute_cocycle_group(d, eqs)
     assert fast.serialized == slow.serialized
 
 
@@ -102,7 +102,7 @@ def test_cap_exceeded(z4_datum, group_eqs):
                        match="^cocycle_group: listing 28 entries exceeds cap 2$"):
         cocycle_group(d, group_eqs, cap=2)
     with pytest.raises(CapExceeded, match="^cocycle_group: brute-force space 128 "):
-        cocycle_group(d, group_eqs, cap=2, brute=True)
+        brute_cocycle_group(d, group_eqs, cap=2)
 
 
 @pytest.mark.parametrize("n, kernel, digest", [
@@ -209,6 +209,23 @@ def test_stabilizers_and_derivations(z4_extension, z4_datum):
     assert rep["holds"], rep
 
 
+def test_stab_not_closed_is_reported_at_the_composition(z4_extension, z4_datum,
+                                                        monkeypatch):
+    """Two maps of Z4 standing in for Stab, whose composites (the identity
+    among them) lie outside it, each sent to its own derivation: the claim
+    fails at the first composition, with no KeyError."""
+    import affext.cohomology as cohomology
+    d, _ = z4_datum
+    fake = [(1, 0, 3, 2), (2, 3, 0, 1)]
+    ders = derivations(d)
+    monkeypatch.setattr(cohomology, "stabilizers", lambda ext: fake)
+    monkeypatch.setattr(cohomology, "derivation_of_stabilizer",
+                        lambda ext, d, g: ders[fake.index(g)])
+    rep = stabilizer_derivation_isomorphism(z4_extension, d)
+    assert (rep["holds"], rep["witness"]) == (
+        False, {"composition": (fake[0], fake[0])})
+
+
 def _blocks_of_two(k):
     """The identity on 2k points over k kernel blocks of 2."""
     from affext.algebras import FiniteAlgebra, Signature
@@ -233,7 +250,7 @@ def test_cap_exceeded_names_stage_size_and_cap(z4_datum, group_eqs, cat):
     caps = []
     for call in (lambda: stabilizers(_blocks_of_two(25)),
                  lambda: cocycle_group(d, group_eqs, cap=2),
-                 lambda: cocycle_group(d, group_eqs, cap=2, brute=True),
+                 lambda: brute_cocycle_group(d, group_eqs, cap=2),
                  lambda: classical_h2(z2, z2_3, trivial_action(z2, z2_3))):
         with pytest.raises(CapExceeded) as info:
             call()
@@ -288,8 +305,7 @@ def test_identity_automorphism_is_zero_derivation(z4_extension, z4_datum):
 def test_twin_pairs_exactness(z4_datum):
     d, _ = z4_datum
     a0 = reconstruct(d, d.trivial_cocycle())
-    pairs, exact = twin_pairs_of_identity(a0.alg, a0.beta)
-    assert exact
+    pairs = twin_pairs_of_identity(a0.alg, a0.beta)
     ident = tuple(range(a0.alg.size))
     assert (ident, ident) in pairs
 

@@ -447,6 +447,33 @@ def test_datum_extract_json_pinned(cat, tmp_path, monkeypatch, name, kernel, dig
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
+def test_datum_extract_with_lift(cat, tmp_path, monkeypatch):
+    """D4 over its centre with the larger element of each block as the
+    lifting: `datum extract --lift` writes the bundle extract_datum gives
+    on that lifting, which is not the default one's."""
+    from affext.datum import extract_datum, group_extension
+    from affext.groups import congruence_of_subgroup
+    g, kernel = cat["D4"], [0, 4]
+    pi = group_extension(g, kernel).pi
+    lift = [max(x for x in range(g.size) if pi[x] == q) for q in range(max(pi) + 1)]
+    monkeypatch.chdir(tmp_path)
+    dump_json(algebra_to_json(g), tmp_path / "g.json")
+    dump_json(congruence_to_json(congruence_of_subgroup(g, kernel), g.name),
+              tmp_path / "c.json")
+    bundles = []
+    for extra in ([], ["--lift", ",".join("%d:%d" % qa for qa in enumerate(lift))]):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = cli.main(["datum", "extract", "--alg", "g.json", "--con", "c.json",
+                             "--format", "json"] + extra)
+        assert code == 0
+        bundles.append(buf.getvalue())
+    d, T = extract_datum(group_extension(g, kernel, lifting=lift, name=g.name))
+    assert bundles[1] == dump_json({"datum": datum_to_json(d),
+                                    "cocycle": cocycle_to_json(d, T)})
+    assert bundles[0] != bundles[1]
+
+
 def test_datum_file_with_m_as_term(z4_datum, cat):
     from affext.datum import validate_datum
     d, _ = z4_datum

@@ -63,7 +63,7 @@ def test_twin_pair_algebra_tables(cat, group):
     """The twin pairs of the order-4 kernels of the datum-deep ladder, as a
     subpower of A_0 on 2n-tuples: k = 16."""
     alg, theta = semidirect(cat[group], [0, 2, 4, 6])
-    assert_tables(alg, sorted(g + h for g, h in twin_pairs_of_identity(alg, theta)[0]))
+    assert_tables(alg, sorted(g + h for g, h in twin_pairs_of_identity(alg, theta)))
 
 
 @settings(max_examples=150, deadline=None)
